@@ -5,8 +5,11 @@ unknown entry), 2 on source parse errors.
 """
 
 import argparse
+import json
+import math
 import os
 import sys
+from dataclasses import asdict
 
 from . import driver, report, satcheck
 from .errors import MalformedPath, MexecError, ParseError, UnknownFunction
@@ -87,9 +90,16 @@ def _search_config(args):
         raise _UsageError(f"bad box {args.box!r}, expected numbers")
     if not lo < hi:
         raise _UsageError(f"bad box {args.box!r}, need lo < hi")
+    if not 0.0 < args.epsilon < math.inf:
+        raise _UsageError(f"bad epsilon {args.epsilon!r}, need a positive "
+                          "finite number")
     seed = args.seed
     if seed is None and os.environ.get("MEXEC_SEED"):
-        seed = int(os.environ["MEXEC_SEED"])
+        try:
+            seed = int(os.environ["MEXEC_SEED"])
+        except ValueError:
+            raise _UsageError(f"bad MEXEC_SEED {os.environ['MEXEC_SEED']!r}, "
+                              "expected an integer")
     cfg = driver.SearchConfig(
         n_start=args.n_start,
         mcmc=MCMCConfig(n_iter=args.n_iter, step_scale=args.step_scale,
@@ -158,6 +168,10 @@ def main(argv=None):
                 print(f"sat: {model}")
             else:
                 print(f"unknown (best residual {result.residual!r})")
+            if args.json_path:
+                with open(args.json_path, "w", encoding="utf-8") as handle:
+                    handle.write(json.dumps(asdict(result), indent=2,
+                                            sort_keys=True) + "\n")
             return 0
 
         prepared, entry = _load_program(args)

@@ -16,7 +16,8 @@ from . import saturation
 from .cfg import build_cfg
 from .errors import MalformedPath
 from .interp import (
-    bva_config, coverage_config, execute, path_config, plain_config,
+    CompiledProgram, bva_config, coverage_config, execute, path_config,
+    plain_config,
 )
 from .optimize import MCMCConfig, Objective, basinhopping
 
@@ -149,33 +150,31 @@ def run_coverage(program, entry, cfg=None):
 
     if not graph.labels or arity == 0:
         x = sample_start(rng, box) if arity else []
-        trace = execute(program, x, plain_config(), entry=entry,
-                        step_budget=cfg.step_budget)
+        trace = execute(CompiledProgram(program, plain_config(), entry,
+                                        cfg.step_budget), x)
         result.inputs.append(x)
         result.traces.append(trace)
         result.starts_used = 1
         result.wall_time = time.perf_counter() - started
         return result
 
+    repfun = CompiledProgram(program, coverage_config(cfg.epsilon), entry,
+                             cfg.step_budget)
     failure_counts = {}
     for _start in range(cfg.n_start):
         if saturation.goal_reached(state):
             break
         result.starts_used += 1
         snapshot = state
+        evaluate = repfun.objective(snapshot)
 
-        def raw(x, snapshot=snapshot):
-            trace = execute(program, _clamp(x, box),
-                            coverage_config(cfg.epsilon), snapshot,
-                            entry=entry, step_budget=cfg.step_budget)
-            return trace.final_r
+        def raw(x, evaluate=evaluate):
+            return evaluate(_clamp(x, box))
 
         objective = Objective(raw, arity)
         x_star, f_star = _minimize_once(objective, cfg, box, rng)
         result.eval_count += objective.eval_count
-        trace = execute(program, _clamp(x_star, box),
-                        coverage_config(cfg.epsilon), snapshot,
-                        entry=entry, step_budget=cfg.step_budget)
+        trace = execute(repfun, _clamp(x_star, box), sat_state=snapshot)
         if f_star == 0.0 and trace.final_r == 0.0:
             result.inputs.append(_clamp(x_star, box))
             result.traces.append(trace)
@@ -228,11 +227,12 @@ def run_path(program, entry, target, cfg=None):
     rng = random.Random(cfg.seed)
     result = TestSuiteResult(mode="path", graph=graph)
 
+    repfun = CompiledProgram(program, path_config(target, cfg.epsilon),
+                             entry, cfg.step_budget)
+    evaluate = repfun.objective()
+
     def raw(x):
-        trace = execute(program, _clamp(x, box),
-                        path_config(target, cfg.epsilon), entry=entry,
-                        step_budget=cfg.step_budget)
-        return trace.final_r
+        return evaluate(_clamp(x, box))
 
     for _start in range(cfg.n_start):
         result.starts_used += 1
@@ -241,8 +241,7 @@ def run_path(program, entry, target, cfg=None):
         result.eval_count += objective.eval_count
         if f_star == 0.0:
             x_star = _clamp(x_star, box)
-            trace = execute(program, x_star, path_config(target, cfg.epsilon),
-                            entry=entry, step_budget=cfg.step_budget)
+            trace = execute(repfun, x_star)
             if (trace.final_r == 0.0
                     and tuple(trace.path[:len(target)]) == target):
                 result.found = x_star
@@ -265,10 +264,12 @@ def run_bva(program, entry, cfg=None):
     rng = random.Random(cfg.seed)
     result = TestSuiteResult(mode="bva", graph=graph)
 
+    repfun = CompiledProgram(program, bva_config(cfg.epsilon), entry,
+                             cfg.step_budget)
+    evaluate = repfun.objective()
+
     def raw(x):
-        trace = execute(program, _clamp(x, box), bva_config(cfg.epsilon),
-                        entry=entry, step_budget=cfg.step_budget)
-        return trace.final_r
+        return evaluate(_clamp(x, box))
 
     seen = set()
     for _start in range(cfg.n_start):
@@ -281,8 +282,7 @@ def run_bva(program, entry, cfg=None):
             key = tuple(x_star)
             if key not in seen:
                 seen.add(key)
-                trace = execute(program, x_star, bva_config(cfg.epsilon),
-                                entry=entry, step_budget=cfg.step_budget)
+                trace = execute(repfun, x_star)
                 result.inputs.append(x_star)
                 result.traces.append(trace)
     result.wall_time = time.perf_counter() - started

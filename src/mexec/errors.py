@@ -44,6 +44,10 @@ class StepBudgetExceeded(MexecError):
     pass
 
 
+class CallDepthExceeded(MexecError):
+    pass
+
+
 class ArityMismatch(MexecError):
     pass
 

@@ -1,59 +1,77 @@
-"""Tracing interpreter for prepared programs.
+"""Representing functions compiled to Python.
 
-Runs the entry function on a concrete real vector, records coverage
-facts (lines, conditionals, branches, call sites, the branch path), and
-threads the representing value r through every labeled conditional
-according to the configured mode.
+Once per mode call the prepared program is translated to Python source,
+one Python function per .mx function, and exec'd.  One generator emits
+two flavours of the same program:
+
+* the fast flavour returns only the final representing value r; the
+  search's objectives call it;
+* the tracing flavour also records coverage facts (lines, conditionals,
+  branches, call sites, the branch path, steps) in an ExecutionTrace;
+  `execute`, admission replays and reports use it.
+
+At each labeled conditional the mode decides how r changes: coverage
+assigns the penalty of the saturation state, path adds the distance
+toward the target branch, boundary-value analysis multiplies by the
+equality distance, and plain leaves r alone.  An evaluation aborts, and
+reports the sentinel, on a NaN operand of a comparison whose distance
+is computed, on more statements than the step budget, or on user calls
+nested deeper than MAX_CALL_DEPTH.
 """
 
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Optional
 
-from .distance import branch_distance, compare, negate_op
+from .distance import negate_op
 from .errors import (
-    ArityMismatch, NaNOperand, StepBudgetExceeded, UnknownFunction,
+    ArityMismatch, CallDepthExceeded, MexecError, NaNOperand,
+    StepBudgetExceeded, UnknownFunction,
 )
 from .lang import (
     Assign, Binary, Block, Call, Compare, Decl, Deref, ExprStmt, If, Incr,
     Num, Promote, Return, Unary, Var, While,
 )
+from .optimize import SENTINEL
 from .saturation import pen
-
-SENTINEL = 1e300
 
 COVERAGE = "coverage"
 PATH = "path"
 BVA = "bva"
 PLAIN = "plain"
 
+# representing value at entry, per mode
+_R0 = {COVERAGE: 1.0, PATH: 0.0, BVA: 1.0, PLAIN: 0.0}
+
+# user calls nested deeper than this abort the evaluation; the entry
+# function is at depth 1
+MAX_CALL_DEPTH = 100
+
 
 @dataclass
 class RepFunConfig:
     mode: str = COVERAGE
-    r0: float = 1.0
-    update: str = "assign"
     epsilon: float = 1e-6
     target_path: Optional[tuple] = None
 
 
 def coverage_config(epsilon=1e-6):
-    return RepFunConfig(mode=COVERAGE, r0=1.0, update="assign",
-                        epsilon=epsilon)
+    return RepFunConfig(mode=COVERAGE, epsilon=epsilon)
 
 
 def path_config(target_path, epsilon=1e-6):
-    return RepFunConfig(mode=PATH, r0=0.0, update="add", epsilon=epsilon,
+    return RepFunConfig(mode=PATH, epsilon=epsilon,
                         target_path=tuple(target_path))
 
 
 def bva_config(epsilon=1e-6):
-    return RepFunConfig(mode=BVA, r0=1.0, update="multiply", epsilon=epsilon)
+    return RepFunConfig(mode=BVA, epsilon=epsilon)
 
 
 def plain_config():
-    return RepFunConfig(mode=PLAIN, r0=0.0, update="assign")
+    return RepFunConfig(mode=PLAIN)
 
 
 @dataclass
@@ -69,20 +87,15 @@ class ExecutionTrace:
     aborted: Optional[str] = None
 
 
-class _ReturnSignal(Exception):
-    def __init__(self, value):
-        self.value = value
+_ABORTS = {
+    NaNOperand: "nan operand",
+    StepBudgetExceeded: "step budget exceeded",
+    CallDepthExceeded: "recursion depth",
+}
 
 
-def _hiword(x):
-    hi, _lo = struct.unpack(">II", struct.pack(">d", x))
-    return float(hi)
-
-
-def _loword(x):
-    _hi, lo = struct.unpack(">II", struct.pack(">d", x))
-    return float(lo)
-
+# ---------------------------------------------------------------------------
+# Arithmetic, called by the generated code
 
 def _pow(a, b):
     try:
@@ -97,218 +110,545 @@ def _pow(a, b):
         return math.nan
 
 
-def _call_builtin(name, args):
+def _div(a, b):
     try:
-        if name == "sin":
-            return math.sin(args[0])
-        if name == "cos":
-            return math.cos(args[0])
-        if name == "tan":
-            return math.tan(args[0])
-        if name == "exp":
-            return math.exp(args[0])
-        if name == "log":
-            return math.log(args[0])
-        if name == "sqrt":
-            return math.sqrt(args[0])
-        if name == "fabs":
-            return math.fabs(args[0])
-        if name == "floor":
-            return math.floor(args[0]) if math.isfinite(args[0]) else args[0]
-        if name == "pow":
-            return _pow(args[0], args[1])
-        if name == "hiword":
-            return _hiword(args[0]) if not math.isnan(args[0]) else math.nan
-        if name == "loword":
-            return _loword(args[0]) if not math.isnan(args[0]) else math.nan
-    except OverflowError:
-        return math.inf
-    except ValueError:
+        return a / b
+    except ZeroDivisionError:
+        return _div_zero(a, b)
+
+
+def _div_zero(a, b):
+    """a / b for b = +-0: NaN for 0/0 and NaN/0, else a signed infinity."""
+    if a == 0 or math.isnan(a):
         return math.nan
-    raise UnknownFunction(f"unknown builtin {name!r}")
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-class _Interp:
-    def __init__(self, program, cfg, sat_state, step_budget):
-        self.program = program
-        self.cfg = cfg
-        self.sat_state = sat_state
-        self.step_budget = step_budget
-        self.trace = ExecutionTrace()
-        self.r = cfg.r0
-        self.path_cursor = 0
+_DOUBLE = struct.Struct(">d")
+_WORDS = struct.Struct(">II")
+
+
+def _hiword(x):
+    if math.isnan(x):
+        return math.nan
+    return float(_WORDS.unpack(_DOUBLE.pack(x))[0])
+
+
+def _loword(x):
+    if math.isnan(x):
+        return math.nan
+    return float(_WORDS.unpack(_DOUBLE.pack(x))[1])
+
+
+def _floor(x):
+    # a real: the floor of a finite double is itself a double
+    return float(math.floor(x)) if math.isfinite(x) else x
+
+
+def _guarded(fn):
+    """`fn` with overflow mapped to inf and domain errors to NaN."""
+    def call(x):
+        try:
+            return fn(x)
+        except OverflowError:
+            return math.inf
+        except ValueError:
+            return math.nan
+    return call
+
+
+BUILTIN_FUNCTIONS = {
+    "sin": _guarded(math.sin),
+    "cos": _guarded(math.cos),
+    "tan": _guarded(math.tan),
+    "exp": _guarded(math.exp),
+    "log": _guarded(math.log),
+    "sqrt": _guarded(math.sqrt),
+    "fabs": math.fabs,
+    "floor": _floor,
+    "pow": _pow,
+    "hiword": _hiword,
+    "loword": _loword,
+}
+
+
+def _nan(a, op, b):
+    raise NaNOperand(f"NaN operand in comparison {a!r} {op} {b!r}")
+
+
+# ---------------------------------------------------------------------------
+# Code generation
+
+# branch_distance(op, a, b) on NaN-free operands; > and >= swap theirs
+_DISTANCE = {
+    "==": "(({a} - {b}) * ({a} - {b}))",
+    "!=": "(0.0 if {a} != {b} else _eps)",
+    "<": "(0.0 if {a} < {b} else ({a} - {b}) * ({a} - {b}) + _eps)",
+    "<=": "(0.0 if {a} <= {b} else ({a} - {b}) * ({a} - {b}))",
+}
+_SWAPPED = {">": "<", ">=": "<="}
+
+
+def _distance(op, update):
+    """Lines computing branch_distance(op, _a, _b) into `update`, a
+    format string such as "_r = _r + {}", after the NaN-operand abort."""
+    if op in _SWAPPED:
+        value = _DISTANCE[_SWAPPED[op]].format(a="_b", b="_a")
+    else:
+        value = _DISTANCE[op].format(a="_a", b="_b")
+    return [f"if _a != _a or _b != _b: _nan(_a, {op!r}, _b)",
+            update.format(value)]
+
+
+# what the coverage penalty does at a label, by the saturation of its
+# two sides: keep r (both), reset it to 0 (neither), or take the
+# distance toward the unsaturated side
+_KEEP, _RESET, _TOWARD_T, _TOWARD_F = range(4)
+
+
+def _saturation_table(state, n_labels):
+    explored = state.explored
+    table = []
+    for label in range(n_labels):
+        t_done = (label, "T") in explored
+        f_done = (label, "F") in explored
+        if t_done and f_done:
+            table.append(_KEEP)
+        elif t_done:
+            table.append(_TOWARD_F)
+        elif f_done:
+            table.append(_TOWARD_T)
+        else:
+            table.append(_RESET)
+    return tuple(table)
+
+
+def _flatten(stmt):
+    """The statements of a block, nested blocks spliced in."""
+    if isinstance(stmt, Block):
+        return [s for inner in stmt.stmts for s in _flatten(inner)]
+    return [stmt]
+
+
+def _returns(stmt):
+    """True if the statement contains a return."""
+    if isinstance(stmt, Return):
+        return True
+    if isinstance(stmt, Block):
+        return any(_returns(s) for s in stmt.stmts)
+    if isinstance(stmt, If):
+        return _returns(stmt.then) or (stmt.els is not None
+                                       and _returns(stmt.els))
+    if isinstance(stmt, While):
+        return _returns(stmt.body)
+    return False
+
+
+def _literal(value):
+    return repr(value) if math.isfinite(value) else f"_float({str(value)!r})"
+
+
+class _Source:
+    """Python source for one program under one mode, in one flavour.
+
+    A .mx function `f` becomes `f_f(_dp, [_site,] v_<param>...)`, where
+    `_dp` is the call depth and the tracing flavour's `_site` is the
+    call site to record.  Variables become locals `v_<name>`; the
+    representing value `_r`, the step count `_n` and the path cursor
+    `_c` are globals of the namespace the source runs in.
+    """
+
+    def __init__(self, mode=PLAIN, tracing=False):
+        self.mode = mode
+        self.tracing = tracing
+        self.lines = []
+        self.indent = 0
+
+    def emit(self, line):
+        self.lines.append("    " * self.indent + line)
+
+    def text(self):
+        return "\n".join(self.lines) + "\n"
 
     # -- expressions
 
-    def eval_expr(self, expr, env):
-        if isinstance(expr, Num):
-            return expr.value
-        if isinstance(expr, Var):
-            return env[expr.name]
-        if isinstance(expr, Deref):
-            return env[expr.name]
-        if isinstance(expr, Promote):
+    def expr(self, e):
+        if isinstance(e, Num):
+            return _literal(e.value)
+        if isinstance(e, (Var, Deref)):
+            return f"v_{e.name}"
+        if isinstance(e, Promote):
             # all runtime values are already 64-bit reals
-            return self.eval_expr(expr.operand, env)
-        if isinstance(expr, Unary):
-            return -self.eval_expr(expr.operand, env)
-        if isinstance(expr, Binary):
-            a = self.eval_expr(expr.lhs, env)
-            b = self.eval_expr(expr.rhs, env)
-            if expr.op == "+":
-                return a + b
-            if expr.op == "-":
-                return a - b
-            if expr.op == "*":
-                try:
-                    return a * b
-                except OverflowError:
-                    return math.inf if (a > 0) == (b > 0) else -math.inf
-            if expr.op == "/":
-                try:
-                    return a / b
-                except ZeroDivisionError:
-                    if a == 0 or math.isnan(a):
-                        return math.nan
-                    return math.copysign(math.inf, a) * math.copysign(1.0, b)
-            if expr.op == "^":
-                return _pow(a, b)
-            raise ValueError(f"unhandled operator {expr.op!r}")
-        if isinstance(expr, Call):
-            args = [self.eval_expr(a, env) for a in expr.args]
-            fn = self.program.function(expr.name)
-            if fn is None:
-                return _call_builtin(expr.name, args)
-            self.trace.covered_calls.add((expr.line, expr.col))
-            return self.call_function(fn, args)
-        raise ValueError(f"unhandled expression {expr!r}")
+            return self.expr(e.operand)
+        if isinstance(e, Unary):
+            return f"(-{self.expr(e.operand)})"
+        if isinstance(e, Binary):
+            a, b = self.expr(e.lhs), self.expr(e.rhs)
+            if e.op in ("+", "-", "*"):
+                return f"({a} {e.op} {b})"
+            if e.op == "^":
+                return f"_pow({a}, {b})"
+            if isinstance(e.rhs, Num) and e.rhs.value != 0:
+                return f"({a} / {b})"
+            return f"_div({a}, {b})"
+        if isinstance(e, Call):
+            args = [self.expr(a) for a in e.args]
+            if e.name in BUILTIN_FUNCTIONS:
+                return f"_b_{e.name}({', '.join(args)})"
+            head = ["(_dp + 1)"]
+            if self.tracing:
+                head.append(repr((e.line, e.col)))
+            return f"f_{e.name}({', '.join(head + args)})"
+        raise ValueError(f"unhandled expression {e!r}")
 
-    def call_function(self, fn, args):
-        if len(args) != len(fn.params):
-            raise ArityMismatch(
-                f"{fn.name} expects {len(fn.params)} arguments, "
-                f"got {len(args)}")
-        env = {name: float(v) for (name, _k), v in zip(fn.params, args)}
-        try:
-            self.exec_stmt(fn.body, env)
-        except _ReturnSignal as ret:
-            return ret.value
-        return 0.0
+    # -- conditionals
+
+    def hook(self, cond):
+        """Lines updating `_r` from operands `_a`, `_b` at a labeled
+        conditional, per mode."""
+        op, label = cond.op, cond.label
+        if self.mode == COVERAGE:
+            if self.tracing:
+                return [f"_r = _pen({label}, {op!r}, _a, _b, _state, _r, "
+                        "_eps)"]
+            return ([f"_k = _sat[{label}]",
+                     f"if _k == {_RESET}:",
+                     "    _r = 0.0",
+                     f"elif _k == {_TOWARD_T}:"]
+                    + ["    " + s for s in _distance(op, "_r = {}")]
+                    + [f"elif _k == {_TOWARD_F}:"]
+                    + ["    " + s for s in _distance(negate_op(op),
+                                                     "_r = {}")])
+        if self.mode == PATH:
+            return ([f"if _tl[_c] == {label}:",
+                     "    if _tt[_c]:"]
+                    + ["        " + s for s in _distance(op, "_r = _r + {}")]
+                    + ["    else:"]
+                    + ["        " + s for s in _distance(negate_op(op),
+                                                         "_r = _r + {}")]
+                    + ["    _c = _c + 1"])
+        if self.mode == BVA:
+            return _distance("==", "_r = _r * {}")
+        return []
+
+    def test(self, cond):
+        """Emit what precedes the test of a conditional; return the test
+        and the lines to run first on its true and on its false side."""
+        a, b = self.expr(cond.lhs), self.expr(cond.rhs)
+        label = cond.label
+        if not cond.instrumentable or label is None:
+            return f"{a} {cond.op} {b}", [], []
+        hook = self.hook(cond)
+        if not hook and not self.tracing:
+            return f"{a} {cond.op} {b}", [], []
+        self.emit(f"_a = {a}")
+        self.emit(f"_b = {b}")
+        if self.tracing:
+            self.emit(f"_cond({label})")
+        for line in hook:
+            self.emit(line)
+        if not self.tracing:
+            return f"_a {cond.op} _b", [], []
+        return (f"_a {cond.op} _b", [f"_took(({label}, 'T'))"],
+                [f"_took(({label}, 'F'))"])
 
     # -- statements
 
-    def tick(self, stmt):
-        self.trace.steps += 1
-        if self.trace.steps > self.step_budget:
-            raise StepBudgetExceeded(
-                f"more than {self.step_budget} statements executed")
-        if stmt.line:
-            self.trace.covered_lines.add(stmt.line)
+    def suite(self, lines, stmt=None):
+        self.indent += 1
+        start = len(self.lines)
+        for line in lines:
+            self.emit(line)
+        if stmt is not None:
+            self.body(stmt)
+        if len(self.lines) == start:
+            self.emit("pass")
+        self.indent -= 1
 
-    def exec_stmt(self, stmt, env):
-        if isinstance(stmt, Block):
-            for s in stmt.stmts:
-                self.exec_stmt(s, env)
+    def tick(self, count, line):
+        if self.tracing:
+            self.emit(f"_tick({line})")
+        else:
+            self.emit(f"_n += {count}")
+            self.emit("if _n > _B: raise _StepBudgetExceeded")
+
+    def body(self, stmt):
+        """Emit a statement sequence with its step counting.
+
+        The tracing flavour counts each statement as it starts.  The
+        fast flavour counts a run of statements at once, up to the
+        first one that may return: every count it adds is one the
+        statement-by-statement count reaches too unless the evaluation
+        aborts first, so it exceeds the budget on the same evaluations,
+        and those report the sentinel whichever abort comes first.
+        """
+        stmts = _flatten(stmt)
+        if self.tracing:
+            for s in stmts:
+                if not isinstance(s, While):
+                    self.tick(1, s.line)
+                self.stmt(s)
             return
-        if isinstance(stmt, Decl):
-            self.tick(stmt)
-            env[stmt.name] = (self.eval_expr(stmt.init, env)
-                              if stmt.init is not None else 0.0)
-            return
-        if isinstance(stmt, Assign):
-            self.tick(stmt)
-            value = self.eval_expr(stmt.expr, env)
-            env[stmt.target.name] = value
-            return
-        if isinstance(stmt, Incr):
-            self.tick(stmt)
-            env[stmt.target.name] = env[stmt.target.name] + stmt.delta
-            return
-        if isinstance(stmt, ExprStmt):
-            self.tick(stmt)
-            self.eval_expr(stmt.expr, env)
-            return
-        if isinstance(stmt, Return):
-            self.tick(stmt)
-            value = (self.eval_expr(stmt.expr, env)
-                     if stmt.expr is not None else 0.0)
-            raise _ReturnSignal(value)
-        if isinstance(stmt, If):
-            self.tick(stmt)
-            outcome = self.eval_condition(stmt.cond, env)
-            if outcome:
-                self.exec_stmt(stmt.then, env)
-            elif stmt.els is not None:
-                self.exec_stmt(stmt.els, env)
-            return
-        if isinstance(stmt, While):
-            while True:
-                self.tick(stmt)
-                if not self.eval_condition(stmt.cond, env):
+        while stmts:
+            batch = stmts
+            for i, s in enumerate(stmts):
+                if _returns(s):
+                    batch = stmts[:i + 1]
                     break
-                self.exec_stmt(stmt.body, env)
-            return
-        raise TypeError(f"unhandled statement {stmt!r}")
+            stmts = stmts[len(batch):]
+            ticks = sum(not isinstance(s, While) for s in batch)
+            if ticks:
+                self.tick(ticks, 0)
+            for s in batch:
+                self.stmt(s)
 
-    def eval_condition(self, cond, env):
-        a = self.eval_expr(cond.lhs, env)
-        b = self.eval_expr(cond.rhs, env)
-        if not cond.instrumentable or cond.label is None:
-            return compare(cond.op, a, b)
-        label = cond.label
-        eps = self.cfg.epsilon
-        self.trace.covered_conditionals.add(label)
-        mode = self.cfg.mode
-        if mode == COVERAGE:
-            self.r = pen(label, cond.op, a, b, self.sat_state, self.r, eps)
-        elif mode == PATH:
-            target = self.cfg.target_path
-            if (self.path_cursor < len(target)
-                    and target[self.path_cursor][0] == label):
-                side = target[self.path_cursor][1]
-                op = cond.op if side == "T" else negate_op(cond.op)
-                self.r += branch_distance(op, a, b, eps)
-                self.path_cursor += 1
-        elif mode == BVA:
-            self.r *= branch_distance("==", a, b, eps)
-        outcome = compare(cond.op, a, b)
-        branch = (label, "T" if outcome else "F")
-        self.trace.path.append(branch)
-        self.trace.covered_branches.add(branch)
-        return outcome
+    def stmt(self, s):
+        """Emit one statement, other than a block, without its count."""
+        if isinstance(s, While):
+            self.emit("while True:")
+            self.indent += 1
+            self.tick(1, s.line)
+            test, on_true, on_false = self.test(s.cond)
+            self.emit(f"if {test}:")
+            self.suite(on_true)
+            self.emit("else:")
+            self.suite(on_false + ["break"])
+            self.body(s.body)
+            self.indent -= 1
+        elif isinstance(s, Decl):
+            init = self.expr(s.init) if s.init is not None else "0.0"
+            self.emit(f"v_{s.name} = {init}")
+        elif isinstance(s, Assign):
+            self.emit(f"v_{s.target.name} = {self.expr(s.expr)}")
+        elif isinstance(s, Incr):
+            name = f"v_{s.target.name}"
+            self.emit(f"{name} = {name} + {s.delta!r}")
+        elif isinstance(s, ExprStmt):
+            self.emit(self.expr(s.expr))
+        elif isinstance(s, Return):
+            value = self.expr(s.expr) if s.expr is not None else "0.0"
+            self.emit(f"return {value}")
+        elif isinstance(s, If):
+            test, on_true, on_false = self.test(s.cond)
+            self.emit(f"if {test}:")
+            self.suite(on_true, s.then)
+            if on_false or s.els is not None:
+                self.emit("else:")
+                self.suite(on_false, s.els)
+        else:
+            raise TypeError(f"unhandled statement {s!r}")
+
+    def function(self, fn):
+        params = ["_dp"] + (["_site"] if self.tracing else [])
+        params += [f"v_{name}" for name, _kind in fn.params]
+        self.emit(f"def f_{fn.name}({', '.join(params)}):")
+        self.indent += 1
+        self.emit("global _r, _n, _c")
+        if self.tracing:
+            self.emit("if _site is not None: _call(_site)")
+        self.emit(f"if _dp > {MAX_CALL_DEPTH}: raise _CallDepthExceeded")
+        self.body(fn.body)
+        stmts = _flatten(fn.body)
+        if not stmts or not isinstance(stmts[-1], Return):
+            self.emit("return 0.0")
+        self.indent -= 1
 
 
-def execute(program, inputs, cfg, sat_state=None, entry=None,
+# the tracing flavour's per-statement count and per-branch record
+_TRACING_HELPERS = """
+def _tick(line):
+    global _n
+    _n += 1
+    if _n > _B: raise _StepBudgetExceeded
+    if line: _line(line)
+def _took(branch):
+    _path(branch)
+    _branch(branch)
+"""
+
+
+def _namespace():
+    ns = {f"_b_{name}": fn for name, fn in BUILTIN_FUNCTIONS.items()}
+    ns.update(_pow=_pow, _div=_div, _div_zero=_div_zero, _nan=_nan,
+              _float=float, _ArityMismatch=ArityMismatch,
+              _StepBudgetExceeded=StepBudgetExceeded,
+              _CallDepthExceeded=CallDepthExceeded, _SENTINEL=SENTINEL,
+              _ABORTS=tuple(_ABORTS))
+    return ns
+
+
+def _compile(source, name):
+    try:
+        return compile(source, f"<mexec {name}>", "exec")
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise MexecError(f"cannot compile {name}: {exc}") from None
+
+
+# `execute` on a Program, called in a loop, generates the same source
+# again and again; it keeps the code of recent sources.  Mode calls
+# compile their own code every time.
+_compile_recent = lru_cache(maxsize=32)(_compile)
+
+
+class CompiledProgram:
+    """The representing function of `entry` (default: the last function)
+    under mode configuration `cfg`, compiled.
+
+    `objective(sat_state)` gives the fast flavour as a function of the
+    input vector; `trace(inputs, sat_state)` runs the tracing flavour.
+    Each flavour is generated on first use.
+    """
+
+    def __init__(self, program, cfg, entry=None, step_budget=1_000_000,
+                 compile_code=_compile):
+        if entry is None:
+            entry = program.functions[-1].name
+        fn = program.function(entry)
+        if fn is None:
+            raise UnknownFunction(f"no function named {entry!r}")
+        self.program = program
+        self.cfg = cfg
+        self.entry = entry
+        self.arity = len(fn.params)
+        self.step_budget = step_budget
+        self._compile_code = compile_code
+        self._flavours = {}
+
+    def _flavour(self, tracing):
+        if tracing in self._flavours:
+            return self._flavours[tracing]
+        cfg = self.cfg
+        gen = _Source(cfg.mode, tracing)
+        if tracing:
+            gen.lines.append(_TRACING_HELPERS)
+        for fn in self.program.functions:
+            gen.function(fn)
+        if not tracing:
+            self._fast_runner(gen)
+        ns = _namespace()
+        ns.update(_B=self.step_budget, _eps=cfg.epsilon, _pen=pen)
+        if cfg.mode == PATH:
+            target = cfg.target_path
+            ns["_tl"] = tuple(label for label, _side in target) + (None,)
+            ns["_tt"] = tuple(side == "T" for _label, side in target)
+        flavour = "tracing" if tracing else "fast"
+        exec(self._compile_code(gen.text(),
+                                f"{self.entry} {cfg.mode} {flavour}"), ns)
+        self._flavours[tracing] = ns
+        return ns
+
+    def _fast_runner(self, gen):
+        args = ", ".join(["1"] + [f"_float(x[{i}])"
+                                  for i in range(self.arity)])
+        gen.emit("def _fast(_s, x):")
+        gen.indent += 1
+        gen.emit("global _r, _n, _c, _sat")
+        wrong = f"{self.entry} expects {self.arity} inputs, got "
+        gen.emit(f"if len(x) != {self.arity}: "
+                 f"raise _ArityMismatch({wrong!r} + str(len(x)))")
+        gen.emit("_sat = _s")
+        gen.emit(f"_r = {_R0[self.cfg.mode]!r}")
+        gen.emit("_n = 0")
+        gen.emit("_c = 0")
+        gen.emit("try:")
+        gen.emit(f"    f_{self.entry}({args})")
+        gen.emit("except _ABORTS:")
+        gen.emit("    return _SENTINEL")
+        gen.emit("if _r - _r == 0.0:")
+        gen.emit("    return _r")
+        gen.emit("return _SENTINEL")
+        gen.indent -= 1
+
+    def _check_arity(self, count):
+        if count != self.arity:
+            raise ArityMismatch(
+                f"{self.entry} expects {self.arity} inputs, got {count}")
+
+    def objective(self, sat_state=None):
+        """The fast flavour: inputs -> final representing value."""
+        ns = self._flavour(False)
+        table = None
+        if self.cfg.mode == COVERAGE:
+            table = _saturation_table(sat_state,
+                                      self.program.num_conditionals)
+        return partial(ns["_fast"], table)
+
+    def trace(self, inputs, sat_state=None):
+        """Run the tracing flavour on `inputs`."""
+        self._check_arity(len(inputs))
+        ns = self._flavour(True)
+        trace = ExecutionTrace()
+        ns.update(_line=trace.covered_lines.add,
+                  _cond=trace.covered_conditionals.add,
+                  _branch=trace.covered_branches.add,
+                  _path=trace.path.append, _call=trace.covered_calls.add,
+                  _state=sat_state, _r=_R0[self.cfg.mode], _n=0, _c=0)
+        try:
+            trace.return_value = ns[f"f_{self.entry}"](
+                1, None, *(float(v) for v in inputs))
+            trace.final_r = ns["_r"]
+            if math.isnan(trace.final_r) or math.isinf(trace.final_r):
+                trace.final_r = SENTINEL
+                trace.aborted = "non-finite representing value"
+        except tuple(_ABORTS) as exc:
+            trace.final_r = SENTINEL
+            trace.aborted = _ABORTS[type(exc)]
+        trace.steps = ns["_n"]
+        return trace
+
+
+def execute(program, inputs, cfg=None, sat_state=None, entry=None,
             step_budget=1_000_000):
     """Run `entry` on `inputs` and return the execution trace.
 
-    The trace's final_r is the representing value at termination; a NaN
-    comparison operand or an exhausted step budget aborts the run and
-    reports a large sentinel so the optimizer steers away.
+    `program` is a prepared Program, compiled here for this one run
+    under `cfg` (default: plain), or a CompiledProgram, which already
+    fixes the mode, entry and step budget.  The trace's final_r is the
+    representing value at termination; an aborted run reports a large
+    sentinel so the optimizer steers away.
     """
-    if entry is None:
-        entry = program.functions[-1].name
-    fn = program.function(entry)
-    if fn is None:
-        raise UnknownFunction(f"no function named {entry!r}")
-    if len(inputs) != len(fn.params):
-        raise ArityMismatch(
-            f"{entry} expects {len(fn.params)} inputs, got {len(inputs)}")
-    interp = _Interp(program, cfg, sat_state, step_budget)
-    try:
-        interp.trace.return_value = interp.call_function(fn, list(inputs))
-        interp.trace.final_r = interp.r
-        if math.isnan(interp.r) or math.isinf(interp.r):
-            interp.trace.final_r = SENTINEL
-            interp.trace.aborted = "non-finite representing value"
-    except NaNOperand:
-        interp.trace.final_r = SENTINEL
-        interp.trace.aborted = "nan operand"
-    except StepBudgetExceeded:
-        interp.trace.final_r = SENTINEL
-        interp.trace.aborted = "step budget exceeded"
-    return interp.trace
+    if isinstance(program, CompiledProgram):
+        if cfg is not None or entry is not None:
+            raise TypeError("a compiled program fixes its mode and entry")
+        return program.trace(inputs, sat_state)
+    compiled = CompiledProgram(program, cfg or plain_config(), entry,
+                               step_budget, _compile_recent)
+    return compiled.trace(inputs, sat_state)
 
+
+def compile_comparisons(comparisons, names, epsilon=1e-6):
+    """Compile a conjunction of comparisons over the variables `names`
+    into two functions of an input vector: the sum of the comparisons'
+    branch distances, and whether every comparison holds."""
+    gen = _Source()
+    unpack = [f"v_{name} = _float(x[{i}])" for i, name in enumerate(names)]
+    gen.emit("def _distance(x):")
+    gen.indent += 1
+    for line in unpack:
+        gen.emit(line)
+    gen.emit("_t = 0.0")
+    for cmp in comparisons:
+        gen.emit(f"_a = {gen.expr(cmp.lhs)}")
+        gen.emit(f"_b = {gen.expr(cmp.rhs)}")
+        for line in _distance(cmp.op, "_t = _t + {}"):
+            gen.emit(line)
+    gen.emit("return _t")
+    gen.indent -= 1
+    gen.emit("def _holds(x):")
+    gen.indent += 1
+    for line in unpack:
+        gen.emit(line)
+    tests = [f"({gen.expr(c.lhs)} {c.op} {gen.expr(c.rhs)})"
+             for c in comparisons]
+    gen.emit(f"return {' and '.join(tests) or 'True'}")
+    ns = _namespace()
+    ns["_eps"] = epsilon
+    exec(_compile(gen.text(), "constraint"), ns)
+    return ns["_distance"], ns["_holds"]
+
+
+# ---------------------------------------------------------------------------
+# Static queries
 
 def executable_lines(program):
     """Line numbers of all executable statements in the program."""

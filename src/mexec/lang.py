@@ -554,8 +554,25 @@ def parse(source):
 # ---------------------------------------------------------------------------
 # Validation and labeling
 
+def check_call(call, functions):
+    """Reject a call to an unknown function, or one with the wrong
+    number of arguments; `functions` maps user function names to their
+    definitions."""
+    if call.name in functions:
+        expected = len(functions[call.name].params)
+    elif call.name in BUILTIN_ARITY:
+        expected = BUILTIN_ARITY[call.name]
+    else:
+        raise UndeclaredIdentifier(
+            f"call to unknown function {call.name!r}", call.line, call.col)
+    if len(call.args) != expected:
+        raise ParseError(
+            f"{call.name} expects {expected} arguments, got "
+            f"{len(call.args)}", call.line, call.col)
+
+
 def _validate(program):
-    names = {f.name for f in program.functions}
+    functions = {f.name: f for f in program.functions}
 
     def check_expr(expr, scope, fn):
         if isinstance(expr, Num):
@@ -580,10 +597,7 @@ def _validate(program):
             check_expr(expr.rhs, scope, fn)
             return
         if isinstance(expr, Call):
-            if expr.name not in names and expr.name not in BUILTINS:
-                raise UndeclaredIdentifier(
-                    f"call to unknown function {expr.name!r}",
-                    expr.line, expr.col)
+            check_call(expr, functions)
             for a in expr.args:
                 check_expr(a, scope, fn)
             return

@@ -14,6 +14,7 @@ from typing import Optional
 
 from .errors import InvalidBracket
 
+# the value of an aborted or non-finite evaluation
 SENTINEL = 1e300
 
 _GOLD = 1.618034

@@ -11,11 +11,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .distance import branch_distance, compare
 from .errors import NonNumericExpression, ParseError, UnknownVariable
-from .interp import _Interp, plain_config
+from .interp import compile_comparisons
 from .lang import Call, Binary, Compare, Deref, Promote, Unary, Var
-from .lang import Program, _Parser, tokenize
+from .lang import _Parser, check_call, tokenize
 from .optimize import Objective
 from . import driver
 
@@ -40,6 +39,7 @@ def _collect_vars(expr, seen, order):
         _collect_vars(expr.lhs, seen, order)
         _collect_vars(expr.rhs, seen, order)
     elif isinstance(expr, Call):
+        check_call(expr, {})
         for a in expr.args:
             _collect_vars(a, seen, order)
 
@@ -69,27 +69,11 @@ def parse_constraint(text, variables=None):
     return Constraint(conjuncts=conjuncts, variables=order, text=text)
 
 
-_EMPTY = Program(functions=[])
-
-
-def _eval(expr, env):
-    return _Interp(_EMPTY, plain_config(), None, 10**9).eval_expr(expr, env)
-
-
 def compile_constraint(constraint, epsilon=1e-6):
     """Objective summing the distance of every conjunct from holding."""
-    names = constraint.variables
-
-    def raw(x):
-        env = dict(zip(names, (float(v) for v in x)))
-        total = 0.0
-        for cmp in constraint.conjuncts:
-            a = _eval(cmp.lhs, env)
-            b = _eval(cmp.rhs, env)
-            total += branch_distance(cmp.op, a, b, epsilon)
-        return total
-
-    return Objective(raw, len(names))
+    distance, _ = compile_comparisons(
+        constraint.conjuncts, constraint.variables, epsilon)
+    return Objective(distance, len(constraint.variables))
 
 
 @dataclass
@@ -104,9 +88,9 @@ class SatResult:
 
 
 def _holds(constraint, x):
-    env = dict(zip(constraint.variables, (float(v) for v in x)))
-    return all(compare(c.op, _eval(c.lhs, env), _eval(c.rhs, env))
-               for c in constraint.conjuncts)
+    _, holds = compile_comparisons(constraint.conjuncts,
+                                   constraint.variables)
+    return holds(x)
 
 
 def check_sat(constraint, cfg=None):

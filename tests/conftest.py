@@ -1,11 +1,18 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from mexec.lang import parse
 from mexec.transforms import prepare
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+
+# the same examples on every run, so a failure reproduces, and no
+# per-example deadline, so a slow host does not fail a test
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("tier1")
 
 # one line per end-to-end acceptance check, shown after the test summary
 ACCEPTANCE_LINES = []

@@ -154,3 +154,32 @@ def test_kernel_cos_report(capsys):
     assert "87.50%" in out
     assert "deemed infeasible      1F" in out
     assert "n/a" in out
+
+
+def test_bad_seed_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("MEXEC_SEED", "abc")
+    code, _, err = run_cli(capsys, "cover", FOO, "--n-start", "2")
+    assert code == 1
+    assert err.startswith("mexec: ")
+    assert "MEXEC_SEED" in err
+
+
+def test_nonpositive_epsilon_is_usage_error(capsys):
+    for value in ("-1", "0", "nan", "inf"):
+        code, _, err = run_cli(capsys, "cover", FOO, "--epsilon", value,
+                               "--n-start", "2")
+        assert code == 1
+        assert "epsilon" in err
+
+
+def test_sat_json_writes_the_result(capsys, tmp_path):
+    out_path = tmp_path / "sat.json"
+    code, out, _ = run_cli(
+        capsys, "sat", "x*x == 4", "--seed", "7", "--n-start", "20",
+        "--json", str(out_path))
+    assert code == 0
+    payload = json.loads(out_path.read_text())
+    assert payload["verdict"] == "sat"
+    assert payload["variables"] == ["x"]
+    assert payload["model"][0] ** 2 == 4.0
+    assert out.startswith(f"sat: x = {payload['model'][0]!r}")

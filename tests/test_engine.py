@@ -1,0 +1,316 @@
+"""The compiled engine against the reference interpreter.
+
+Random grammar-valid programs (loops, nested and recursive calls,
+pointer parameters), edge-case inputs, tiny step budgets and random
+saturation states run through both the compiled representing function,
+in its fast and its tracing flavour, and `interp_oracle`; every trace
+field and the final value must agree exactly.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import interp_oracle
+from conftest import BENCH
+from mexec.distance import branch_distance, compare
+from mexec.interp import (
+    CompiledProgram, bva_config, coverage_config, execute, path_config,
+    plain_config,
+)
+from mexec.lang import BUILTIN_ARITY, Program, parse
+from mexec.satcheck import _holds, compile_constraint, parse_constraint
+from mexec.saturation import SaturationState
+from mexec.transforms import prepare
+
+SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308,
+           5e-324, 1.0, -1.0, 2.0, 0.5, 1e-300)
+inputs = st.one_of(st.just(math.nan), st.sampled_from(SPECIAL), st.floats(),
+                   st.integers(-6, 6).map(float))
+BUDGETS = (1, 2, 5, 20, 200, 2_000)
+OPS = ("==", "!=", "<", "<=", ">", ">=")
+
+
+# -- random programs
+
+class _ProgramGen:
+    """Draws the source of a random program; every function may call
+    itself and the functions defined before it."""
+
+    def __init__(self, draw):
+        self.draw = draw
+        self.fresh = 0
+
+    def pick(self, seq):
+        return self.draw(st.sampled_from(seq))
+
+    def name(self, prefix):
+        self.fresh += 1
+        return f"{prefix}{self.fresh}"
+
+    def number(self):
+        return self.pick(("0", "1", "2", "3", "0.5", "1e-3", "10", "0x10",
+                          "2.5e2", "4", "1e300", "1e400"))
+
+    def expr(self, scope, callees, depth=0):
+        kinds = ["num", "var", "var"]
+        if depth < 3:
+            kinds += ["neg", "bin", "bin", "bin", "builtin", "cast"]
+            if callees:
+                kinds.append("call")
+        kind = self.pick(kinds)
+        if kind == "num" or (kind == "var" and not scope):
+            return self.number()
+        if kind == "var":
+            return self.pick(scope)
+        if kind == "neg":
+            return f"-({self.expr(scope, callees, depth + 1)})"
+        if kind == "cast":
+            return f"(real) {self.expr(scope, callees, depth + 1)}"
+        if kind == "bin":
+            op = self.pick(("+", "-", "*", "/", "^"))
+            return (f"({self.expr(scope, callees, depth + 1)} {op} "
+                    f"{self.expr(scope, callees, depth + 1)})")
+        if kind == "builtin":
+            name = self.pick(sorted(BUILTIN_ARITY))
+            args = [self.expr(scope, callees, depth + 1)
+                    for _ in range(BUILTIN_ARITY[name])]
+            return f"{name}({', '.join(args)})"
+        name, arity = self.pick(callees)
+        args = [self.expr(scope, callees, depth + 1) for _ in range(arity)]
+        return f"{name}({', '.join(args)})"
+
+    def cond(self, scope, callees, pointers):
+        if pointers and self.draw(st.integers(0, 5)) == 0:
+            return f"{self.pick(pointers)} != 0"
+        return (f"{self.expr(scope, callees)} {self.pick(OPS)} "
+                f"{self.expr(scope, callees)}")
+
+    def block(self, scope, callees, pointers, depth):
+        scope = list(scope)
+        out = []
+        for _ in range(self.draw(st.integers(0, 4 if depth else 5))):
+            kinds = ["decl", "assign", "incr", "call", "return"]
+            if depth < 2:
+                kinds += ["if", "if", "loop", "while"]
+            kind = self.pick(kinds)
+            if kind == "decl":
+                name = self.name("v")
+                out.append(f"real {name} = "
+                           f"{self.expr(scope, callees)};")
+                scope.append(name)
+            elif kind == "assign" and scope:
+                out.append(f"{self.pick(scope)} = "
+                           f"{self.expr(scope, callees)};")
+            elif kind == "incr" and scope:
+                out.append(f"{self.pick(scope)}{self.pick(('++', '--'))};")
+            elif kind == "call" and callees:
+                name, arity = self.pick(callees)
+                args = [self.expr(scope, callees) for _ in range(arity)]
+                out.append(f"{name}({', '.join(args)});")
+            elif kind == "return":
+                out.append(f"return {self.expr(scope, callees)};")
+            elif kind == "if":
+                then = self.block(scope, callees, pointers, depth + 1)
+                line = f"if ({self.cond(scope, callees, pointers)}) {then}"
+                if self.draw(st.booleans()):
+                    line += (" else "
+                             + self.block(scope, callees, pointers,
+                                          depth + 1))
+                out.append(line)
+            elif kind == "loop":
+                # a counted loop, which mostly terminates
+                counter = self.name("i")
+                out.append(f"real {counter} = 0;")
+                body = self.block(scope + [counter], callees, pointers,
+                                  depth + 1)
+                bound = self.draw(st.integers(0, 4))
+                out.append(f"while ({counter} < {bound}) "
+                           f"{{ {body} {counter}++; }}")
+                scope.append(counter)
+            elif kind == "while":
+                out.append(f"while ({self.cond(scope, callees, pointers)}) "
+                           + self.block(scope, callees, pointers, depth + 1))
+        return "{ " + " ".join(out) + " }"
+
+    def program(self):
+        functions, callees = [], []
+        count = self.draw(st.integers(1, 3))
+        for index in range(count):
+            name = f"g{index}"
+            arity = self.draw(st.integers(1, 3 if index == count - 1 else 2))
+            params, scope, pointers = [], [], []
+            for j in range(arity):
+                if self.draw(st.integers(0, 4)) == 0:
+                    params.append(f"real *p{j}")
+                    scope.append(f"*p{j}")
+                    pointers.append(f"p{j}")
+                else:
+                    params.append(f"real p{j}")
+                    scope.append(f"p{j}")
+            callees.append((name, arity))
+            body = self.block(scope, callees, pointers, 0)
+            functions.append(f"real {name}({', '.join(params)}) {body}")
+        return "\n".join(functions)
+
+
+@st.composite
+def cases(draw):
+    """A prepared program, an input vector, a step budget, a mode
+    configuration and a saturation state."""
+    program = prepare(parse(_ProgramGen(draw).program()))
+    arity = len(program.functions[-1].params)
+    x = draw(st.lists(inputs, min_size=arity, max_size=arity))
+    budget = draw(st.sampled_from(BUDGETS))
+    labels = list(range(program.num_conditionals))
+    branches = [(label, side) for label in labels for side in "TF"]
+    mode = draw(st.sampled_from(("coverage", "path", "bva", "plain")))
+    state = None
+    if mode == "coverage":
+        explored = draw(st.sets(st.sampled_from(branches))) if branches \
+            else set()
+        state = SaturationState(cfg=None, explored=frozenset(explored))
+        cfg = coverage_config(draw(st.sampled_from((1e-6, 0.25))))
+    elif mode == "path":
+        target = (draw(st.lists(st.sampled_from(branches), max_size=3))
+                  if branches else [])
+        cfg = path_config(target)
+    elif mode == "bva":
+        cfg = bva_config()
+    else:
+        cfg = plain_config()
+    return program, x, budget, cfg, state
+
+
+def _run(run):
+    """The trace's fields, floats by repr so that NaN equals NaN, or the
+    type of the exception raised."""
+    try:
+        trace = run()
+    except Exception as exc:  # both sides must raise alike
+        return type(exc).__name__
+    return (trace.path, trace.covered_lines, trace.covered_conditionals,
+            trace.covered_branches, trace.covered_calls,
+            repr(trace.final_r), trace.steps, repr(trace.return_value),
+            trace.aborted)
+
+
+def _run_value(run):
+    try:
+        return repr(run())
+    except Exception as exc:  # both sides must raise alike
+        return type(exc).__name__
+
+
+def assert_engines_agree(compiled, x, state):
+    """Both flavours of `compiled` against the oracle at `x`; returns
+    the abort reason."""
+    expected = _run(lambda: interp_oracle.execute(
+        compiled.program, x, compiled.cfg, state, entry=compiled.entry,
+        step_budget=compiled.step_budget))
+    assert _run(lambda: execute(compiled, x, sat_state=state)) == expected
+    if isinstance(expected, str):
+        return expected
+    assert repr(compiled.objective(state)(x)) == expected[5]
+    return expected[-1]
+
+
+@settings(max_examples=200)
+@given(cases())
+def test_compiled_engine_matches_oracle_on_random_programs(case):
+    program, x, budget, cfg, state = case
+    assert_engines_agree(CompiledProgram(program, cfg, None, budget), x,
+                         state)
+
+
+# -- the shipped programs
+
+def _programs():
+    for path in sorted(BENCH.glob("*.mx")):
+        program = prepare(parse(path.read_text(encoding="utf-8")))
+        yield path.stem, program
+
+
+def _point(rng, arity):
+    values = []
+    for _ in range(arity):
+        roll = rng.random()
+        if roll < 0.2:
+            values.append(rng.choice(SPECIAL))
+        elif roll < 0.4:
+            values.append(rng.choice((-1, 1)) * 10.0 ** rng.uniform(-300, 300))
+        else:
+            values.append(rng.uniform(-4.0, 4.0))
+    return values
+
+
+@pytest.mark.parametrize("name, program", list(_programs()))
+def test_compiled_engine_matches_oracle_on_benchmarks(name, program):
+    rng = random.Random(name)
+    entry = program.functions[-1].name
+    arity = len(program.function(entry).params)
+    branches = [(label, side) for label in range(program.num_conditionals)
+                for side in "TF"]
+    points = [[value] * arity for value in (math.nan, math.inf, -math.inf)]
+    points += [_point(rng, arity) for _ in range(40)]
+    cfgs = [coverage_config(), bva_config(), plain_config()]
+    cfgs += [path_config([rng.choice(branches)
+                          for _ in range(rng.randint(1, 3))])
+             for _ in range(3)]
+    aborts = set()
+    for budget in (2, 1_000_000):
+        for cfg in cfgs:
+            compiled = CompiledProgram(program, cfg, entry, budget)
+            for x in points:
+                states = [None]
+                if cfg.mode == "coverage":
+                    states = [SaturationState(cfg=None, explored=frozenset(
+                        b for b in branches if rng.random() < 0.5))
+                        for _ in range(3)]
+                for state in states:
+                    aborts.add(assert_engines_agree(compiled, x, state))
+    assert {None, "nan operand", "step budget exceeded"} <= aborts
+
+
+# -- constraints
+
+@st.composite
+def constraints(draw):
+    gen = _ProgramGen(draw)
+    names = ["x", "y"][:draw(st.integers(1, 2))]
+    parts = [f"{gen.expr(names, [])} {gen.pick(OPS)} {gen.expr(names, [])}"
+             for _ in range(draw(st.integers(0, 3)))]
+    text = " && ".join(parts)
+    x = draw(st.lists(inputs, min_size=len(names), max_size=len(names)))
+    return parse_constraint(text, names), x
+
+
+def _oracle_distance(constraint, x):
+    env = dict(zip(constraint.variables, x))
+    interp = interp_oracle._Interp(Program([]), plain_config(), None, 0)
+    total = 0.0
+    for cmp in constraint.conjuncts:
+        a = interp.eval_expr(cmp.lhs, env)
+        b = interp.eval_expr(cmp.rhs, env)
+        total += branch_distance(cmp.op, a, b, 1e-6)
+    return total
+
+
+def _oracle_holds(constraint, x):
+    env = dict(zip(constraint.variables, x))
+    interp = interp_oracle._Interp(Program([]), plain_config(), None, 0)
+    return all(compare(c.op, interp.eval_expr(c.lhs, env),
+                       interp.eval_expr(c.rhs, env))
+               for c in constraint.conjuncts)
+
+
+@settings(max_examples=200)
+@given(constraints())
+def test_compiled_constraint_matches_oracle(case):
+    constraint, x = case
+    expected = _run_value(lambda: _oracle_distance(constraint, x))
+    assert _run_value(lambda: compile_constraint(constraint).fn(x)) \
+        == expected
+    assert _holds(constraint, x) == _oracle_holds(constraint, x)

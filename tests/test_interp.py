@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mexec.cfg import build_cfg
+from mexec.driver import SearchConfig, run_coverage
 from mexec.errors import ArityMismatch
 from mexec.interp import (
-    SENTINEL, bva_config, call_sites, conditional_counts, coverage_config,
-    executable_lines, execute, path_config, plain_config,
+    MAX_CALL_DEPTH, SENTINEL, CompiledProgram, bva_config, call_sites,
+    conditional_counts, coverage_config, executable_lines, execute,
+    path_config, plain_config,
 )
 from mexec.lang import parse
 from mexec.saturation import new_state, update_saturation
@@ -123,6 +125,12 @@ def test_arity_mismatch():
         execute(program, [1.0], plain_config(), entry="f")
 
 
+def test_objective_arity_mismatch():
+    program = prepare(parse("real f(real x, real y) { return x + y; }"))
+    with pytest.raises(ArityMismatch):
+        CompiledProgram(program, bva_config()).objective()([1.0])
+
+
 def test_step_budget_aborts_runaway_loop():
     program = prepare(parse(
         "real f(real x) { while (x < 1) { x = x - 1; } return x; }"))
@@ -191,3 +199,59 @@ def test_property_final_r_nonnegative(x):
     state = cover_state(program, "FOO", [(0, "T"), (1, "F")])
     trace = execute(program, [x], coverage_config(), state, entry="FOO")
     assert trace.final_r >= 0.0
+
+
+def test_floor_is_a_real_so_products_overflow_to_infinity():
+    program = prepare(parse(
+        "real f(real x) { real y = floor(x) * floor(x);"
+        " if (y - 1.0 > 0) { return 1; } return 0; }"))
+    trace = execute(program, [1e300], plain_config(), entry="f")
+    assert trace.return_value == 1.0
+    assert (0, "T") in trace.covered_branches
+    assert execute(program, [2.5], plain_config(),
+                   entry="f").return_value == 1.0
+    # an integer floor made this search raise OverflowError
+    result = run_coverage(program, "f", SearchConfig(
+        seed=3, n_start=4, box=[(1e299, 1e301)]))
+    assert result.starts_used >= 1
+
+
+FACT = """
+real fact(real n) {
+    if (n <= 1) {
+        return 1;
+    }
+    return n * fact(n - 1);
+}
+
+real fact_guard(real x) {
+    real f = fact(x);
+    if (f == 120) {
+        return 1;
+    }
+    return 0;
+}
+"""
+
+
+def test_deep_recursion_aborts_with_the_sentinel():
+    program = prepare(parse(FACT))
+    trace = execute(program, [5.0], plain_config())
+    assert trace.return_value == 1.0
+    assert trace.aborted is None
+    # fact_guard is depth 1, so fact(x) nests x more calls
+    ok = execute(program, [float(MAX_CALL_DEPTH - 1)], plain_config())
+    assert ok.aborted is None
+    deep = execute(program, [float(MAX_CALL_DEPTH)], plain_config())
+    assert deep.aborted == "recursion depth"
+    assert deep.final_r == SENTINEL
+    assert deep.return_value is None
+    evaluate = CompiledProgram(program, bva_config()).objective()
+    assert evaluate([500.0]) == SENTINEL
+
+
+def test_deep_recursion_does_not_end_a_coverage_run():
+    program = prepare(parse(FACT))
+    result = run_coverage(program, "fact_guard",
+                          SearchConfig(seed=1, n_start=4))
+    assert result.starts_used == 4

@@ -76,6 +76,16 @@ def test_unknown_call_rejected():
         parse("real f(real x) { return g(x); }")
 
 
+@pytest.mark.parametrize("source", [
+    "real g(real a, real b) { return a; } real f(real x) { return g(x); }",
+    "real f(real x) { return pow(x); }",
+    "real f(real x) { return sin(x, x); }",
+])
+def test_call_with_wrong_argument_count_rejected(source):
+    with pytest.raises(ParseError, match="expects"):
+        parse(source)
+
+
 def test_hex_literals():
     program = parse("real f(real x) { if (x < 0x3e400000) { return 1; } "
                     "return 0; }")

@@ -3,7 +3,9 @@ import math
 import pytest
 
 from mexec.driver import SearchConfig
-from mexec.errors import NonNumericExpression, ParseError, UnknownVariable
+from mexec.errors import (
+    NonNumericExpression, ParseError, UndeclaredIdentifier, UnknownVariable,
+)
 from mexec.satcheck import (
     check_sat, compile_constraint, parse_constraint,
 )
@@ -55,6 +57,13 @@ def test_objective_zero_iff_all_conjuncts_hold():
     obj = compile_constraint(c)
     for x in (0.0, 0.5, 0.999, 1.0, 1.5, 2.0, 2.5, 100.0):
         assert (obj([x]) == 0.0) == (1.0 <= x <= 2.0)
+
+
+def test_calls_must_be_builtins_with_their_argument_count():
+    with pytest.raises(UndeclaredIdentifier):
+        parse_constraint("g(x) <= 1")
+    with pytest.raises(ParseError, match="expects"):
+        parse_constraint("pow(x) <= 1")
 
 
 def test_pointer_syntax_rejected():
