@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 from .errors import UnknownFunction
 from .lang import (
-    Assign, Block, Call, Decl, ExprStmt, If, Incr, Return, While,
-    Binary, Compare, Deref, Num, Promote, Unary, Var,
+    Assign, Block, Call, Decl, ExprStmt, If, Incr, Return, While, children,
 )
 
 
@@ -43,23 +42,15 @@ class CFG:
         self.num_conditionals = len(self.labels)
 
 
-def _user_calls(expr, user_fns, out):
-    """Collect user-function calls in evaluation order."""
-    if isinstance(expr, (Num, Var, Deref)) or expr is None:
-        return
-    if isinstance(expr, (Unary, Promote)):
-        _user_calls(expr.operand, user_fns, out)
-        return
-    if isinstance(expr, (Binary, Compare)):
-        _user_calls(expr.lhs, user_fns, out)
-        _user_calls(expr.rhs, user_fns, out)
-        return
-    if isinstance(expr, Call):
-        for a in expr.args:
-            _user_calls(a, user_fns, out)
-        if expr.name in user_fns:
-            out.append(expr)
-        return
+def _user_calls(expr, user_fns):
+    """User-function calls in `expr` in evaluation order: the calls in a
+    call's arguments come before the call itself."""
+    calls = []
+    for child in children(expr):
+        calls += _user_calls(child, user_fns)
+    if isinstance(expr, Call) and expr.name in user_fns:
+        calls.append(expr)
+    return calls
 
 
 class _Builder:
@@ -67,6 +58,7 @@ class _Builder:
         self.program = program
         self.user_fns = {f.name: f for f in program.functions}
         self.nodes = []
+        self.calls = {}     # id(expression) -> its user calls
 
     def build(self, entry):
         fn = self.user_fns.get(entry)
@@ -84,10 +76,11 @@ class _Builder:
             entry = self._stmt(stmt, entry, exit_cont, stack)
         return entry
 
-    def _chain_calls(self, exprs, succ, stack):
-        calls = []
-        for e in exprs:
-            _user_calls(e, self.user_fns, calls)
+    def _chain_calls(self, expr, succ, stack):
+        # a function inlined at several sites is walked once
+        calls = self.calls.get(id(expr))
+        if calls is None:
+            calls = self.calls[id(expr)] = _user_calls(expr, self.user_fns)
         entry = succ
         for call in reversed(calls):
             if call.name in stack:
@@ -100,15 +93,15 @@ class _Builder:
         if isinstance(stmt, Block):
             return self._seq(stmt.stmts, succ, exit_cont, stack)
         if isinstance(stmt, Decl):
-            return self._chain_calls([stmt.init], succ, stack)
+            return self._chain_calls(stmt.init, succ, stack)
         if isinstance(stmt, Assign):
-            return self._chain_calls([stmt.expr], succ, stack)
+            return self._chain_calls(stmt.expr, succ, stack)
         if isinstance(stmt, Incr):
             return succ
         if isinstance(stmt, ExprStmt):
-            return self._chain_calls([stmt.expr], succ, stack)
+            return self._chain_calls(stmt.expr, succ, stack)
         if isinstance(stmt, Return):
-            return self._chain_calls([stmt.expr], exit_cont, stack)
+            return self._chain_calls(stmt.expr, exit_cont, stack)
         if isinstance(stmt, If):
             node = _Node(stmt.cond.label if stmt.cond.instrumentable
                          else None)
@@ -116,14 +109,12 @@ class _Builder:
             node.t_succ = self._stmt(stmt.then, succ, exit_cont, stack)
             node.f_succ = (self._stmt(stmt.els, succ, exit_cont, stack)
                            if stmt.els is not None else succ)
-            return self._chain_calls([stmt.cond.lhs, stmt.cond.rhs],
-                                     node, stack)
+            return self._chain_calls(stmt.cond, node, stack)
         if isinstance(stmt, While):
             node = _Node(stmt.cond.label if stmt.cond.instrumentable
                          else None)
             self.nodes.append(node)
-            cond_entry = self._chain_calls([stmt.cond.lhs, stmt.cond.rhs],
-                                           node, stack)
+            cond_entry = self._chain_calls(stmt.cond, node, stack)
             node.t_succ = self._stmt(stmt.body, cond_entry, exit_cont, stack)
             node.f_succ = succ
             return cond_entry

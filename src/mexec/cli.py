@@ -19,6 +19,10 @@ from .optimize import LocalMinConfig, MCMCConfig
 from .transforms import prepare
 
 
+# the library defaults, which the flags' defaults repeat
+_DEFAULTS = driver.SearchConfig()
+
+
 class _UsageError(Exception):
     pass
 
@@ -40,24 +44,26 @@ def _build_parser():
             p.add_argument("source", help=".mx source file")
             p.add_argument("--entry", default=None,
                            help="entry function (default: last defined)")
-        p.add_argument("--n-iter", type=int, default=5,
+        p.add_argument("--n-iter", type=int, default=_DEFAULTS.mcmc.n_iter,
                        help="basinhopping iterations per restart")
-        p.add_argument("--n-start", type=int, default=500,
+        p.add_argument("--n-start", type=int, default=_DEFAULTS.n_start,
                        help="number of restarts")
-        p.add_argument("--epsilon", type=float, default=1e-6,
+        p.add_argument("--epsilon", type=float, default=_DEFAULTS.epsilon,
                        help="strict-comparison distance offset")
         p.add_argument("--box", default="-1000:1000",
                        help="search box lo:hi, applied to every input")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (falls back to MEXEC_SEED)")
-        p.add_argument("--step-scale", type=float, default=50.0,
+        p.add_argument("--step-scale", type=float,
+                       default=_DEFAULTS.mcmc.step_scale,
                        help="perturbation half-width")
         p.add_argument("--json", dest="json_path", default=None,
                        help="also write a JSON report to this file")
 
     cover = sub.add_parser("cover", help="saturate all branches")
     add_common(cover)
-    cover.add_argument("--infeasible-after", type=int, default=3,
+    cover.add_argument("--infeasible-after", type=int,
+                       default=_DEFAULTS.infeasible_after,
                        help="same-branch failures before deeming the "
                             "opposite branch infeasible")
     cover.add_argument("--emit-instrumented", action="store_true",
@@ -88,8 +94,6 @@ def _search_config(args):
         lo, hi = float(lo), float(hi)
     except ValueError:
         raise _UsageError(f"bad box {args.box!r}, expected numbers")
-    if not lo < hi:
-        raise _UsageError(f"bad box {args.box!r}, need lo < hi")
     if not 0.0 < args.epsilon < math.inf:
         raise _UsageError(f"bad epsilon {args.epsilon!r}, need a positive "
                           "finite number")
@@ -107,8 +111,10 @@ def _search_config(args):
         box=[(lo, hi)],
         epsilon=args.epsilon,
         seed=seed,
-        infeasible_after=getattr(args, "infeasible_after", 3),
+        infeasible_after=getattr(args, "infeasible_after",
+                                 _DEFAULTS.infeasible_after),
     )
+    cfg.resolved_box(1)     # a bad box fails before any work
     return cfg
 
 

@@ -1,25 +1,28 @@
-"""Search orchestration: mode dispatch, restarts, admission, and the
-infeasible-branch heuristic.
+"""Search orchestration: one restart loop for every mode, admission,
+and the infeasible-branch heuristic.
 
-Coverage mode couples the minimizer to the saturation state: each
-admitted input may saturate branches, which changes the objective for
-the next restart.  Path, boundary, and satisfiability modes minimize a
-fixed objective per restart.
+Every mode minimizes a representing function and admits its roots:
+`search` runs the restarts, and each mode supplies the objective of a
+restart and what admitting a restart's result means.  Coverage mode
+couples the two through the saturation state: each admitted input may
+saturate branches, which changes the objective for the next restart.
+Path, boundary, and satisfiability modes minimize a fixed objective.
 """
 
+import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import saturation
 from .cfg import build_cfg
-from .errors import MalformedPath
+from .errors import InvalidBox, MalformedPath
 from .interp import (
     CompiledProgram, bva_config, coverage_config, execute, path_config,
     plain_config,
 )
-from .optimize import MCMCConfig, Objective, basinhopping
+from .optimize import MCMCConfig, Objective, basinhopping, clamp
 
 # values worth probing regardless of the box: zero, units, and the
 # extremes of the normal double range
@@ -41,8 +44,14 @@ class SearchConfig:
     step_budget: int = 1_000_000
 
     def resolved_box(self, arity):
+        """The per-input (lo, hi) bounds; raises InvalidBox unless every
+        bound is finite and lo < hi."""
         if self.box is None:
             return [(-1e3, 1e3)] * arity
+        for lo, hi in self.box:
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise InvalidBox(f"bad box ({lo!r}, {hi!r}), need finite "
+                                 "lo < hi")
         if len(self.box) == 1 and arity > 1:
             return list(self.box) * arity
         return list(self.box)
@@ -59,11 +68,6 @@ class TestSuiteResult:
     starts_used: int = 0
     wall_time: float = 0.0
     found: Optional[list] = None        # path mode
-    verdict: Optional[str] = None
-
-
-def _clamp(x, box):
-    return [min(max(float(xi), lo), hi) for xi, (lo, hi) in zip(x, box)]
 
 
 def sample_start(rng, box):
@@ -73,7 +77,13 @@ def sample_start(rng, box):
     for lo, hi in box:
         roll = rng.random()
         if roll < 0.8:
-            point.append(rng.uniform(lo, hi))
+            if hi - lo < math.inf:
+                point.append(rng.uniform(lo, hi))
+            else:
+                # the width overflows; the same single draw, spread
+                # without forming hi - lo
+                u = rng.random()
+                point.append(lo * (1.0 - u) + hi * u)
         elif roll < 0.9:
             point.append(min(max(rng.choice(SPECIALS), lo), hi))
         else:
@@ -91,31 +101,20 @@ def snap_to_zero(f, x, box):
     positive residuals; admission requires an exact root, and the roots
     of interest usually sit on round decimals.
     """
-    if f(_clamp(x, box)) == 0.0:
-        return _clamp(x, box)
+    if f(clamp(x, box)) == 0.0:
+        return clamp(x, box)
     for nd in range(15):
-        candidate = _clamp([round(xi, nd) for xi in x], box)
+        candidate = clamp([round(xi, nd) for xi in x], box)
         if f(candidate) == 0.0:
             return candidate
     for i in range(len(x)):
         for nd in range(9):
             candidate = list(x)
             candidate[i] = round(x[i], nd)
-            candidate = _clamp(candidate, box)
+            candidate = clamp(candidate, box)
             if f(candidate) == 0.0:
                 return candidate
     return None
-
-
-def _make_mcmc(cfg, box):
-    mcmc = MCMCConfig(
-        n_iter=cfg.mcmc.n_iter,
-        step_scale=cfg.mcmc.step_scale,
-        temperature=cfg.mcmc.temperature,
-        local=cfg.mcmc.local,
-        box=box,
-    )
-    return mcmc
 
 
 def _minimize_once(objective, cfg, box, rng):
@@ -126,13 +125,43 @@ def _minimize_once(objective, cfg, box, rng):
     def stop_at_root(_iteration, _x, f_value):
         return f_value == 0.0
 
-    x_star, f_star = basinhopping(objective, x0, _make_mcmc(cfg, box),
-                                  rng, stop_at_root)
+    x_star, f_star = basinhopping(objective, x0,
+                                  replace(cfg.mcmc, box=box), rng,
+                                  stop_at_root)
     if f_star != 0.0:
         snapped = snap_to_zero(objective, x_star, box)
         if snapped is not None:
             return snapped, 0.0
     return x_star, f_star
+
+
+def search(cfg, arity, objective_at, admit):
+    """The restart loop of every mode.
+
+    Each restart asks `objective_at()` for this restart's function of
+    the input vector, or None to stop; minimizes it within the box from
+    a sampled start; and passes the clamped minimizer and its value to
+    `admit(x, f)`, which returns True to stop.  Returns the number of
+    restarts run and the objective evaluations they made.
+    """
+    box = cfg.resolved_box(arity)
+    rng = random.Random(cfg.seed)
+    starts = evals = 0
+    for _start in range(cfg.n_start):
+        evaluate = objective_at()
+        if evaluate is None:
+            break
+        starts += 1
+
+        def clamped(x, evaluate=evaluate):
+            return evaluate(clamp(x, box))
+
+        objective = Objective(clamped, arity)
+        x_star, f_star = _minimize_once(objective, cfg, box, rng)
+        evals += objective.eval_count
+        if admit(clamp(x_star, box), f_star):
+            break
+    return starts, evals
 
 
 def run_coverage(program, entry, cfg=None):
@@ -141,15 +170,13 @@ def run_coverage(program, entry, cfg=None):
         cfg = SearchConfig()
     started = time.perf_counter()
     graph = build_cfg(program, entry)
-    fn = program.function(entry)
-    arity = len(fn.params)
-    box = cfg.resolved_box(arity)
-    rng = random.Random(cfg.seed)
+    arity = len(program.function(entry).params)
     state = saturation.new_state(graph)
     result = TestSuiteResult(mode="cover", state=state, graph=graph)
 
     if not graph.labels or arity == 0:
-        x = sample_start(rng, box) if arity else []
+        box = cfg.resolved_box(arity)
+        x = sample_start(random.Random(cfg.seed), box) if arity else []
         trace = execute(CompiledProgram(program, plain_config(), entry,
                                         cfg.step_budget), x)
         result.inputs.append(x)
@@ -161,22 +188,19 @@ def run_coverage(program, entry, cfg=None):
     repfun = CompiledProgram(program, coverage_config(cfg.epsilon), entry,
                              cfg.step_budget)
     failure_counts = {}
-    for _start in range(cfg.n_start):
+
+    def objective_at():
         if saturation.goal_reached(state):
-            break
-        result.starts_used += 1
-        snapshot = state
-        evaluate = repfun.objective(snapshot)
+            return None
+        return repfun.objective(state)
 
-        def raw(x, evaluate=evaluate):
-            return evaluate(_clamp(x, box))
-
-        objective = Objective(raw, arity)
-        x_star, f_star = _minimize_once(objective, cfg, box, rng)
-        result.eval_count += objective.eval_count
-        trace = execute(repfun, _clamp(x_star, box), sat_state=snapshot)
-        if f_star == 0.0 and trace.final_r == 0.0:
-            result.inputs.append(_clamp(x_star, box))
+    def admit(x, f):
+        # the state is still the one this restart's objective was built
+        # from
+        nonlocal state
+        trace = execute(repfun, x, sat_state=state)
+        if f == 0.0 and trace.final_r == 0.0:
+            result.inputs.append(x)
             result.traces.append(trace)
             state = saturation.update_saturation(state, trace.covered_branches)
             failure_counts.clear()
@@ -186,6 +210,10 @@ def run_coverage(program, entry, cfg=None):
             if failure_counts[taken] >= cfg.infeasible_after:
                 state = mark_infeasible(state, trace)
                 failure_counts[taken] = 0
+        return False
+
+    result.starts_used, result.eval_count = search(cfg, arity, objective_at,
+                                                   admit)
     result.state = state
     result.wall_time = time.perf_counter() - started
     return result
@@ -221,33 +249,25 @@ def run_path(program, entry, target, cfg=None):
     graph = build_cfg(program, entry)
     target = tuple(target)
     _validate_path(graph, target)
-    fn = program.function(entry)
-    arity = len(fn.params)
-    box = cfg.resolved_box(arity)
-    rng = random.Random(cfg.seed)
     result = TestSuiteResult(mode="path", graph=graph)
-
     repfun = CompiledProgram(program, path_config(target, cfg.epsilon),
                              entry, cfg.step_budget)
     evaluate = repfun.objective()
 
-    def raw(x):
-        return evaluate(_clamp(x, box))
+    def admit(x, f):
+        if f != 0.0:
+            return False
+        trace = execute(repfun, x)
+        if (trace.final_r != 0.0
+                or tuple(trace.path[:len(target)]) != target):
+            return False
+        result.found = x
+        result.inputs.append(x)
+        result.traces.append(trace)
+        return True
 
-    for _start in range(cfg.n_start):
-        result.starts_used += 1
-        objective = Objective(raw, arity)
-        x_star, f_star = _minimize_once(objective, cfg, box, rng)
-        result.eval_count += objective.eval_count
-        if f_star == 0.0:
-            x_star = _clamp(x_star, box)
-            trace = execute(repfun, x_star)
-            if (trace.final_r == 0.0
-                    and tuple(trace.path[:len(target)]) == target):
-                result.found = x_star
-                result.inputs.append(x_star)
-                result.traces.append(trace)
-                break
+    result.starts_used, result.eval_count = search(
+        cfg, repfun.arity, lambda: evaluate, admit)
     result.wall_time = time.perf_counter() - started
     return result
 
@@ -258,32 +278,20 @@ def run_bva(program, entry, cfg=None):
         cfg = SearchConfig()
     started = time.perf_counter()
     graph = build_cfg(program, entry)
-    fn = program.function(entry)
-    arity = len(fn.params)
-    box = cfg.resolved_box(arity)
-    rng = random.Random(cfg.seed)
     result = TestSuiteResult(mode="bva", graph=graph)
-
     repfun = CompiledProgram(program, bva_config(cfg.epsilon), entry,
                              cfg.step_budget)
     evaluate = repfun.objective()
-
-    def raw(x):
-        return evaluate(_clamp(x, box))
-
     seen = set()
-    for _start in range(cfg.n_start):
-        result.starts_used += 1
-        objective = Objective(raw, arity)
-        x_star, f_star = _minimize_once(objective, cfg, box, rng)
-        result.eval_count += objective.eval_count
-        if f_star == 0.0:
-            x_star = _clamp(x_star, box)
-            key = tuple(x_star)
-            if key not in seen:
-                seen.add(key)
-                trace = execute(repfun, x_star)
-                result.inputs.append(x_star)
-                result.traces.append(trace)
+
+    def admit(x, f):
+        if f == 0.0 and tuple(x) not in seen:
+            seen.add(tuple(x))
+            result.inputs.append(x)
+            result.traces.append(execute(repfun, x))
+        return False
+
+    result.starts_used, result.eval_count = search(
+        cfg, repfun.arity, lambda: evaluate, admit)
     result.wall_time = time.perf_counter() - started
     return result

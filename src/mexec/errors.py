@@ -32,10 +32,6 @@ class UnsupportedPointerUse(ParseError):
     pass
 
 
-class NonNumericOperand(MexecError):
-    pass
-
-
 class NaNOperand(MexecError):
     pass
 
@@ -54,6 +50,10 @@ class ArityMismatch(MexecError):
 
 class MalformedPath(MexecError):
     pass
+
+
+class InvalidBox(MexecError):
+    """A search box bound that is not finite, or lo >= hi."""
 
 
 class InvalidBracket(MexecError):

@@ -31,8 +31,8 @@ from .errors import (
     StepBudgetExceeded, UnknownFunction,
 )
 from .lang import (
-    Assign, Binary, Block, Call, Compare, Decl, Deref, ExprStmt, If, Incr,
-    Num, Promote, Return, Unary, Var, While,
+    Assign, Binary, Block, Call, Decl, Deref, ExprStmt, If, Incr, Num,
+    Promote, Return, Unary, Var, While, walk,
 )
 from .optimize import SENTINEL
 from .saturation import pen
@@ -48,6 +48,9 @@ _R0 = {COVERAGE: 1.0, PATH: 0.0, BVA: 1.0, PLAIN: 0.0}
 # user calls nested deeper than this abort the evaluation; the entry
 # function is at depth 1
 MAX_CALL_DEPTH = 100
+
+# the statement node types; a Block only groups them
+_STATEMENTS = (Assign, Decl, ExprStmt, If, Incr, Return, While)
 
 
 @dataclass
@@ -111,17 +114,14 @@ def _pow(a, b):
 
 
 def _div(a, b):
+    """a / b; for b = +-0, NaN for 0/0 and NaN/0, else a signed
+    infinity."""
     try:
         return a / b
     except ZeroDivisionError:
-        return _div_zero(a, b)
-
-
-def _div_zero(a, b):
-    """a / b for b = +-0: NaN for 0/0 and NaN/0, else a signed infinity."""
-    if a == 0 or math.isnan(a):
-        return math.nan
-    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+        if a == 0 or math.isnan(a):
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 _DOUBLE = struct.Struct(">d")
@@ -232,16 +232,7 @@ def _flatten(stmt):
 
 def _returns(stmt):
     """True if the statement contains a return."""
-    if isinstance(stmt, Return):
-        return True
-    if isinstance(stmt, Block):
-        return any(_returns(s) for s in stmt.stmts)
-    if isinstance(stmt, If):
-        return _returns(stmt.then) or (stmt.els is not None
-                                       and _returns(stmt.els))
-    if isinstance(stmt, While):
-        return _returns(stmt.body)
-    return False
+    return any(isinstance(node, Return) for node in walk(stmt))
 
 
 def _literal(value):
@@ -469,7 +460,7 @@ def _took(branch):
 
 def _namespace():
     ns = {f"_b_{name}": fn for name, fn in BUILTIN_FUNCTIONS.items()}
-    ns.update(_pow=_pow, _div=_div, _div_zero=_div_zero, _nan=_nan,
+    ns.update(_pow=_pow, _div=_div, _nan=_nan,
               _float=float, _ArityMismatch=ArityMismatch,
               _StepBudgetExceeded=StepBudgetExceeded,
               _CallDepthExceeded=CallDepthExceeded, _SENTINEL=SENTINEL,
@@ -559,11 +550,6 @@ class CompiledProgram:
         gen.emit("return _SENTINEL")
         gen.indent -= 1
 
-    def _check_arity(self, count):
-        if count != self.arity:
-            raise ArityMismatch(
-                f"{self.entry} expects {self.arity} inputs, got {count}")
-
     def objective(self, sat_state=None):
         """The fast flavour: inputs -> final representing value."""
         ns = self._flavour(False)
@@ -575,7 +561,9 @@ class CompiledProgram:
 
     def trace(self, inputs, sat_state=None):
         """Run the tracing flavour on `inputs`."""
-        self._check_arity(len(inputs))
+        if len(inputs) != self.arity:
+            raise ArityMismatch(f"{self.entry} expects {self.arity} inputs, "
+                                f"got {len(inputs)}")
         ns = self._flavour(True)
         trace = ExecutionTrace()
         ns.update(_line=trace.covered_lines.add,
@@ -619,7 +607,8 @@ def execute(program, inputs, cfg=None, sat_state=None, entry=None,
 def compile_comparisons(comparisons, names, epsilon=1e-6):
     """Compile a conjunction of comparisons over the variables `names`
     into two functions of an input vector: the sum of the comparisons'
-    branch distances, and whether every comparison holds."""
+    branch distances, the sentinel if an operand is NaN, and whether
+    every comparison holds."""
     gen = _Source()
     unpack = [f"v_{name} = _float(x[{i}])" for i, name in enumerate(names)]
     gen.emit("def _distance(x):")
@@ -627,11 +616,17 @@ def compile_comparisons(comparisons, names, epsilon=1e-6):
     for line in unpack:
         gen.emit(line)
     gen.emit("_t = 0.0")
+    gen.emit("try:")
+    gen.indent += 1
     for cmp in comparisons:
         gen.emit(f"_a = {gen.expr(cmp.lhs)}")
         gen.emit(f"_b = {gen.expr(cmp.rhs)}")
         for line in _distance(cmp.op, "_t = _t + {}"):
             gen.emit(line)
+    gen.emit("pass")
+    gen.indent -= 1
+    gen.emit("except _ABORTS:")
+    gen.emit("    return _SENTINEL")
     gen.emit("return _t")
     gen.indent -= 1
     gen.emit("def _holds(x):")
@@ -650,99 +645,26 @@ def compile_comparisons(comparisons, names, epsilon=1e-6):
 # ---------------------------------------------------------------------------
 # Static queries
 
+def _nodes(program):
+    for fn in program.functions:
+        yield from walk(fn.body)
+
+
 def executable_lines(program):
     """Line numbers of all executable statements in the program."""
-    lines = set()
-
-    def visit(stmt):
-        if isinstance(stmt, Block):
-            for s in stmt.stmts:
-                visit(s)
-            return
-        if stmt.line:
-            lines.add(stmt.line)
-        if isinstance(stmt, If):
-            visit(stmt.then)
-            if stmt.els is not None:
-                visit(stmt.els)
-        elif isinstance(stmt, While):
-            visit(stmt.body)
-
-    for fn in program.functions:
-        visit(fn.body)
-    return lines
+    return {node.line for node in _nodes(program)
+            if isinstance(node, _STATEMENTS) and node.line}
 
 
 def call_sites(program):
     """Static (line, col) positions of user-function call expressions."""
     user = {f.name for f in program.functions}
-    sites = set()
-
-    def visit_expr(expr):
-        if expr is None or isinstance(expr, (Num, Var, Deref)):
-            return
-        if isinstance(expr, (Unary, Promote)):
-            visit_expr(expr.operand)
-        elif isinstance(expr, (Binary, Compare)):
-            visit_expr(expr.lhs)
-            visit_expr(expr.rhs)
-        elif isinstance(expr, Call):
-            for a in expr.args:
-                visit_expr(a)
-            if expr.name in user:
-                sites.add((expr.line, expr.col))
-
-    def visit(stmt):
-        if isinstance(stmt, Block):
-            for s in stmt.stmts:
-                visit(s)
-        elif isinstance(stmt, Decl):
-            visit_expr(stmt.init)
-        elif isinstance(stmt, Assign):
-            visit_expr(stmt.expr)
-        elif isinstance(stmt, ExprStmt):
-            visit_expr(stmt.expr)
-        elif isinstance(stmt, Return):
-            visit_expr(stmt.expr)
-        elif isinstance(stmt, If):
-            visit_expr(stmt.cond)
-            visit(stmt.then)
-            if stmt.els is not None:
-                visit(stmt.els)
-        elif isinstance(stmt, While):
-            visit_expr(stmt.cond)
-            visit(stmt.body)
-
-    for fn in program.functions:
-        visit(fn.body)
-    return sites
+    return {(node.line, node.col) for node in _nodes(program)
+            if isinstance(node, Call) and node.name in user}
 
 
 def conditional_counts(program):
     """(instrumentable, uninstrumentable) conditional counts."""
-    instrumentable = 0
-    other = 0
-
-    def visit(stmt):
-        nonlocal instrumentable, other
-        if isinstance(stmt, Block):
-            for s in stmt.stmts:
-                visit(s)
-        elif isinstance(stmt, If):
-            if stmt.cond.instrumentable:
-                instrumentable += 1
-            else:
-                other += 1
-            visit(stmt.then)
-            if stmt.els is not None:
-                visit(stmt.els)
-        elif isinstance(stmt, While):
-            if stmt.cond.instrumentable:
-                instrumentable += 1
-            else:
-                other += 1
-            visit(stmt.body)
-
-    for fn in program.functions:
-        visit(fn.body)
-    return instrumentable, other
+    flags = [node.cond.instrumentable for node in _nodes(program)
+             if isinstance(node, (If, While))]
+    return sum(flags), len(flags) - sum(flags)

@@ -263,6 +263,45 @@ class Program:
         return None
 
 
+# the fields of each node type that hold child nodes, in field order
+_CHILD_FIELDS = {
+    Unary: ("operand",),
+    Binary: ("lhs", "rhs"),
+    Call: ("args",),
+    Promote: ("operand",),
+    Compare: ("lhs", "rhs"),
+    Decl: ("init",),
+    Assign: ("target", "expr"),
+    Incr: ("target",),
+    If: ("cond", "then", "els"),
+    While: ("cond", "body"),
+    Return: ("expr",),
+    ExprStmt: ("expr",),
+    Block: ("stmts",),
+    FunctionDef: ("body",),
+}
+
+
+def children(node):
+    """The child nodes of `node` in field order; list fields are spliced
+    in and absent (None) children skipped."""
+    for name in _CHILD_FIELDS.get(type(node), ()):
+        value = getattr(node, name)
+        if isinstance(value, list):
+            yield from value
+        elif value is not None:
+            yield value
+
+
+def walk(node):
+    """`node` and every node below it, in pre-order."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(list(children(node))))
+
+
 # ---------------------------------------------------------------------------
 # Parser
 
@@ -574,125 +613,72 @@ def check_call(call, functions):
 def _validate(program):
     functions = {f.name: f for f in program.functions}
 
-    def check_expr(expr, scope, fn):
-        if isinstance(expr, Num):
-            return
-        if isinstance(expr, Var):
-            if expr.name not in scope:
+    def check_expr(expr, scope):
+        for node in walk(expr):
+            if isinstance(node, (Var, Deref)) and node.name not in scope:
                 raise UndeclaredIdentifier(
-                    f"undeclared identifier {expr.name!r}",
-                    expr.line, expr.col)
-            return
-        if isinstance(expr, Deref):
-            if expr.name not in scope:
-                raise UndeclaredIdentifier(
-                    f"undeclared identifier {expr.name!r}",
-                    expr.line, expr.col)
-            return
-        if isinstance(expr, Unary) or isinstance(expr, Promote):
-            check_expr(expr.operand, scope, fn)
-            return
-        if isinstance(expr, (Binary, Compare)):
-            check_expr(expr.lhs, scope, fn)
-            check_expr(expr.rhs, scope, fn)
-            return
-        if isinstance(expr, Call):
-            check_call(expr, functions)
-            for a in expr.args:
-                check_expr(a, scope, fn)
-            return
-        raise ParseError(f"unhandled expression node {expr!r}")
+                    f"undeclared identifier {node.name!r}",
+                    node.line, node.col)
+            if isinstance(node, Call):
+                check_call(node, functions)
 
-    def check_stmt(stmt, scope, fn):
+    def check_stmt(stmt, scope):
         if isinstance(stmt, Block):
             for s in stmt.stmts:
-                check_stmt(s, scope, fn)
+                check_stmt(s, scope)
         elif isinstance(stmt, Decl):
             if stmt.init is not None:
-                check_expr(stmt.init, scope, fn)
+                check_expr(stmt.init, scope)
             scope.add(stmt.name)
         elif isinstance(stmt, Assign):
-            check_expr(stmt.expr, scope, fn)
+            check_expr(stmt.expr, scope)
             if isinstance(stmt.target, Deref):
-                check_expr(stmt.target, scope, fn)
+                check_expr(stmt.target, scope)
             else:
                 # assignment may introduce a variable, C-style locals are
                 # expected to be declared but we accept first-write binding
                 scope.add(stmt.target.name)
         elif isinstance(stmt, Incr):
-            check_expr(stmt.target, scope, fn)
+            check_expr(stmt.target, scope)
         elif isinstance(stmt, If):
-            check_expr(stmt.cond, scope, fn)
-            check_stmt(stmt.then, set(scope), fn)
+            check_expr(stmt.cond, scope)
+            check_stmt(stmt.then, set(scope))
             if stmt.els is not None:
-                check_stmt(stmt.els, set(scope), fn)
+                check_stmt(stmt.els, set(scope))
         elif isinstance(stmt, While):
-            check_expr(stmt.cond, scope, fn)
-            check_stmt(stmt.body, set(scope), fn)
-        elif isinstance(stmt, Return):
+            check_expr(stmt.cond, scope)
+            check_stmt(stmt.body, set(scope))
+        elif isinstance(stmt, (Return, ExprStmt)):
             if stmt.expr is not None:
-                check_expr(stmt.expr, scope, fn)
-        elif isinstance(stmt, ExprStmt):
-            check_expr(stmt.expr, scope, fn)
+                check_expr(stmt.expr, scope)
         else:
             raise ParseError(f"unhandled statement node {stmt!r}")
 
     for f in program.functions:
-        scope = {p[0] for p in f.params}
-        check_stmt(f.body, scope, f)
-
-
-def _pointer_params(fn):
-    return {name for name, kind in fn.params if kind == "ptr"}
+        check_stmt(f.body, {p[0] for p in f.params})
 
 
 def _expr_mentions_pointer(expr, pointers):
     """True if the expression reads a pointer value itself (not through *)."""
-    if isinstance(expr, Var):
-        return expr.name in pointers
-    if isinstance(expr, (Unary, Promote)):
-        return _expr_mentions_pointer(expr.operand, pointers)
-    if isinstance(expr, (Binary, Compare)):
-        return (_expr_mentions_pointer(expr.lhs, pointers)
-                or _expr_mentions_pointer(expr.rhs, pointers))
-    if isinstance(expr, Call):
-        return any(_expr_mentions_pointer(a, pointers) for a in expr.args)
-    return False
+    return any(isinstance(node, Var) and node.name in pointers
+               for node in walk(expr))
 
 
 def _assign_labels(program):
     """Number instrumentable conditionals 0..N-1 in source order."""
     counter = 0
-
-    def visit(stmt, pointers):
-        nonlocal counter
-        if isinstance(stmt, Block):
-            for s in stmt.stmts:
-                visit(s, pointers)
-        elif isinstance(stmt, (If, While)):
-            cond = stmt.cond
-            if (_expr_mentions_pointer(cond.lhs, pointers)
-                    or _expr_mentions_pointer(cond.rhs, pointers)):
-                cond.instrumentable = False
-                cond.label = None
-            else:
-                cond.instrumentable = True
+    for f in program.functions:
+        pointers = {name for name, kind in f.params if kind == "ptr"}
+        for node in walk(f.body):
+            if not isinstance(node, (If, While)):
+                continue
+            cond = node.cond
+            cond.instrumentable = not _expr_mentions_pointer(cond, pointers)
+            cond.label = None
+            if cond.instrumentable:
                 cond.label = counter
                 counter += 1
-            visit(stmt.then if isinstance(stmt, If) else stmt.body, pointers)
-            if isinstance(stmt, If) and stmt.els is not None:
-                visit(stmt.els, pointers)
-
-    for f in program.functions:
-        visit(f.body, _pointer_params(f))
     program.num_conditionals = counter
-
-
-def relabel(program):
-    """Recompute dense labels after a transform (labels stay stable when
-    the set of instrumentable conditionals is unchanged)."""
-    _assign_labels(program)
-    return program
 
 
 # ---------------------------------------------------------------------------

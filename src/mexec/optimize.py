@@ -17,7 +17,6 @@ from .errors import InvalidBracket
 # the value of an aborted or non-finite evaluation
 SENTINEL = 1e300
 
-_GOLD = 1.618034
 _CGOLD = 0.3819660
 _TINY = 1e-21
 
@@ -226,7 +225,9 @@ def metropolis_accept(f_current, f_proposal, temperature, rng):
     return rng.random() < threshold
 
 
-def _clamp(x, box):
+def clamp(x, box):
+    """`x` with each coordinate moved into its (lo, hi) bounds; a copy
+    of `x` when `box` is None."""
     if box is None:
         return list(x)
     return [min(max(xi, lo), hi) for xi, (lo, hi) in zip(x, box)]
@@ -244,14 +245,14 @@ def basinhopping(f, x0, cfg=None, rng=None, callback=None):
         cfg = MCMCConfig()
     if rng is None:
         rng = random.Random()
-    x_l, f_l = powell_minimize(f, _clamp(x0, cfg.box), cfg.local)
+    x_l, f_l = powell_minimize(f, clamp(x0, cfg.box), cfg.local)
     best_x, best_f = list(x_l), f_l
     if callback is not None and callback(0, x_l, f_l):
         return best_x, best_f
     for iteration in range(1, cfg.n_iter + 1):
         delta = [rng.uniform(-cfg.step_scale, cfg.step_scale)
                  for _ in range(len(x_l))]
-        proposal = _clamp([xi + di for xi, di in zip(x_l, delta)], cfg.box)
+        proposal = clamp([xi + di for xi, di in zip(x_l, delta)], cfg.box)
         x_t, f_t = powell_minimize(f, proposal, cfg.local)
         if metropolis_accept(f_l, f_t, cfg.temperature, rng):
             x_l, f_l = x_t, f_t

@@ -6,15 +6,13 @@ check can answer "sat" with a verified model or "unknown", never
 "unsat": failing to find a root proves nothing.
 """
 
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import NonNumericExpression, ParseError, UnknownVariable
 from .interp import compile_comparisons
-from .lang import Call, Binary, Compare, Deref, Promote, Unary, Var
-from .lang import _Parser, check_call, tokenize
+from .lang import Call, Deref, Var, _Parser, check_call, tokenize, walk
 from .optimize import Objective
 from . import driver
 
@@ -26,29 +24,23 @@ class Constraint:
     text: str = ""
 
 
-def _collect_vars(expr, seen, order):
-    if isinstance(expr, Var):
-        if expr.name not in seen:
-            seen.add(expr.name)
-            order.append(expr.name)
-    elif isinstance(expr, Deref):
-        raise NonNumericExpression("pointers are not allowed in constraints")
-    elif isinstance(expr, (Unary, Promote)):
-        _collect_vars(expr.operand, seen, order)
-    elif isinstance(expr, (Binary, Compare)):
-        _collect_vars(expr.lhs, seen, order)
-        _collect_vars(expr.rhs, seen, order)
-    elif isinstance(expr, Call):
-        check_call(expr, {})
-        for a in expr.args:
-            _collect_vars(a, seen, order)
+def _collect_vars(cmp, names):
+    """Add the variables of a conjunct to the dict `names` in order of
+    first appearance, rejecting pointers and bad calls."""
+    for node in walk(cmp):
+        if isinstance(node, Deref):
+            raise NonNumericExpression(
+                "pointers are not allowed in constraints")
+        if isinstance(node, Call):
+            check_call(node, {})
+        elif isinstance(node, Var):
+            names.setdefault(node.name)
 
 
 def parse_constraint(text, variables=None):
     """Parse `expr op expr && expr op expr && ...` into a Constraint."""
     conjuncts = []
-    seen = set()
-    order = []
+    names = {}
     for part in text.split("&&"):
         part = part.strip()
         if not part:
@@ -59,8 +51,9 @@ def parse_constraint(text, variables=None):
         if tail.kind != "eof":
             raise ParseError(f"trailing input {tail.text!r} in conjunct",
                              tail.line, tail.col)
-        _collect_vars(cmp, seen, order)
+        _collect_vars(cmp, names)
         conjuncts.append(cmp)
+    order = list(names)
     if variables is not None:
         unknown = [v for v in order if v not in variables]
         if unknown:
@@ -100,35 +93,30 @@ def check_sat(constraint, cfg=None):
         cfg = driver.SearchConfig()
     started = time.perf_counter()
     arity = len(constraint.variables)
-    box = cfg.resolved_box(arity)
-    rng = random.Random(cfg.seed)
-    inner = compile_constraint(constraint, cfg.epsilon)
-    objective = Objective(lambda x: inner.fn(driver._clamp(x, box)),
-                          arity)
+    distance = compile_constraint(constraint, cfg.epsilon).fn
     result = SatResult(verdict="unknown", residual=float("inf"),
                        variables=list(constraint.variables))
 
     if arity == 0:
-        residual = objective([])
-        result.residual = residual
+        objective = Objective(distance, 0)
+        result.residual = objective([])
         result.eval_count = objective.eval_count
-        if residual == 0.0:
+        if result.residual == 0.0:
             result.verdict = "sat"
             result.model = []
         result.wall_time = time.perf_counter() - started
         return result
 
-    for _start in range(cfg.n_start):
-        result.starts_used += 1
-        x_star, f_star = driver._minimize_once(objective, cfg, box, rng)
-        x_star = driver._clamp(x_star, box)
-        if f_star < result.residual:
-            result.residual = f_star
-        if f_star == 0.0 and _holds(constraint, x_star):
+    def admit(x, f):
+        result.residual = min(result.residual, f)
+        if f == 0.0 and _holds(constraint, x):
             result.verdict = "sat"
-            result.model = list(x_star)
+            result.model = x
             result.residual = 0.0
-            break
-    result.eval_count = objective.eval_count
+            return True
+        return False
+
+    result.starts_used, result.eval_count = driver.search(
+        cfg, arity, lambda: distance, admit)
     result.wall_time = time.perf_counter() - started
     return result

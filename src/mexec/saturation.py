@@ -6,7 +6,7 @@ toward conditionals with exactly one saturated side: it returns the
 distance to flipping that conditional the unsaturated way.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .distance import branch_distance, negate_op
 
@@ -16,10 +16,7 @@ class SaturationState:
     cfg: object
     covered: frozenset = frozenset()
     infeasible: frozenset = frozenset()
-    explored: frozenset = field(default=frozenset())
-
-    def is_explored(self, branch):
-        return branch in self.explored
+    explored: frozenset = frozenset()
 
 
 def _recompute_explored(cfg, covered, infeasible):

@@ -15,7 +15,7 @@ import copy
 from .errors import UnsupportedPointerUse
 from .lang import (
     Assign, Binary, Block, Call, Compare, Decl, Deref, ExprStmt, If, Incr,
-    Num, Promote, Return, Unary, Var, While,
+    Num, Promote, Return, Unary, Var, While, walk,
 )
 
 
@@ -124,32 +124,24 @@ def promote_integers(cond):
     return cond
 
 
-def _promote_stmt(stmt):
-    if isinstance(stmt, Block):
-        for s in stmt.stmts:
-            _promote_stmt(s)
-    elif isinstance(stmt, If):
-        promote_integers(stmt.cond)
-        _promote_stmt(stmt.then)
-        if stmt.els is not None:
-            _promote_stmt(stmt.els)
-    elif isinstance(stmt, While):
-        promote_integers(stmt.cond)
-        _promote_stmt(stmt.body)
+def _promote_conditions(program):
+    for fn in program.functions:
+        for node in walk(fn.body):
+            if isinstance(node, (If, While)):
+                promote_integers(node.cond)
+    return program
 
 
 def promote_program(program):
     """Return a copy with integer promotion applied to every conditional."""
-    program = copy.deepcopy(program)
-    for fn in program.functions:
-        _promote_stmt(fn.body)
-    return program
+    return _promote_conditions(copy.deepcopy(program))
 
 
 def prepare(program):
     """Full normalization pipeline: lower pointers, then promote integers.
 
     Labels assigned at parse time are carried through unchanged; the
-    passes neither add nor remove conditionals.
+    passes neither add nor remove conditionals.  The input program is
+    left as it is: lowering works on a copy.
     """
-    return promote_program(lower_pointers(program))
+    return _promote_conditions(lower_pointers(program))

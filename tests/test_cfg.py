@@ -1,8 +1,15 @@
+import hashlib
+
 import pytest
 
 from mexec.cfg import build_cfg
 from mexec.errors import UnknownFunction
 from mexec.lang import parse
+from mexec.transforms import prepare
+
+from conftest import BENCH
+
+ROOT = BENCH.parent
 
 
 def graph_of(src, entry):
@@ -78,6 +85,27 @@ def test_calls_are_inlined_for_reachability():
     assert g.descendant[(1, "T")] == {(0, "T"), (0, "F")}
 
 
+def test_inlined_calls_follow_evaluation_order():
+    # inner(x) is evaluated before outer(...) and a before b, so each
+    # callee's conditional reaches only the ones evaluated after it
+    g = graph_of("""
+        real inner(real x) { if (x == 1) { x++; } return x; }
+        real outer(real x) { if (x == 2) { x++; } return x; }
+        real a(real x) { if (x == 3) { x++; } return x; }
+        real b(real x) { if (x == 4) { x++; } return x; }
+        real f(real x) {
+            real y = outer(inner(x)) + a(x) * b(x);
+            return y;
+        }
+    """, "f")
+    def reached(label):
+        return {lbl for lbl, _ in g.descendant[(label, "T")]}
+    assert reached(0) == {1, 2, 3}
+    assert reached(1) == {2, 3}
+    assert reached(2) == {3}
+    assert reached(3) == set()
+
+
 def test_early_return_cuts_reachability():
     g = graph_of("""
         real f(real x) {
@@ -130,3 +158,45 @@ def test_loop_free_descendant_is_irreflexive():
     g = graph_of(LOOP_FREE, "f")
     for b, ds in g.descendant.items():
         assert b not in ds
+
+
+# sha256 prefix of the sorted descendant relation of each program's last
+# function; a rewrite of the builder must reproduce the relation exactly
+DESCENDANT_DIGESTS = {
+    'benchmarks/atan_like.mx': '689e621f8a91fa21',
+    'benchmarks/cbrt_like.mx': 'e7ff49806d2c0043',
+    'benchmarks/ceil_like.mx': 'e7ff49806d2c0043',
+    'benchmarks/expm1_like.mx': '835009280bf79a74',
+    'benchmarks/foo.mx': '9e55d9b31721684c',
+    'benchmarks/foo_infeasible.mx': '9e55d9b31721684c',
+    'benchmarks/hypot_like.mx': 'af5832cc726b86bc',
+    'benchmarks/k_cos.mx': '145ddaf999b69383',
+    'benchmarks/log1p_like.mx': 'e7ff49806d2c0043',
+    'benchmarks/tanh_like.mx': 'd68ab1e78c6c3174',
+    'perfbench/programs/hard/bits4.mx': '6a8b96d6322f7490',
+    'perfbench/programs/hard/fact_rec.mx': 'af5832cc726b86bc',
+    'perfbench/programs/hard/fanout.mx': '1aa7c5c070af477a',
+    'perfbench/programs/hard/halve_rec.mx': '9e55d9b31721684c',
+    'perfbench/programs/hard/loop_guard.mx': 'd6f532c6fceae695',
+    'perfbench/programs/hard/prod6.mx': '909e987f83e44b70',
+    'perfbench/programs/hard/sq_guard.mx': 'f15aa858b706b3ed',
+    'perfbench/programs/deep/dispatch10.mx': 'c3e1232f2d07b813',
+    'perfbench/programs/deep/dispatch11.mx': '380e8aa7cf3029a2',
+    'perfbench/programs/deep/dispatch12.mx': '5eea347edc90786b',
+}
+
+
+@pytest.mark.parametrize("relpath", sorted(DESCENDANT_DIGESTS))
+def test_descendant_relation_is_pinned(relpath):
+    program = prepare(parse((ROOT / relpath).read_text(encoding="utf-8")))
+    graph = build_cfg(program, program.functions[-1].name)
+    rows = sorted((b, sorted(v)) for b, v in graph.descendant.items())
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+    assert digest == DESCENDANT_DIGESTS[relpath]
+
+
+def test_descendant_digests_cover_every_program():
+    found = {str(p.relative_to(ROOT)) for pattern in (
+        "benchmarks/*.mx", "perfbench/programs/hard/*.mx",
+        "perfbench/programs/deep/*.mx") for p in ROOT.glob(pattern)}
+    assert found == set(DESCENDANT_DIGESTS)

@@ -183,3 +183,26 @@ def test_sat_json_writes_the_result(capsys, tmp_path):
     assert payload["variables"] == ["x"]
     assert payload["model"][0] ** 2 == 4.0
     assert out.startswith(f"sat: x = {payload['model'][0]!r}")
+
+
+def test_sat_nan_operand_scores_the_point_instead_of_failing(capsys):
+    # sqrt and log of a negative sample give NaN operands, which score
+    # the sentinel rather than end the run
+    code, out, err = run_cli(capsys, "sat", "sqrt(x) == 2", "--seed", "1",
+                             "--n-start", "5")
+    assert code == 0, err
+    assert out.strip() == "sat: x = 4.0"
+    code, out, err = run_cli(capsys, "sat", "log(x) >= 1 && x <= 3",
+                             "--seed", "2", "--n-start", "5")
+    assert code == 0, err
+    assert out.startswith("sat: x = 2.9999")
+
+
+def test_infinite_or_empty_box_is_an_error(capsys):
+    for box in ("-inf:inf", "0:inf", "nan:1", "3:1", "2:2"):
+        code, _, err = run_cli(capsys, "cover", FOO, f"--box={box}",
+                               "--n-start", "2")
+        assert code == 1, box
+        assert "bad box" in err
+        code, _, err = run_cli(capsys, "sat", "x == 1", f"--box={box}")
+        assert code == 1, box

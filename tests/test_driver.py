@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,9 +7,10 @@ from mexec.driver import (
     SearchConfig, mark_infeasible, run_bva, run_coverage, run_path,
     sample_start, snap_to_zero,
 )
-from mexec.errors import MalformedPath
+from mexec.errors import InvalidBox, MalformedPath
 from mexec.interp import ExecutionTrace, coverage_config, execute
 from mexec.lang import parse
+from mexec.satcheck import check_sat, parse_constraint
 from mexec.saturation import goal_reached, new_state, update_saturation
 from mexec.cfg import build_cfg
 from mexec.transforms import prepare
@@ -158,6 +160,30 @@ def test_sample_start_stays_in_box():
         x = sample_start(rng, box)
         for xi, (lo, hi) in zip(x, box):
             assert lo <= xi <= hi
+
+
+def test_sample_start_in_a_box_wider_than_the_largest_double():
+    # hi - lo overflows to inf here; the starts must still be finite
+    # points of the box, spread over both signs
+    rng = random.Random(1)
+    box = [(-1e308, 1e308)] * 3
+    xs = [xi for _ in range(200) for xi in sample_start(rng, box)]
+    assert all(-1e308 <= xi <= 1e308 for xi in xs)
+    assert min(xs) < -1e307 and max(xs) > 1e307
+
+
+@pytest.mark.parametrize("box", [
+    [(-math.inf, math.inf)], [(0.0, math.inf)], [(math.nan, 1.0)],
+    [(1.0, 1.0)], [(2.0, -2.0)], [(-1.0, 1.0), (0.0, math.inf)],
+])
+def test_non_finite_or_empty_box_raises(box, foo):
+    cfg = SearchConfig(box=box, n_start=2, seed=0)
+    with pytest.raises(InvalidBox):
+        cfg.resolved_box(2)
+    with pytest.raises(InvalidBox):
+        run_coverage(foo, "FOO", cfg)
+    with pytest.raises(InvalidBox):
+        check_sat(parse_constraint("x == 1"), cfg)
 
 
 def test_snap_to_zero_polishes_near_roots():

@@ -16,11 +16,13 @@ from hypothesis import given, settings, strategies as st
 import interp_oracle
 from conftest import BENCH
 from mexec.distance import branch_distance, compare
+from mexec.errors import NaNOperand
 from mexec.interp import (
     CompiledProgram, bva_config, coverage_config, execute, path_config,
     plain_config,
 )
 from mexec.lang import BUILTIN_ARITY, Program, parse
+from mexec.optimize import SENTINEL
 from mexec.satcheck import _holds, compile_constraint, parse_constraint
 from mexec.saturation import SaturationState
 from mexec.transforms import prepare
@@ -288,13 +290,18 @@ def constraints(draw):
 
 
 def _oracle_distance(constraint, x):
+    """The sum of the conjuncts' distances; a NaN operand scores the
+    point with the sentinel, as in the program modes."""
     env = dict(zip(constraint.variables, x))
     interp = interp_oracle._Interp(Program([]), plain_config(), None, 0)
     total = 0.0
     for cmp in constraint.conjuncts:
         a = interp.eval_expr(cmp.lhs, env)
         b = interp.eval_expr(cmp.rhs, env)
-        total += branch_distance(cmp.op, a, b, 1e-6)
+        try:
+            total += branch_distance(cmp.op, a, b, 1e-6)
+        except NaNOperand:
+            return SENTINEL
     return total
 
 

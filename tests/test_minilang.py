@@ -3,7 +3,10 @@ import pytest
 from mexec.errors import (
     DuplicateFunction, ParseError, UndeclaredIdentifier,
 )
-from mexec.lang import If, While, parse, render_instrumented, to_source
+from mexec.lang import (
+    Call, If, Return, Var, While, children, parse, render_instrumented,
+    to_source, walk,
+)
 
 FOO_SRC = """
 real square(real x) { return x * x; }
@@ -157,3 +160,28 @@ def test_instrumented_rendering_shows_penalty_assignments():
     assert 'r = pen(0, "<=", x, 1)' in text
     assert 'r = pen(1, "==", y, 4)' in text
     assert "FOO_I" in text
+
+
+def test_children_in_field_order_and_walk_in_pre_order():
+    program = parse("""
+        real g(real a, real b) { return a; }
+        real f(real x) {
+            if (x < 1) { return g(x, -x); }
+            return 0;
+        }
+    """)
+    fn = program.function("f")
+    branch, tail = fn.body.stmts
+    # cond, then; the missing else is skipped
+    assert list(children(branch)) == [branch.cond, branch.then]
+    call = branch.then.stmts[0].expr
+    assert isinstance(call, Call)
+    assert list(children(call)) == call.args     # list fields spliced in
+    assert list(children(Var(name="x"))) == []
+    kinds = [type(node).__name__ for node in walk(fn.body)]
+    assert kinds == ["Block", "If", "Compare", "Var", "Num", "Block",
+                     "Return", "Call", "Var", "Unary", "Var", "Return",
+                     "Num"]
+    assert [n for n in walk(fn.body) if isinstance(n, Return)] == [
+        branch.then.stmts[0], tail]
+

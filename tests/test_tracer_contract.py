@@ -1,0 +1,54 @@
+"""The benchmark's tracer patches mexec functions by module attribute
+name (`perfbench/tracer.py`).  A name that disappears, or that a module
+stops looking up at call time, breaks the traced benchmark; this test
+makes such a refactor fail here instead."""
+
+import importlib
+import importlib.util
+import sys
+from types import SimpleNamespace
+
+from conftest import BENCH
+
+TRACER_PATH = BENCH.parent / "perfbench" / "tracer.py"
+MODULES = ("lang", "transforms", "cfg", "interp", "saturation", "optimize",
+           "driver", "satcheck", "report")
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer",
+                                                  TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_records_the_search_layers():
+    saved = {name: module for name, module in sys.modules.items()
+             if name == "mexec" or name.startswith("mexec.")}
+    for name in saved:
+        del sys.modules[name]
+    try:
+        mx = SimpleNamespace(**{m: importlib.import_module(f"mexec.{m}")
+                                for m in MODULES})
+        tracer = _load_tracer().Tracer(keep_spans=False)
+        tracer.install(mx)
+        try:
+            program = mx.transforms.prepare(mx.lang.parse(
+                (BENCH / "foo.mx").read_text(encoding="utf-8")))
+            cfg = mx.driver.SearchConfig(seed=1, n_start=2)
+            mx.driver.run_coverage(program, "FOO", cfg)
+            mx.satcheck.check_sat(mx.satcheck.parse_constraint("x*x == 4"),
+                                  cfg)
+        finally:
+            tracer.uninstall()
+    finally:
+        for name in [n for n in sys.modules
+                     if n == "mexec" or n.startswith("mexec.")]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+    for span in ("driver.run_coverage", "satcheck.check_sat", "cfg.build",
+                 "driver.minimize_once", "optimize.basinhopping",
+                 "driver.objective", "satcheck.objective", "driver.replay",
+                 "saturation.pen"):
+        assert tracer.calls[span] > 0, span
