@@ -19,7 +19,7 @@ from .satcheck import check_sat, compile_constraint, parse_constraint
 from .saturation import (
     SaturationState, goal_reached, new_state, pen, update_saturation,
 )
-from .transforms import lower_pointers, prepare, promote_integers
+from .transforms import prepare
 from .cfg import build_cfg
 
 __version__ = "1.0.0"
@@ -35,7 +35,7 @@ __all__ = [
     "check_sat", "compile_constraint", "parse_constraint",
     "SaturationState", "goal_reached", "new_state", "pen",
     "update_saturation",
-    "lower_pointers", "prepare", "promote_integers",
+    "prepare",
     "build_cfg",
     "__version__",
 ]

@@ -16,8 +16,9 @@ from .lang import (
 
 
 class _Node:
-    """A conditional occurrence (label is None for uninstrumentable
-    forks, which pass reachability through without owning branches)."""
+    """A conditional occurrence (label is None for a conditional that
+    compares a bare pointer: it passes reachability through without
+    owning branches)."""
 
     __slots__ = ("label", "t_succ", "f_succ")
 
@@ -32,7 +33,6 @@ _EXIT = object()
 
 @dataclass
 class CFG:
-    entry_point: object
     labels: frozenset
     branches: frozenset
     descendant: dict
@@ -103,16 +103,14 @@ class _Builder:
         if isinstance(stmt, Return):
             return self._chain_calls(stmt.expr, exit_cont, stack)
         if isinstance(stmt, If):
-            node = _Node(stmt.cond.label if stmt.cond.instrumentable
-                         else None)
+            node = _Node(stmt.cond.label)
             self.nodes.append(node)
             node.t_succ = self._stmt(stmt.then, succ, exit_cont, stack)
             node.f_succ = (self._stmt(stmt.els, succ, exit_cont, stack)
                            if stmt.els is not None else succ)
             return self._chain_calls(stmt.cond, node, stack)
         if isinstance(stmt, While):
-            node = _Node(stmt.cond.label if stmt.cond.instrumentable
-                         else None)
+            node = _Node(stmt.cond.label)
             self.nodes.append(node)
             cond_entry = self._chain_calls(stmt.cond, node, stack)
             node.t_succ = self._stmt(stmt.body, cond_entry, exit_cont, stack)
@@ -141,7 +139,7 @@ def _reachable_labels(start):
 def build_cfg(program, entry):
     """Build the CFG of `entry` with user calls inlined."""
     builder = _Builder(program)
-    entry_point = builder.build(entry)
+    builder.build(entry)
 
     labels = {n.label for n in builder.nodes if n.label is not None}
     branches = frozenset(
@@ -157,5 +155,5 @@ def build_cfg(program, entry):
                 descendant[(node.label, side)].add((lbl, "F"))
     descendant = {b: frozenset(s) for b, s in descendant.items()}
 
-    return CFG(entry_point=entry_point, labels=frozenset(labels),
-               branches=branches, descendant=descendant)
+    return CFG(labels=frozenset(labels), branches=branches,
+               descendant=descendant)

@@ -1,6 +1,6 @@
 """Representing functions compiled to Python.
 
-Once per mode call the prepared program is translated to Python source,
+Once per mode call the parsed program is translated to Python source,
 one Python function per .mx function, and exec'd.  One generator emits
 two flavours of the same program:
 
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .lang import (
     Assign, Binary, Block, Call, Decl, Deref, ExprStmt, If, Incr, Num,
-    Promote, Return, Unary, Var, While, walk,
+    Return, Unary, Var, While, walk,
 )
 from .optimize import SENTINEL
 from .saturation import pen
@@ -268,9 +268,6 @@ class _Source:
             return _literal(e.value)
         if isinstance(e, (Var, Deref)):
             return f"v_{e.name}"
-        if isinstance(e, Promote):
-            # all runtime values are already 64-bit reals
-            return self.expr(e.operand)
         if isinstance(e, Unary):
             return f"(-{self.expr(e.operand)})"
         if isinstance(e, Binary):
@@ -327,7 +324,7 @@ class _Source:
         and the lines to run first on its true and on its false side."""
         a, b = self.expr(cond.lhs), self.expr(cond.rhs)
         label = cond.label
-        if not cond.instrumentable or label is None:
+        if label is None:
             return f"{a} {cond.op} {b}", [], []
         hook = self.hook(cond)
         if not hook and not self.tracing:
@@ -509,11 +506,16 @@ class CompiledProgram:
         if tracing in self._flavours:
             return self._flavours[tracing]
         cfg = self.cfg
+        name = f"{self.entry} {cfg.mode} {'tracing' if tracing else 'fast'}"
         gen = _Source(cfg.mode, tracing)
         if tracing:
             gen.lines.append(_TRACING_HELPERS)
-        for fn in self.program.functions:
-            gen.function(fn)
+        try:
+            for fn in self.program.functions:
+                gen.function(fn)
+        except RecursionError:
+            raise MexecError(f"cannot compile {name}: statements nested "
+                             "too deeply") from None
         if not tracing:
             self._fast_runner(gen)
         ns = _namespace()
@@ -522,9 +524,7 @@ class CompiledProgram:
             target = cfg.target_path
             ns["_tl"] = tuple(label for label, _side in target) + (None,)
             ns["_tt"] = tuple(side == "T" for _label, side in target)
-        flavour = "tracing" if tracing else "fast"
-        exec(self._compile_code(gen.text(),
-                                f"{self.entry} {cfg.mode} {flavour}"), ns)
+        exec(self._compile_code(gen.text(), name), ns)
         self._flavours[tracing] = ns
         return ns
 
@@ -589,7 +589,7 @@ def execute(program, inputs, cfg=None, sat_state=None, entry=None,
             step_budget=1_000_000):
     """Run `entry` on `inputs` and return the execution trace.
 
-    `program` is a prepared Program, compiled here for this one run
+    `program` is a parsed Program, compiled here for this one run
     under `cfg` (default: plain), or a CompiledProgram, which already
     fixes the mode, entry and step budget.  The trace's final_r is the
     representing value at termination; an aborted run reports a large
@@ -664,7 +664,9 @@ def call_sites(program):
 
 
 def conditional_counts(program):
-    """(instrumentable, uninstrumentable) conditional counts."""
-    flags = [node.cond.instrumentable for node in _nodes(program)
-             if isinstance(node, (If, While))]
-    return sum(flags), len(flags) - sum(flags)
+    """(instrumentable, uninstrumentable) conditional counts: labeled
+    conditionals and those that compare a bare pointer."""
+    labels = [node.cond.label for node in _nodes(program)
+              if isinstance(node, (If, While))]
+    unlabeled = labels.count(None)
+    return len(labels) - unlabeled, unlabeled

@@ -4,7 +4,7 @@ The language is a small C-like subset over 64-bit reals: function
 definitions, declarations, assignments, if/else, while, return, calls,
 and arithmetic expressions with `^` for exponentiation.  Pointer-to-real
 parameters are accepted so that library-style signatures can be written
-down; a later pass rewrites them to scalars.
+down; the engine reads `*p` like a scalar `p`.
 
 Every conditional whose two operands are numeric receives a dense label
 0..N-1 in source order.  Conditionals comparing pointers keep label None
@@ -148,7 +148,6 @@ class Node:
 class Num(Node):
     value: float = 0.0
     text: str = field(default="", compare=False)
-    is_int: bool = False
 
 
 @dataclass
@@ -182,18 +181,11 @@ class Call(Node):
 
 
 @dataclass
-class Promote(Node):
-    """Explicit to-real conversion, printed as a (real) cast."""
-    operand: Optional[Node] = None
-
-
-@dataclass
 class Compare(Node):
     op: str = "=="
     lhs: Optional[Node] = None
     rhs: Optional[Node] = None
     label: Optional[int] = field(default=None, compare=False)
-    instrumentable: bool = field(default=True, compare=False)
 
 
 @dataclass
@@ -268,7 +260,6 @@ _CHILD_FIELDS = {
     Unary: ("operand",),
     Binary: ("lhs", "rhs"),
     Call: ("args",),
-    Promote: ("operand",),
     Compare: ("lhs", "rhs"),
     Decl: ("init",),
     Assign: ("target", "expr"),
@@ -523,11 +514,11 @@ class _Parser:
             return Unary(line=tok.line, col=tok.col, op="-", operand=operand)
         if (tok.kind == "(" and self.peek(1).kind == "kw"
                 and self.peek(1).text == "real" and self.peek(2).kind == ")"):
+            # a (real) cast: every value already is a real
             self.next()
             self.next()
             self.next()
-            operand = self.parse_unary()
-            return Promote(line=tok.line, col=tok.col, operand=operand)
+            return self.parse_unary()
         return self.parse_power()
 
     def parse_power(self):
@@ -546,13 +537,12 @@ class _Parser:
             self.next()
             text = tok.text
             if text.startswith(("0x", "0X")):
-                return Num(line=tok.line, col=tok.col,
-                           value=float(int(text, 16)), text=text, is_int=True)
-            if "." in text or "e" in text or "E" in text:
-                return Num(line=tok.line, col=tok.col,
-                           value=float(text), text=text, is_int=False)
-            return Num(line=tok.line, col=tok.col,
-                       value=float(int(text)), text=text, is_int=True)
+                value = float(int(text, 16))
+            elif "." in text or "e" in text or "E" in text:
+                value = float(text)
+            else:
+                value = float(int(text))
+            return Num(line=tok.line, col=tok.col, value=value, text=text)
         if tok.kind == "ident":
             self.next()
             if self.peek().kind == "(":
@@ -587,7 +577,10 @@ class _Parser:
 
 def parse(source):
     """Parse .mx source text into a labeled, validated Program."""
-    return _Parser(tokenize(source)).parse_program()
+    try:
+        return _Parser(tokenize(source)).parse_program()
+    except RecursionError:
+        raise ParseError("program nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +658,8 @@ def _expr_mentions_pointer(expr, pointers):
 
 
 def _assign_labels(program):
-    """Number instrumentable conditionals 0..N-1 in source order."""
+    """Number the conditionals that compare no bare pointer 0..N-1 in
+    source order; the others keep label None."""
     counter = 0
     for f in program.functions:
         pointers = {name for name, kind in f.params if kind == "ptr"}
@@ -673,9 +667,8 @@ def _assign_labels(program):
             if not isinstance(node, (If, While)):
                 continue
             cond = node.cond
-            cond.instrumentable = not _expr_mentions_pointer(cond, pointers)
             cond.label = None
-            if cond.instrumentable:
+            if not _expr_mentions_pointer(cond, pointers):
                 cond.label = counter
                 counter += 1
     program.num_conditionals = counter
@@ -696,8 +689,6 @@ def _fmt_expr(expr, parent_prec=0):
         inner = _fmt_expr(expr.operand, 3)
         s = f"-{inner}"
         return f"({s})" if parent_prec > 3 else s
-    if isinstance(expr, Promote):
-        return f"(real) {_fmt_expr(expr.operand, 3)}"
     if isinstance(expr, Binary):
         p = prec[expr.op]
         left = _fmt_expr(expr.lhs, p if expr.op != "^" else p + 1)
@@ -778,7 +769,7 @@ def render_instrumented(program, entry):
         raise ValueError(f"no function named {entry!r}")
 
     def annotate(cond, pad, out):
-        if cond.instrumentable and cond.label is not None:
+        if cond.label is not None:
             out.append(
                 f"{pad}r = pen({cond.label}, \"{cond.op}\", "
                 f"{_fmt_expr(cond.lhs)}, {_fmt_expr(cond.rhs)});")

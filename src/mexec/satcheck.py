@@ -46,7 +46,10 @@ def parse_constraint(text, variables=None):
         if not part:
             continue
         parser = _Parser(tokenize(part))
-        cmp = parser.parse_compare()
+        try:
+            cmp = parser.parse_compare()
+        except RecursionError:
+            raise ParseError("constraint nested too deeply") from None
         tail = parser.peek()
         if tail.kind != "eof":
             raise ParseError(f"trailing input {tail.text!r} in conjunct",

@@ -1,6 +1,6 @@
 """Reference tree-walking interpreter, the oracle for the compiled engine.
 
-It walks the prepared AST statement by statement and expression by
+It walks the parsed AST statement by statement and expression by
 expression, with the package's own arithmetic rules written out again
 here, and produces the same ExecutionTrace as `mexec.interp.execute`.
 The tests check the compiled engine against it; it is not shipped.
@@ -20,7 +20,7 @@ from mexec.interp import (
 )
 from mexec.lang import (
     Assign, Binary, Block, Call, Decl, Deref, ExprStmt, If, Incr, Num,
-    Promote, Return, Unary, Var, While,
+    Return, Unary, Var, While,
 )
 from mexec.saturation import pen
 
@@ -102,8 +102,6 @@ class _Interp:
             return expr.value
         if isinstance(expr, (Var, Deref)):
             return env[expr.name]
-        if isinstance(expr, Promote):
-            return self.eval_expr(expr.operand, env)
         if isinstance(expr, Unary):
             return -self.eval_expr(expr.operand, env)
         if isinstance(expr, Binary):
@@ -208,7 +206,7 @@ class _Interp:
     def eval_condition(self, cond, env):
         a = self.eval_expr(cond.lhs, env)
         b = self.eval_expr(cond.rhs, env)
-        if not cond.instrumentable or cond.label is None:
+        if cond.label is None:
             return compare(cond.op, a, b)
         label = cond.label
         eps = self.cfg.epsilon

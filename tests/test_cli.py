@@ -1,6 +1,8 @@
 import json
 import pathlib
 
+import pytest
+
 from mexec.cli import main
 from mexec.report import CoverageReport, from_json, to_json
 
@@ -206,3 +208,32 @@ def test_infinite_or_empty_box_is_an_error(capsys):
         assert "bad box" in err
         code, _, err = run_cli(capsys, "sat", "x == 1", f"--box={box}")
         assert code == 1, box
+
+
+def test_nesting_too_deep_to_parse_is_a_parse_error(capsys, tmp_path):
+    deep = "(" * 3000 + "x" + ")" * 3000
+    blocks = "{" * 1000 + "}" * 1000
+    for i, body in enumerate((f"if ({deep} < 1) {{ return 1; }}", blocks)):
+        source = tmp_path / f"deep{i}.mx"
+        source.write_text(f"real f(real x) {{ {body} return 0; }}")
+        code, _, err = run_cli(capsys, "cover", str(source), "--seed", "1")
+        assert code == 2
+        assert "nested too deeply" in err
+    code, _, err = run_cli(capsys, "sat", f"{deep} == 1", "--seed", "1")
+    assert code == 2
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("depth, braces", [(120, True), (400, False)])
+def test_deeply_nested_ifs_are_an_error_not_a_crash(capsys, tmp_path,
+                                                    depth, braces):
+    opening = "if (x < {}) {{ " if braces else "if (x < {}) "
+    body = "".join(opening.format(i) for i in range(depth)) + "x = 1;"
+    if braces:
+        body += " }" * depth
+    source = tmp_path / "nested.mx"
+    source.write_text(f"real f(real x) {{ {body} return x; }}")
+    code, _, err = run_cli(capsys, "cover", str(source), "--seed", "1",
+                           "--n-start", "1")
+    assert code == 1
+    assert "cannot compile" in err

@@ -94,7 +94,6 @@ def test_hex_literals():
                     "return 0; }")
     cond = _conditionals(program)[0]
     assert cond.rhs.value == float(0x3e400000)
-    assert cond.rhs.is_int
 
 
 def test_builtins_need_no_declaration():
@@ -109,9 +108,7 @@ def test_pointer_comparison_not_labeled():
         }
     """)
     conds = _conditionals(program)
-    assert conds[0].instrumentable is False
     assert conds[0].label is None
-    assert conds[1].instrumentable is True
     assert conds[1].label == 0
     assert program.num_conditionals == 1
 
@@ -152,6 +149,15 @@ def test_round_trip_of_rich_expressions():
            "return -x ^ 2 + (x - y) * 3 / (real) floor(y) - pow(x, -2); }")
     program = parse(src)
     assert parse(to_source(program)) == program
+
+
+def test_real_cast_is_dropped_by_the_parser():
+    cast = parse("real f(real x) { if ((real) floor(x) < (real) 3) "
+                 "{ return (real) x; } return 0; }")
+    plain = parse("real f(real x) { if (floor(x) < 3) { return x; } "
+                  "return 0; }")
+    assert cast == plain
+    assert "(real)" not in to_source(cast)
 
 
 def test_instrumented_rendering_shows_penalty_assignments():

@@ -47,7 +47,8 @@ def test_tracer_records_the_search_layers():
                      if n == "mexec" or n.startswith("mexec.")]:
             del sys.modules[name]
         sys.modules.update(saved)
-    for span in ("driver.run_coverage", "satcheck.check_sat", "cfg.build",
+    for span in ("lang.parse", "transforms.prepare",
+                 "driver.run_coverage", "satcheck.check_sat", "cfg.build",
                  "driver.minimize_once", "optimize.basinhopping",
                  "driver.objective", "satcheck.objective", "driver.replay",
                  "saturation.pen"):

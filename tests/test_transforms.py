@@ -1,10 +1,9 @@
 import pytest
 
 from mexec.errors import UnsupportedPointerUse
-from mexec.lang import If, Promote, parse, to_source
-from mexec.transforms import (
-    lower_pointers, prepare, promote_integers, promote_program,
-)
+from mexec.interp import execute
+from mexec.lang import If, Var, parse, render_instrumented, to_source
+from mexec.transforms import prepare
 
 
 def first_cond(program, fn_index=0):
@@ -15,72 +14,88 @@ def first_cond(program, fn_index=0):
 
 
 def test_pointer_parameter_becomes_scalar():
-    program = parse("void f(real* p) { if (*p <= 1) { *p = 2; } }")
-    lowered = lower_pointers(program)
-    assert lowered.functions[0].params == [("p", "real")]
-    assert "*" not in to_source(lowered)
+    program = prepare(parse(
+        "real f(real* p) { if (*p <= 1) { *p = 2; } return *p; }"))
+    assert execute(program, [0.5]).return_value == 2.0
+    assert execute(program, [3.0]).return_value == 3.0
 
 
 def test_pointer_free_program_unchanged():
-    program = parse("real f(real x) { if (x <= 1) { x++; } return x; }")
-    assert lower_pointers(program) == program
+    source = "real f(real x) { if (x <= 1) { x++; } return x; }"
+    program = parse(source)
+    assert prepare(program) is program
+    assert program == parse(source)
 
 
-def test_pointer_comparison_stays_uninstrumentable_after_lowering():
-    program = parse("""
+def test_prepare_leaves_the_program_as_written():
+    source = """
+        void f(real* p, real x) {
+            if (p != 0) { *p = (real) 1; }
+            if (hiword(x) < 0x3e400000) { *p = *p + x; }
+        }
+    """
+    program = parse(source)
+    before = to_source(program)
+    prepared = prepare(program)
+    assert prepared is program
+    assert to_source(prepared) == before
+    assert prepared.functions[0].params == [("p", "ptr"), ("x", "real")]
+    assert "real *p" in before and "*p = *p + x;" in before
+    text = render_instrumented(prepared, "f")
+    assert 'r = pen(0, "<", hiword(x), 0x3e400000);' in text
+
+
+def test_pointer_comparison_stays_unlabeled_through_prepare():
+    program = prepare(parse("""
         void f(real* p) {
             if (p != 0) { *p = 1; }
             if (*p <= 1) { *p = 2; }
         }
-    """)
-    lowered = lower_pointers(program)
+    """))
     conds = []
-    for stmt in lowered.functions[0].body.stmts:
+    for stmt in program.functions[0].body.stmts:
         if isinstance(stmt, If):
             conds.append(stmt.cond)
-    assert conds[0].instrumentable is False
-    assert conds[1].instrumentable is True
+    assert conds[0].label is None
     assert conds[1].label == 0
 
 
 def test_pointer_arithmetic_rejected():
     program = parse("void f(real* p) { *p = p + 1; }")
     with pytest.raises(UnsupportedPointerUse):
-        lower_pointers(program)
+        prepare(program)
 
 
-def test_promote_single_condition():
-    program = parse("real f(real x) { if (floor(x) == 0.5) { return 1; } "
-                    "return 0; }")
-    cond = promote_integers(first_cond(program))
-    assert isinstance(cond.lhs, Promote)
-    assert not isinstance(cond.rhs, Promote)
+@pytest.mark.parametrize("source", [
+    "void f(real* p) { p = 1; }",
+    "void f(real* p) { p++; }",
+    "void f(real* p) { real p = 1; }",
+    "real f(real* p) { return p; }",
+    "real g(real y) { return y; } real f(real* p) { return g(p); }",
+    "void f(real* p) { if (p + 1 != 0) { *p = 1; } }",
+])
+def test_bare_pointer_outside_a_comparison_operand_rejected(source):
+    with pytest.raises(UnsupportedPointerUse, match="pointer 'p'"):
+        prepare(parse(source))
 
 
-def test_integer_operands_get_promoted():
-    program = parse("real f(real x) { if (hiword(x) < 0x3e400000) "
-                    "{ return 1; } return 0; }")
-    promoted = promote_program(program)
-    cond = first_cond(promoted)
-    assert isinstance(cond.lhs, Promote)
-    assert isinstance(cond.rhs, Promote)
+@pytest.mark.parametrize("source", [
+    "real f(real x) { return *x; }",
+    "void f(real x) { *x = 1; }",
+    "void f(real x) { real y = 1; *y = x; }",
+    "real f(real* p, real x) { if (*x < *p) { return 1; } return 0; }",
+])
+def test_star_on_a_non_pointer_rejected(source):
+    with pytest.raises(UnsupportedPointerUse, match="not a pointer"):
+        prepare(parse(source))
 
 
 def test_real_operands_left_alone():
     program = parse("real f(real x) { if (x <= 1.5) { return 1; } "
                     "return 0; }")
-    promoted = promote_program(program)
-    cond = first_cond(promoted)
-    assert not isinstance(cond.lhs, Promote)
-    assert not isinstance(cond.rhs, Promote)
-
-
-def test_promotion_is_idempotent():
-    program = parse("real f(real x) { if (floor(x) == 0) { return 1; } "
-                    "return 0; }")
-    once = promote_program(program)
-    twice = promote_program(once)
-    assert once == twice
+    cond = first_cond(prepare(program))
+    assert cond.lhs == Var(name="x")
+    assert cond.rhs.value == 1.5
 
 
 def test_labels_stable_through_prepare():
