@@ -1,34 +1,25 @@
-"""Control-flow graph over labeled conditionals, with call inlining.
+"""The descendant relation over labeled conditionals.
 
-The graph keeps one node per conditional occurrence reachable from the
-entry function; calls to user functions are inlined at their call sites
-(recursive calls are treated as opaque).  Branch ids are (label, side)
-pairs with side 'T' or 'F'.  The descendant relation maps a branch edge
-to every branch of every conditional reachable from that edge.
+Branch ids are (label, side) pairs with side 'T' or 'F'.  The
+descendant relation maps a branch edge to every branch of every
+conditional an execution can reach after taking that edge: a call
+continues into the callee's conditionals and, once it returns, into
+the caller's.  Recursive calls are treated as opaque.
+
+No graph is built.  One backward walk from the end of the entry
+function carries the set of labels reachable after the current point:
+a conditional records the sets after its two sides, a loop walks its
+body again until the set before the loop stops growing, and a call
+walks the callee's body with the set after the call as the set at the
+callee's returns.  That walk is memoised on (callee, set after the
+call, functions being walked), so each body is walked once per distinct
+continuation.
 """
 
 from dataclasses import dataclass, field
 
-from .errors import UnknownFunction
-from .lang import (
-    Assign, Block, Call, Decl, ExprStmt, If, Incr, Return, While, children,
-)
-
-
-class _Node:
-    """A conditional occurrence (label is None for a conditional that
-    compares a bare pointer: it passes reachability through without
-    owning branches)."""
-
-    __slots__ = ("label", "t_succ", "f_succ")
-
-    def __init__(self, label):
-        self.label = label
-        self.t_succ = None
-        self.f_succ = None
-
-
-_EXIT = object()
+from .errors import MexecError, UnknownFunction
+from .lang import Block, Call, If, Return, While, children
 
 
 @dataclass
@@ -42,118 +33,92 @@ class CFG:
         self.num_conditionals = len(self.labels)
 
 
-def _user_calls(expr, user_fns):
-    """User-function calls in `expr` in evaluation order: the calls in a
-    call's arguments come before the call itself."""
-    calls = []
-    for child in children(expr):
-        calls += _user_calls(child, user_fns)
-    if isinstance(expr, Call) and expr.name in user_fns:
-        calls.append(expr)
-    return calls
+class _Walk:
+    """The backward walk of one build.  `after` is the frozenset of
+    labels reachable after the current point, `ret` the one at a
+    return of the function being walked, and `open_` the frozenset of
+    functions being walked, whose calls are recursive."""
 
-
-class _Builder:
     def __init__(self, program):
-        self.program = program
         self.user_fns = {f.name: f for f in program.functions}
-        self.nodes = []
-        self.calls = {}     # id(expression) -> its user calls
+        self.reach = {}     # branch -> labels reachable after it
+        self.bodies = {}    # (function, after, open_) -> labels at entry
 
-    def build(self, entry):
-        fn = self.user_fns.get(entry)
-        if fn is None:
-            raise UnknownFunction(f"no function named {entry!r}")
-        return self._inline_body(fn, _EXIT, (entry,))
+    def call(self, name, after, open_):
+        key = (name, after, open_)
+        if key not in self.bodies:
+            self.bodies[key] = self.stmt(self.user_fns[name].body, after,
+                                         after, open_ | {name})
+        return self.bodies[key]
 
-    def _inline_body(self, fn, succ, stack):
-        # a return inside fn jumps to succ, i.e. back to the caller site
-        return self._seq(fn.body.stmts, succ, succ, stack)
+    def expr(self, expr, after, open_):
+        """The labels reachable before `expr`: its user calls run in
+        post-order, the calls in a call's arguments before the call."""
+        if (isinstance(expr, Call) and expr.name in self.user_fns
+                and expr.name not in open_):
+            after = self.call(expr.name, after, open_)
+        for child in reversed(list(children(expr))):
+            after = self.expr(child, after, open_)
+        return after
 
-    def _seq(self, stmts, succ, exit_cont, stack):
-        entry = succ
-        for stmt in reversed(stmts):
-            entry = self._stmt(stmt, entry, exit_cont, stack)
-        return entry
+    def branch(self, cond, on_true, on_false):
+        """Record the labels after each side of `cond`; return those
+        reachable from the conditional itself.  A conditional without
+        a label passes reachability through without owning branches."""
+        reached = on_true | on_false
+        if cond.label is None:
+            return reached
+        self.reach.setdefault((cond.label, "T"), set()).update(on_true)
+        self.reach.setdefault((cond.label, "F"), set()).update(on_false)
+        return reached | {cond.label}
 
-    def _chain_calls(self, expr, succ, stack):
-        # a function inlined at several sites is walked once
-        calls = self.calls.get(id(expr))
-        if calls is None:
-            calls = self.calls[id(expr)] = _user_calls(expr, self.user_fns)
-        entry = succ
-        for call in reversed(calls):
-            if call.name in stack:
-                continue    # recursive call, treated as opaque
-            fn = self.user_fns[call.name]
-            entry = self._inline_body(fn, entry, stack + (call.name,))
-        return entry
-
-    def _stmt(self, stmt, succ, exit_cont, stack):
+    def stmt(self, stmt, after, ret, open_):
+        """The labels reachable before `stmt`."""
         if isinstance(stmt, Block):
-            return self._seq(stmt.stmts, succ, exit_cont, stack)
-        if isinstance(stmt, Decl):
-            return self._chain_calls(stmt.init, succ, stack)
-        if isinstance(stmt, Assign):
-            return self._chain_calls(stmt.expr, succ, stack)
-        if isinstance(stmt, Incr):
-            return succ
-        if isinstance(stmt, ExprStmt):
-            return self._chain_calls(stmt.expr, succ, stack)
-        if isinstance(stmt, Return):
-            return self._chain_calls(stmt.expr, exit_cont, stack)
+            for inner in reversed(stmt.stmts):
+                after = self.stmt(inner, after, ret, open_)
+            return after
         if isinstance(stmt, If):
-            node = _Node(stmt.cond.label)
-            self.nodes.append(node)
-            node.t_succ = self._stmt(stmt.then, succ, exit_cont, stack)
-            node.f_succ = (self._stmt(stmt.els, succ, exit_cont, stack)
-                           if stmt.els is not None else succ)
-            return self._chain_calls(stmt.cond, node, stack)
+            on_true = self.stmt(stmt.then, after, ret, open_)
+            on_false = (self.stmt(stmt.els, after, ret, open_)
+                        if stmt.els is not None else after)
+            return self.expr(stmt.cond,
+                             self.branch(stmt.cond, on_true, on_false), open_)
         if isinstance(stmt, While):
-            node = _Node(stmt.cond.label)
-            self.nodes.append(node)
-            cond_entry = self._chain_calls(stmt.cond, node, stack)
-            node.t_succ = self._stmt(stmt.body, cond_entry, exit_cont, stack)
-            node.f_succ = succ
-            return cond_entry
-        raise TypeError(f"unhandled statement {stmt!r}")
-
-
-def _reachable_labels(start):
-    """Labels of all conditionals reachable from a CFG point."""
-    seen = set()
-    labels = set()
-    work = [start]
-    while work:
-        point = work.pop()
-        if point is _EXIT or id(point) in seen:
-            continue
-        seen.add(id(point))
-        if point.label is not None:
-            labels.add(point.label)
-        work.append(point.t_succ)
-        work.append(point.f_succ)
-    return labels
+            # the body continues at the loop test; iterate from below to
+            # the least set that is stable around the loop
+            before = after
+            while True:
+                on_true = self.stmt(stmt.body, before, ret, open_)
+                head = self.expr(stmt.cond,
+                                 self.branch(stmt.cond, on_true, after), open_)
+                if head == before:
+                    return head
+                before = head
+        if isinstance(stmt, Return):
+            after = ret
+        # a declaration, assignment, increment, call or return: its calls
+        for child in reversed(list(children(stmt))):
+            after = self.expr(child, after, open_)
+        return after
 
 
 def build_cfg(program, entry):
-    """Build the CFG of `entry` with user calls inlined."""
-    builder = _Builder(program)
-    builder.build(entry)
-
-    labels = {n.label for n in builder.nodes if n.label is not None}
-    branches = frozenset(
-        (label, side) for label in labels for side in ("T", "F"))
-
-    descendant = {b: set() for b in branches}
-    for node in builder.nodes:
-        if node.label is None:
-            continue
-        for side, succ in (("T", node.t_succ), ("F", node.f_succ)):
-            for lbl in _reachable_labels(succ):
-                descendant[(node.label, side)].add((lbl, "T"))
-                descendant[(node.label, side)].add((lbl, "F"))
-    descendant = {b: frozenset(s) for b, s in descendant.items()}
-
-    return CFG(labels=frozenset(labels), branches=branches,
+    """The labels, branches and descendant relation of `entry`, with
+    user calls followed into their callees."""
+    fn = program.function(entry)
+    if fn is None:
+        raise UnknownFunction(f"no function named {entry!r}")
+    walk = _Walk(program)
+    try:
+        walk.call(entry, frozenset(), frozenset())
+    except RecursionError:
+        raise MexecError(f"cannot build the CFG of {entry}: user calls "
+                         "nested too deeply") from None
+    descendant = {
+        branch: frozenset((label, side) for label in labels
+                          for side in ("T", "F"))
+        for branch, labels in walk.reach.items()}
+    labels = frozenset(label for label, _side in descendant)
+    return CFG(labels=labels, branches=frozenset(descendant),
                descendant=descendant)

@@ -633,7 +633,9 @@ def compile_comparisons(comparisons, names, epsilon=1e-6):
     gen.indent += 1
     for line in unpack:
         gen.emit(line)
-    tests = [f"({gen.expr(c.lhs)} {c.op} {gen.expr(c.rhs)})"
+    # unparenthesized, so that a comparison adds no nesting level beyond
+    # its operands' (lang.MAX_EXPR_DEPTH)
+    tests = [f"{gen.expr(c.lhs)} {c.op} {gen.expr(c.rhs)}"
              for c in comparisons]
     gen.emit(f"return {' and '.join(tests) or 'True'}")
     ns = _namespace()

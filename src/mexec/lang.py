@@ -293,6 +293,29 @@ def walk(node):
         stack.extend(reversed(list(children(node))))
 
 
+# each unary minus, binary operator or call adds a level of parentheses
+# to the generated Python and the innermost operand may add one more;
+# Python's parser accepts 200 levels.  A chain of 200 operands is the
+# deepest expression allowed.
+MAX_EXPR_DEPTH = 199
+
+
+def check_depth(expr):
+    """Reject an expression that nests more than MAX_EXPR_DEPTH
+    operators and calls; the parser builds operator chains with a loop,
+    so any length parses."""
+    stack = [(expr, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, (Unary, Binary, Call)):
+            depth += 1
+            if depth > MAX_EXPR_DEPTH:
+                raise ParseError(
+                    f"expression nested more than {MAX_EXPR_DEPTH} "
+                    "operators deep", node.line, node.col)
+        stack.extend((child, depth) for child in children(node))
+
+
 # ---------------------------------------------------------------------------
 # Parser
 
@@ -607,6 +630,7 @@ def _validate(program):
     functions = {f.name: f for f in program.functions}
 
     def check_expr(expr, scope):
+        check_depth(expr)
         for node in walk(expr):
             if isinstance(node, (Var, Deref)) and node.name not in scope:
                 raise UndeclaredIdentifier(

@@ -12,7 +12,9 @@ from typing import Optional
 
 from .errors import NonNumericExpression, ParseError, UnknownVariable
 from .interp import compile_comparisons
-from .lang import Call, Deref, Var, _Parser, check_call, tokenize, walk
+from .lang import (
+    Call, Deref, Var, _Parser, check_call, check_depth, tokenize, walk,
+)
 from .optimize import Objective
 from . import driver
 
@@ -26,7 +28,9 @@ class Constraint:
 
 def _collect_vars(cmp, names):
     """Add the variables of a conjunct to the dict `names` in order of
-    first appearance, rejecting pointers and bad calls."""
+    first appearance, rejecting pointers, bad calls and operators nested
+    too deeply."""
+    check_depth(cmp)
     for node in walk(cmp):
         if isinstance(node, Deref):
             raise NonNumericExpression(

@@ -1,13 +1,16 @@
 import hashlib
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cfg_oracle
+from conftest import BENCH
 from mexec.cfg import build_cfg
 from mexec.errors import UnknownFunction
-from mexec.lang import parse
+from mexec.lang import If, While, parse, walk
 from mexec.transforms import prepare
-
-from conftest import BENCH
+from test_engine import _ProgramGen
 
 ROOT = BENCH.parent
 
@@ -200,3 +203,133 @@ def test_descendant_digests_cover_every_program():
         "benchmarks/*.mx", "perfbench/programs/hard/*.mx",
         "perfbench/programs/deep/*.mx") for p in ROOT.glob(pattern)}
     assert found == set(DESCENDANT_DIGESTS)
+
+
+# -- the reference builder
+
+def assert_matches_oracle(program):
+    """Every function as the entry: the same labels, branches and
+    descendant relation as the inlining builder."""
+    for fn in program.functions:
+        got = build_cfg(program, fn.name)
+        want = cfg_oracle.build_cfg(program, fn.name)
+        assert got.labels == want.labels
+        assert got.branches == want.branches
+        assert got.descendant == want.descendant
+
+
+@st.composite
+def programs(draw):
+    return prepare(parse(_ProgramGen(draw).program()))
+
+
+@settings(max_examples=200)
+@given(programs())
+def test_descendant_relation_matches_oracle_on_random_programs(program):
+    assert_matches_oracle(program)
+
+
+def test_descendant_relation_matches_oracle_on_mutual_recursion():
+    assert_matches_oracle(parse("""
+        real f(real x) {
+            if (x < 0) { return 0; }
+            real y = g(x - 1);
+            if (y > 2) { y = y / 2; }
+            return y;
+        }
+        real g(real x) {
+            if (x == 3) { x = x + 1; }
+            return f(x) + 1;
+        }
+    """))
+    # h is reached with the same continuation from f, where its call to
+    # g is followed, and from g, where that call is recursive
+    assert_matches_oracle(parse("""
+        real h(real x) { if (x < 1) { x = g(x); } return x; }
+        real g(real x) { if (x == 2) { return h(x); } return x; }
+        real f(real x) { if (x > 3) { return h(x); } return g(x); }
+    """))
+
+
+def test_descendant_relation_matches_oracle_on_a_three_function_cycle():
+    # calls inside loop tests and if tests, around a cycle a -> b -> c -> a
+    assert_matches_oracle(parse("""
+        real a(real x) {
+            real i = 0;
+            while (b(x + i) < 3) {
+                if (x > 1) { x = x - 1; }
+                i++;
+            }
+            return x;
+        }
+        real b(real x) {
+            if (c(x) == 0) { return 1; }
+            while (x > 10) { x = x / 2; }
+            return c(x * 2);
+        }
+        real c(real x) {
+            if (x < 5) {
+                while (a(x - 1) > x) { x = x - 1; }
+            } else {
+                if (b(x / 3) != 2) { x = 0; }
+            }
+            return x;
+        }
+    """))
+
+
+# -- scaling
+
+LEVELS = 40
+
+
+def _level_branches(program, names):
+    """Each named function's branches."""
+    rows = {}
+    for name in names:
+        labels = {node.cond.label for node in walk(program.function(name))
+                  if isinstance(node, (If, While))}
+        rows[name] = {(label, side) for label in labels for side in "TF"}
+    return rows
+
+
+def test_dispatcher_forty_levels_deep():
+    # each level calls the next on both sides of its conditional; the
+    # inlining builder's graph has 2^40 copies of the leaf
+    levels = [f"real d{LEVELS}(real x) {{ if (x < 1) {{ x = x + 1; }} "
+              "return x; }"]
+    for k in range(LEVELS - 1, 0, -1):
+        levels.append(
+            f"real d{k}(real x) {{ if (x < {k}) {{ return d{k + 1}(x * 2); "
+            f"}} else {{ return d{k + 1}(x / 2); }} }}")
+    program = parse("\n".join(levels))
+    started = time.perf_counter()
+    graph = build_cfg(program, "d1")
+    assert time.perf_counter() - started < 0.5
+    names = [f"d{k}" for k in range(1, LEVELS + 1)]
+    rows = _level_branches(program, names)
+    assert len(graph.branches) == 2 * LEVELS
+    for k, name in enumerate(names):
+        deeper = set().union(*(rows[n] for n in names[k + 1:]))
+        for branch in rows[name]:
+            assert graph.descendant[branch] == deeper
+
+
+def test_chain_calling_the_next_level_twice():
+    # after a level returns from the first of its caller's two calls,
+    # the second call runs every level below the entry again
+    levels = [f"real c{LEVELS}(real x) {{ if (x < 1) {{ x = x + 1; }} "
+              "return x; }"]
+    for k in range(LEVELS - 1, 0, -1):
+        levels.append(
+            f"real c{k}(real x) {{ if (x < {k}) {{ x = x + 1; }} "
+            f"x = c{k + 1}(x); return c{k + 1}(x * 2); }}")
+    program = parse("\n".join(levels))
+    started = time.perf_counter()
+    graph = build_cfg(program, "c1")
+    assert time.perf_counter() - started < 0.5
+    names = [f"c{k}" for k in range(1, LEVELS + 1)]
+    rows = _level_branches(program, names)
+    below_entry = set().union(*(rows[n] for n in names[1:]))
+    for branch in graph.branches:
+        assert graph.descendant[branch] == below_entry

@@ -237,3 +237,53 @@ def test_deeply_nested_ifs_are_an_error_not_a_crash(capsys, tmp_path,
                            "--n-start", "1")
     assert code == 1
     assert "cannot compile" in err
+
+
+def _chain(terms):
+    return " + ".join(["x"] * terms)
+
+
+@pytest.mark.parametrize("terms", [250, 1200, 3000])
+def test_long_operator_chain_is_a_parse_error(capsys, tmp_path, terms):
+    source = tmp_path / "chain.mx"
+    source.write_text(f"real f(real x) {{ if ({_chain(terms)} < 1) "
+                      "{ return 1; } return 0; }")
+    for argv in (["cover"], ["cover", "--emit-instrumented"],
+                 ["path", "--path", "0T"], ["bva"]):
+        code, _, err = run_cli(capsys, *argv, str(source), "--seed", "1",
+                               "--n-start", "1")
+        assert code == 2, argv
+        assert err.startswith("mexec: parse error: expression nested "
+                              "more than 199 operators deep")
+    code, _, err = run_cli(capsys, "sat", f"{_chain(terms)} == 1",
+                           "--seed", "1", "--n-start", "1")
+    assert code == 2
+    assert err.startswith("mexec: parse error: expression nested")
+
+
+def test_two_hundred_operand_chain_runs_in_every_mode(capsys, tmp_path):
+    source = tmp_path / "chain.mx"
+    source.write_text(f"real f(real x) {{ if ({_chain(200)} < 1) "
+                      f"{{ return 1; }} return {_chain(200)}; }}")
+    for argv in (["cover"], ["cover", "--emit-instrumented"],
+                 ["path", "--path", "0T"], ["bva"]):
+        code, _, err = run_cli(capsys, *argv, str(source), "--seed", "1",
+                               "--n-start", "2")
+        assert (code, err) == (0, ""), argv
+    code, out, err = run_cli(capsys, "sat", f"1e999 + {_chain(199)} > 1",
+                             "--seed", "1", "--n-start", "1")
+    assert (code, err) == (0, "")
+    assert out.startswith("sat")
+
+
+def test_call_chain_too_deep_for_the_cfg_is_an_error(capsys, tmp_path):
+    levels = ["real f400(real x) { if (x < 1) { x = 2; } return x; }"]
+    levels += [f"real f{k}(real x) {{ if (x < {k}) {{ x = x + 1; }} "
+               f"return f{k + 1}(x); }}" for k in range(399, 0, -1)]
+    source = tmp_path / "calls.mx"
+    source.write_text("\n".join(levels))
+    code, _, err = run_cli(capsys, "cover", str(source), "--seed", "1",
+                           "--n-start", "1")
+    assert code == 1
+    assert err == ("mexec: cannot build the CFG of f1: user calls nested "
+                   "too deeply\n")

@@ -4,9 +4,10 @@ from mexec.errors import (
     DuplicateFunction, ParseError, UndeclaredIdentifier,
 )
 from mexec.lang import (
-    Call, If, Return, Var, While, children, parse, render_instrumented,
-    to_source, walk,
+    MAX_EXPR_DEPTH, Call, If, Return, Var, While, children, parse,
+    render_instrumented, to_source, walk,
 )
+from mexec.satcheck import parse_constraint
 
 FOO_SRC = """
 real square(real x) { return x * x; }
@@ -191,3 +192,23 @@ def test_children_in_field_order_and_walk_in_pre_order():
     assert [n for n in walk(fn.body) if isinstance(n, Return)] == [
         branch.then.stmts[0], tail]
 
+
+
+@pytest.mark.parametrize("op", ["+", "/", "^"])
+def test_operators_nest_at_most_max_expr_depth(op):
+    # `+` and `/` chains are left-deep, `^` chains right-deep
+    def chain(operands):
+        return f" {op} ".join(["x"] * operands)
+
+    deepest = chain(MAX_EXPR_DEPTH + 1)
+    parse(f"real f(real x) {{ if ({deepest} < 1) {{ x = 1; }} "
+          f"return {deepest}; }}")
+    parse_constraint(f"{deepest} == 1")
+    deeper = chain(MAX_EXPR_DEPTH + 2)
+    for source in (f"real f(real x) {{ return {deeper}; }}",
+                   f"real f(real x) {{ while ({deeper} < 1) {{ }} }}",
+                   f"real f(real x) {{ g({deeper}); }} real g(real y) {{ }}"):
+        with pytest.raises(ParseError, match="nested more than 199"):
+            parse(source)
+    with pytest.raises(ParseError, match="nested more than 199"):
+        parse_constraint(f"x > 0 && 1 < {deeper}")
