@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on usage errors (bad flags, missing files,
-unknown entry), 2 on source parse errors.
+Exit codes: 0 on success, 2 on source parse errors, 1 on every other
+error (bad flags, unreadable files or --json paths, unknown entry).
 """
 
 import argparse
@@ -12,18 +12,17 @@ import sys
 from dataclasses import asdict
 
 from . import driver, report, satcheck
-from .errors import MalformedPath, MexecError, ParseError, UnknownFunction
+from .errors import MalformedPath, MexecError, ParseError
 from .interp import conditional_counts
 from .lang import parse, render_instrumented
 from .optimize import LocalMinConfig, MCMCConfig
-from .transforms import prepare
 
 
 # the library defaults, which the flags' defaults repeat
 _DEFAULTS = driver.SearchConfig()
 
 
-class _UsageError(Exception):
+class _UsageError(MexecError):
     pass
 
 
@@ -124,12 +123,13 @@ def _load_program(args):
             source = handle.read()
     except OSError as exc:
         raise _UsageError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{args.source} is not UTF-8 text: {exc}")
     program = parse(source)
-    prepared = prepare(program)
-    entry = args.entry or prepared.functions[-1].name
-    if prepared.function(entry) is None:
+    entry = args.entry or program.functions[-1].name
+    if program.function(entry) is None:
         raise _UsageError(f"no function named {entry!r} in {args.source}")
-    return prepared, entry
+    return program, entry
 
 
 def _parse_target(text):
@@ -146,14 +146,20 @@ def _parse_target(text):
     return target
 
 
-def _emit_report(result, prepared, entry, args):
-    _, uninstrumentable = conditional_counts(prepared)
-    rep = report.coverage_report(result, prepared, entry, uninstrumentable)
+def _write_json(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    except OSError as exc:
+        raise _UsageError(f"cannot write the JSON report: {exc}")
+
+
+def _emit_report(result, program, entry, args):
+    _, uninstrumentable = conditional_counts(program)
+    rep = report.coverage_report(result, program, entry, uninstrumentable)
     print(report.format_text(rep))
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json(rep) + "\n")
-    return rep
+        _write_json(args.json_path, report.to_json(rep))
 
 
 def main(argv=None):
@@ -175,42 +181,35 @@ def main(argv=None):
             else:
                 print(f"unknown (best residual {result.residual!r})")
             if args.json_path:
-                with open(args.json_path, "w", encoding="utf-8") as handle:
-                    handle.write(json.dumps(asdict(result), indent=2,
-                                            sort_keys=True) + "\n")
+                _write_json(args.json_path, json.dumps(
+                    asdict(result), indent=2, sort_keys=True))
             return 0
 
-        prepared, entry = _load_program(args)
+        program, entry = _load_program(args)
         cfg = _search_config(args)
 
         if args.command == "cover":
             if args.emit_instrumented:
-                print(render_instrumented(prepared, entry))
-            result = driver.run_coverage(prepared, entry, cfg)
-            _emit_report(result, prepared, entry, args)
+                print(render_instrumented(program, entry))
+            result = driver.run_coverage(program, entry, cfg)
+            _emit_report(result, program, entry, args)
             return 0
         if args.command == "path":
             target = _parse_target(args.target)
-            result = driver.run_path(prepared, entry, target, cfg)
+            result = driver.run_path(program, entry, target, cfg)
             if result.found is not None:
                 print("found: " + ", ".join(repr(v) for v in result.found))
             else:
                 print("not found")
-            _emit_report(result, prepared, entry, args)
+            _emit_report(result, program, entry, args)
             return 0
         if args.command == "bva":
-            result = driver.run_bva(prepared, entry, cfg)
+            result = driver.run_bva(program, entry, cfg)
             for x in result.inputs:
                 print("boundary: " + ", ".join(repr(v) for v in x))
-            _emit_report(result, prepared, entry, args)
+            _emit_report(result, program, entry, args)
             return 0
         raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        print(f"mexec: {exc}", file=sys.stderr)
-        return 1
-    except (MalformedPath, UnknownFunction) as exc:
-        print(f"mexec: {exc}", file=sys.stderr)
-        return 1
     except ParseError as exc:
         print(f"mexec: parse error: {exc}", file=sys.stderr)
         return 2

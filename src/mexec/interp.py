@@ -466,6 +466,7 @@ def _namespace():
 
 
 def _compile(source, name):
+    # `parse` bounds the source for CPython 3.11; this is the backstop
     try:
         return compile(source, f"<mexec {name}>", "exec")
     except (SyntaxError, RecursionError, MemoryError) as exc:
@@ -510,12 +511,8 @@ class CompiledProgram:
         gen = _Source(cfg.mode, tracing)
         if tracing:
             gen.lines.append(_TRACING_HELPERS)
-        try:
-            for fn in self.program.functions:
-                gen.function(fn)
-        except RecursionError:
-            raise MexecError(f"cannot compile {name}: statements nested "
-                             "too deeply") from None
+        for fn in self.program.functions:
+            gen.function(fn)
         if not tracing:
             self._fast_runner(gen)
         ns = _namespace()

@@ -6,7 +6,8 @@ and arithmetic expressions with `^` for exponentiation.  Pointer-to-real
 parameters are accepted so that library-style signatures can be written
 down; the engine reads `*p` like a scalar `p`.
 
-Every conditional whose two operands are numeric receives a dense label
+`parse` is the one gate: every program it returns compiles.  Every
+conditional whose two operands are numeric receives a dense label
 0..N-1 in source order.  Conditionals comparing pointers keep label None
 and are excluded from instrumentation and coverage denominators.
 """
@@ -19,6 +20,7 @@ from .errors import (
     DuplicateFunction,
     ParseError,
     UndeclaredIdentifier,
+    UnsupportedPointerUse,
 )
 
 BUILTINS = (
@@ -299,20 +301,39 @@ def walk(node):
 # deepest expression allowed.
 MAX_EXPR_DEPTH = 199
 
+# Each if and while is an indented block of the generated Python, which
+# allows 100 levels; the function body takes one, and path mode's code
+# under a conditional's test two.  A while's test sits inside its loop,
+# so a while counts one level more.
+MAX_STMT_DEPTH = 97
+# Python allows 20 loops nested in one function
+MAX_LOOP_DEPTH = 20
+# CPython 3.11's parser fails past 6000 nested grammar rules.  An
+# operator of the generated Python takes at most 29 (a parenthesized
+# unary minus), as does a non-finite literal, and each if or while
+# around it at most 7 (an else-if arm); measured, this many are left:
+_RULE_BUDGET = 5932
 
-def check_depth(expr):
-    """Reject an expression that nests more than MAX_EXPR_DEPTH
-    operators and calls; the parser builds operator chains with a loop,
-    so any length parses."""
+
+def max_expr_depth(level):
+    """The most operators and calls an expression inside `level` ifs
+    and whiles may nest; a while's own test counts as inside it."""
+    return min(MAX_EXPR_DEPTH, (_RULE_BUDGET - 7 * level) // 29)
+
+
+def check_depth(expr, limit=MAX_EXPR_DEPTH):
+    """Reject an expression that nests more than `limit` operators and
+    calls; the parser builds operator chains with a loop, so any length
+    parses."""
     stack = [(expr, 0)]
     while stack:
         node, depth = stack.pop()
         if isinstance(node, (Unary, Binary, Call)):
             depth += 1
-            if depth > MAX_EXPR_DEPTH:
+            if depth > limit:
                 raise ParseError(
-                    f"expression nested more than {MAX_EXPR_DEPTH} "
-                    "operators deep", node.line, node.col)
+                    f"expression nested more than {limit} operators deep",
+                    node.line, node.col)
         stack.extend((child, depth) for child in children(node))
 
 
@@ -356,15 +377,8 @@ class _Parser:
         functions = []
         while self.peek().kind != "eof":
             functions.append(self.parse_function())
-        seen = set()
-        for f in functions:
-            if f.name in seen:
-                raise DuplicateFunction(
-                    f"function {f.name!r} defined twice", f.line, f.col)
-            seen.add(f.name)
         program = Program(functions)
-        _validate(program)
-        _assign_labels(program)
+        _Gate().check(program)
         return program
 
     def parse_function(self):
@@ -599,7 +613,7 @@ class _Parser:
 
 
 def parse(source):
-    """Parse .mx source text into a labeled, validated Program."""
+    """Parse .mx source text into a checked, labeled Program."""
     try:
         return _Parser(tokenize(source)).parse_program()
     except RecursionError:
@@ -607,7 +621,7 @@ def parse(source):
 
 
 # ---------------------------------------------------------------------------
-# Validation and labeling
+# The gate: validation, labels and nesting limits
 
 def check_call(call, functions):
     """Reject a call to an unknown function, or one with the wrong
@@ -626,76 +640,97 @@ def check_call(call, functions):
             f"{len(call.args)}", call.line, call.col)
 
 
-def _validate(program):
-    functions = {f.name: f for f in program.functions}
+class _Gate:
+    """The one check of a parsed program, in one pass over each
+    function: names, scope, calls, the pointer rule (a pointer parameter
+    appears bare only as a whole comparison operand, and `*` applies
+    only to pointer parameters) and the nesting limits.  Numbers the
+    conditionals that compare no bare pointer 0..N-1 in pre-order; the
+    others get label None."""
 
-    def check_expr(expr, scope):
-        check_depth(expr)
+    def __init__(self):
+        self.functions = {}
+        self.pointers = set()
+        self.labels = 0
+
+    def check(self, program):
+        if not program.functions:
+            raise ParseError("the program defines no function")
+        for f in program.functions:
+            if f.name in self.functions:
+                raise DuplicateFunction(
+                    f"function {f.name!r} defined twice", f.line, f.col)
+            if f.name in BUILTIN_ARITY:
+                raise ParseError(f"function {f.name!r} is named like a "
+                                 "builtin", f.line, f.col)
+            self.functions[f.name] = f
+        for f in program.functions:
+            self.pointers = {name for name, kind in f.params
+                             if kind == "ptr"}
+            self.stmt(f.body, {name for name, _kind in f.params}, 0, 0)
+        program.num_conditionals = self.labels
+
+    def expr(self, expr, scope, level):
+        check_depth(expr, max_expr_depth(level))
         for node in walk(expr):
             if isinstance(node, (Var, Deref)) and node.name not in scope:
                 raise UndeclaredIdentifier(
                     f"undeclared identifier {node.name!r}",
                     node.line, node.col)
+            if isinstance(node, Var) and node.name in self.pointers:
+                raise UnsupportedPointerUse(
+                    f"pointer {node.name!r} used without '*'",
+                    node.line, node.col)
+            if isinstance(node, Deref) and node.name not in self.pointers:
+                raise UnsupportedPointerUse(
+                    f"{node.name!r} is not a pointer parameter",
+                    node.line, node.col)
             if isinstance(node, Call):
-                check_call(node, functions)
+                check_call(node, self.functions)
 
-    def check_stmt(stmt, scope):
+    def cond(self, cond, scope, level):
+        cond.label = self.labels
+        for side in (cond.lhs, cond.rhs):
+            if isinstance(side, Var) and side.name in self.pointers:
+                cond.label = None
+            else:
+                self.expr(side, scope, level)
+        self.labels += cond.label is not None
+
+    def stmt(self, stmt, scope, depth, loops):
+        """Check `stmt`, inside `depth` ifs and whiles of which `loops`
+        are whiles."""
         if isinstance(stmt, Block):
             for s in stmt.stmts:
-                check_stmt(s, scope)
+                self.stmt(s, scope, depth, loops)
+        elif isinstance(stmt, (If, While)):
+            loop = isinstance(stmt, While)
+            if loops + loop > MAX_LOOP_DEPTH:
+                raise ParseError(f"loops nested more than {MAX_LOOP_DEPTH} "
+                                 "deep", stmt.line, stmt.col)
+            if depth + 1 + loop > MAX_STMT_DEPTH:
+                raise ParseError(f"statements nested more than "
+                                 f"{MAX_STMT_DEPTH} deep", stmt.line, stmt.col)
+            self.cond(stmt.cond, scope, depth + loop)
+            for body in list(children(stmt))[1:]:
+                self.stmt(body, set(scope), depth + 1, loops + loop)
         elif isinstance(stmt, Decl):
+            if stmt.name in self.pointers:
+                raise UnsupportedPointerUse(
+                    f"pointer {stmt.name!r} declared again",
+                    stmt.line, stmt.col)
             if stmt.init is not None:
-                check_expr(stmt.init, scope)
+                self.expr(stmt.init, scope, depth)
             scope.add(stmt.name)
-        elif isinstance(stmt, Assign):
-            check_expr(stmt.expr, scope)
-            if isinstance(stmt.target, Deref):
-                check_expr(stmt.target, scope)
-            else:
-                # assignment may introduce a variable, C-style locals are
-                # expected to be declared but we accept first-write binding
-                scope.add(stmt.target.name)
-        elif isinstance(stmt, Incr):
-            check_expr(stmt.target, scope)
-        elif isinstance(stmt, If):
-            check_expr(stmt.cond, scope)
-            check_stmt(stmt.then, set(scope))
-            if stmt.els is not None:
-                check_stmt(stmt.els, set(scope))
-        elif isinstance(stmt, While):
-            check_expr(stmt.cond, scope)
-            check_stmt(stmt.body, set(scope))
-        elif isinstance(stmt, (Return, ExprStmt)):
-            if stmt.expr is not None:
-                check_expr(stmt.expr, scope)
+        elif (isinstance(stmt, Assign) and isinstance(stmt.target, Var)
+              and stmt.target.name not in self.pointers):
+            # an assignment may bind a new variable, like a declaration
+            self.expr(stmt.expr, scope, depth)
+            scope.add(stmt.target.name)
         else:
-            raise ParseError(f"unhandled statement node {stmt!r}")
-
-    for f in program.functions:
-        check_stmt(f.body, {p[0] for p in f.params})
-
-
-def _expr_mentions_pointer(expr, pointers):
-    """True if the expression reads a pointer value itself (not through *)."""
-    return any(isinstance(node, Var) and node.name in pointers
-               for node in walk(expr))
-
-
-def _assign_labels(program):
-    """Number the conditionals that compare no bare pointer 0..N-1 in
-    source order; the others keep label None."""
-    counter = 0
-    for f in program.functions:
-        pointers = {name for name, kind in f.params if kind == "ptr"}
-        for node in walk(f.body):
-            if not isinstance(node, (If, While)):
-                continue
-            cond = node.cond
-            cond.label = None
-            if not _expr_mentions_pointer(cond, pointers):
-                cond.label = counter
-                counter += 1
-    program.num_conditionals = counter
+            # a write through a pointer, an increment, a return or a call
+            for child in children(stmt):
+                self.expr(child, scope, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -235,8 +235,79 @@ def test_deeply_nested_ifs_are_an_error_not_a_crash(capsys, tmp_path,
     source.write_text(f"real f(real x) {{ {body} return x; }}")
     code, _, err = run_cli(capsys, "cover", str(source), "--seed", "1",
                            "--n-start", "1")
+    assert code == 2
+    assert err.startswith("mexec: parse error:")
+
+
+def _ifs(depth):
+    opening = "".join(f"if (x < {i}) {{ " for i in range(depth))
+    return f"real f(real x) {{ {opening}x = 1;{' }' * depth} return x; }}"
+
+
+def _whiles(depth):
+    opening = "".join(f"while (x < {i}) {{ " for i in range(depth))
+    return (f"real f(real x) {{ {opening}x = x + 1;{' }' * depth} "
+            "return x; }")
+
+
+def _else_ifs(arms):
+    chain = " else ".join(f"if (x < {i}) {{ x = {i}; }}" for i in range(arms))
+    return f"real f(real x) {{ {chain} return x; }}"
+
+
+SHADOW = ("real sin(real x) { if (x < 1) { return 5; } return 2; } "
+          "real f(real x) { return sin(x); }")
+
+
+@pytest.mark.parametrize("source, message", [
+    (SHADOW, "function 'sin' is named like a builtin"),
+    (_whiles(21), "loops nested more than 20 deep"),
+    (_ifs(98), "statements nested more than 97 deep"),
+    (_else_ifs(98), "statements nested more than 97 deep"),
+    ("", "the program defines no function"),
+    ("// only a comment\n", "the program defines no function"),
+], ids=["shadowing", "21-whiles", "98-ifs", "98-else-ifs", "empty",
+        "comment-only"])
+def test_programs_past_the_gate_are_parse_errors(capsys, tmp_path, source,
+                                                message):
+    path = tmp_path / "prog.mx"
+    path.write_text(source)
+    for argv in (["cover"], ["path", "--path", "0T"], ["bva"]):
+        code, _, err = run_cli(capsys, *argv, str(path), "--seed", "1",
+                               "--n-start", "1")
+        assert code == 2, argv
+        assert err.startswith(f"mexec: parse error: {message}")
+
+
+@pytest.mark.parametrize("source", [_whiles(20), _ifs(97), _else_ifs(97)],
+                         ids=["20-whiles", "97-ifs", "97-else-ifs"])
+def test_programs_at_the_nesting_limits_run_in_every_mode(capsys, tmp_path,
+                                                         source):
+    path = tmp_path / "prog.mx"
+    path.write_text(source)
+    for argv in (["cover"], ["path", "--path", "0T"], ["bva"]):
+        code, _, err = run_cli(capsys, *argv, str(path), "--seed", "1",
+                               "--n-start", "2")
+        assert (code, err) == (0, ""), argv
+
+
+def test_unwritable_json_path_is_an_error_not_a_crash(capsys, tmp_path):
+    target = str(tmp_path / "missing" / "report.json")
+    for argv in (["cover", FOO], ["path", FOO, "--path", "0T"], ["bva", FOO],
+                 ["sat", "x*x == 4"]):
+        code, _, err = run_cli(capsys, *argv, "--seed", "1", "--n-start", "2",
+                               "--json", target)
+        assert code == 1, argv
+        assert err.startswith("mexec: cannot write the JSON report:")
+
+
+def test_source_that_is_not_utf8_is_an_error_not_a_crash(capsys, tmp_path):
+    path = tmp_path / "latin1.mx"
+    path.write_bytes("real f(real x) { return x; } // caf\xe9\n"
+                     .encode("latin-1"))
+    code, _, err = run_cli(capsys, "cover", str(path))
     assert code == 1
-    assert "cannot compile" in err
+    assert err.startswith(f"mexec: {path} is not UTF-8 text")
 
 
 def _chain(terms):

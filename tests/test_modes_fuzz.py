@@ -5,18 +5,26 @@ and every input a mode admits must replay, compiled again, to an exact
 root: under the saturation state it was admitted in (coverage), along
 the target branches (path), or on a boundary (bva).  A sat model must
 zero the constraint's objective and satisfy the reference evaluator.
+Every program `parse` accepts, nested up to its limits, compiles and
+runs in every mode and both flavours.
 """
 
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mexec import saturation
 from mexec.cfg import build_cfg
 from mexec.driver import SearchConfig, run_bva, run_coverage, run_path
-from mexec.errors import MexecError
-from mexec.interp import bva_config, coverage_config, execute, path_config
-from mexec.lang import parse
+from mexec.errors import MexecError, ParseError
+from mexec.interp import (
+    CompiledProgram, bva_config, coverage_config, execute, path_config,
+    plain_config,
+)
+from mexec.lang import (
+    BUILTIN_ARITY, MAX_LOOP_DEPTH, MAX_STMT_DEPTH, max_expr_depth, parse,
+)
 from mexec.optimize import LocalMinConfig, MCMCConfig
 from mexec.satcheck import check_sat, compile_constraint
 from test_engine import OPS, _ProgramGen, _oracle_holds, constraints
@@ -113,3 +121,124 @@ def test_sat_models_satisfy_the_constraint(case, seed):
     if result is not None and result.verdict == "sat":
         assert compile_constraint(constraint).fn(result.model) == 0.0
         assert _oracle_holds(constraint, result.model)
+
+
+# -- the gate: every program `parse` accepts compiles
+
+# the conditionals around the innermost statement, outermost first, at
+# the deepest nesting `parse` accepts; one more level is past a limit
+NESTS = {
+    "if": ["if"] * MAX_STMT_DEPTH,
+    "else-if": ["else"] * MAX_STMT_DEPTH,
+    "while": ["while"] * MAX_LOOP_DEPTH,
+    # a while's test counts one level more than an if's
+    "while-innermost": (["if"] * (MAX_STMT_DEPTH - 1 - MAX_LOOP_DEPTH)
+                        + ["while"] * MAX_LOOP_DEPTH),
+}
+
+
+def _deep(kind, depth, leaf):
+    """An expression nesting `depth` operators with `leaf` innermost."""
+    if kind == "neg":
+        return "- " * depth + leaf
+    if kind == "chain":
+        return " + ".join([leaf] + ["x"] * depth)
+    expr = leaf     # x ^ -x ^ -x ^ ...: a power and a minus in turn
+    for i in range(depth):
+        expr = f"x ^ {expr}" if i % 2 == 0 else f"-{expr}"
+    return expr
+
+
+def _nest(kinds, test, body):
+    """`body` inside conditionals of `kinds`, the innermost testing
+    `test`; an "else" level is an else-if arm."""
+    innermost = len(kinds) - 1
+    for i in reversed(range(len(kinds))):
+        cond = test if i == innermost else f"x < {i}"
+        if kinds[i] == "while":
+            body = f"while ({cond}) {{ {body} x = x + 1; }}"
+        elif kinds[i] == "if" or i == innermost:
+            body = f"if ({cond}) {{ {body} }}"
+        else:
+            body = f"if ({cond}) {{ x = {i}; }} else {body}"
+    return body
+
+
+@st.composite
+def nested_programs(draw, nest, past):
+    """A program whose last function nests the conditionals of `nest`,
+    one more level if `past`, around the deepest expression `parse`
+    accepts there, or one operator deeper; with random functions before
+    it and a function named like a builtin, each maybe.  Returns the
+    source and whether `parse` must accept it."""
+    gen = _ProgramGen(draw)
+    kinds = list(NESTS[nest])
+    if past:
+        kinds.insert(0, kinds[0])
+    where = gen.pick(("test", "test-rhs", "return", "assign", "decl",
+                      "call", "argument"))
+    # a statement sits inside every conditional, the innermost test
+    # inside all but its own, a while's test inside its own as well
+    level = len(kinds)
+    if where.startswith("test"):
+        level -= kinds[-1] != "while"
+    deeper = draw(st.integers(0, 3)) == 0
+    depth = max_expr_depth(level) + deeper
+    shape = gen.pick(("neg", "chain", "power"))
+    leaf = gen.pick(("x", "1e400"))
+    expr = _deep(shape, depth, leaf)
+    call = f"g({_deep(shape, depth - 1, leaf)})"
+    test, body = "x < 1", {
+        "test": "x = 1;", "test-rhs": "x = 1;", "return": f"return {expr};",
+        "assign": f"x = {expr};", "decl": f"real y = {expr};",
+        "call": f"{call};", "argument": f"x = {call};"}[where]
+    if where == "test":
+        test = f"{expr} < 1"
+    elif where == "test-rhs":
+        test = f"1 < {expr}"
+    source = ("real g(real y) { return y; }\n"
+              f"real f(real x) {{ {_nest(kinds, test, body)} return x; }}")
+    if draw(st.booleans()):
+        source = gen.program() + "\n" + source
+    shadow = draw(st.integers(0, 3)) == 0
+    if shadow:
+        source = (f"real {gen.pick(sorted(BUILTIN_ARITY))}(real y) "
+                  "{ return y; }\n" + source)
+    return source, not (past or deeper or shadow)
+
+
+def assert_runs_in_every_mode(program, x):
+    """Both flavours of every mode compile and run at `x`."""
+    branches = [(label, side) for label in range(program.num_conditionals)
+                for side in "TF"]
+    state = saturation.SaturationState(cfg=None,
+                                       explored=frozenset(branches[::3]))
+    for cfg in (coverage_config(), path_config(branches[-3:]),
+                bva_config(), plain_config()):
+        compiled = CompiledProgram(program, cfg, step_budget=2_000)
+        assert compiled.objective(state)(x) >= 0.0
+        assert compiled.trace(x, state).final_r >= 0.0
+
+
+@pytest.mark.parametrize("past", [False, True])
+@pytest.mark.parametrize("nest", sorted(NESTS))
+@settings(max_examples=8)
+@given(data=st.data())
+def test_every_program_parse_accepts_compiles_in_every_mode(nest, past,
+                                                           data):
+    source, accepted = data.draw(nested_programs(nest, past))
+    if not accepted:
+        with pytest.raises(ParseError):
+            parse(source)
+        return
+    x = data.draw(st.sampled_from((-1.0, 0.5, 1e300, float("nan"))))
+    assert_runs_in_every_mode(parse(source), [x])
+
+
+@pytest.mark.parametrize("source", ["", " \n", "// no function\n",
+                                    "/* none */"],
+                         ids=["empty", "blank", "line-comment",
+                              "block-comment"])
+def test_a_program_without_functions_is_a_parse_error(source):
+    with pytest.raises(ParseError, match="defines no function"):
+        parse(source)

@@ -61,9 +61,8 @@ def test_pointer_comparison_stays_unlabeled_through_prepare():
 
 
 def test_pointer_arithmetic_rejected():
-    program = parse("void f(real* p) { *p = p + 1; }")
     with pytest.raises(UnsupportedPointerUse):
-        prepare(program)
+        prepare(parse("void f(real* p) { *p = p + 1; }"))
 
 
 @pytest.mark.parametrize("source", [
