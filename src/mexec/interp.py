@@ -1,7 +1,8 @@
 """Representing functions compiled to Python.
 
-Once per mode call the parsed program is translated to Python source,
-one Python function per .mx function, and exec'd.  One generator emits
+Each mode call translates the parsed program to Python source, one
+Python function per .mx function, and execs it; the code is compiled
+once per distinct source, not once per mode call.  One generator emits
 two flavours of the same program:
 
 * the fast flavour returns only the final representing value r; the
@@ -465,18 +466,19 @@ def _namespace():
     return ns
 
 
+# Every compile's code, kept per generated source (and name), so it
+# cannot go stale.  Sources hold nothing run-specific: budget, epsilon,
+# path target and saturation table live in each CompiledProgram's own
+# namespace.  A failed compile raises and is not cached.
+@lru_cache(maxsize=64)
 def _compile(source, name):
     # `parse` bounds the source for CPython 3.11; this is the backstop
     try:
         return compile(source, f"<mexec {name}>", "exec")
     except (SyntaxError, RecursionError, MemoryError) as exc:
-        raise MexecError(f"cannot compile {name}: {exc}") from None
-
-
-# `execute` on a Program, called in a loop, generates the same source
-# again and again; it keeps the code of recent sources.  Mode calls
-# compile their own code every time.
-_compile_recent = lru_cache(maxsize=32)(_compile)
+        reason = str(exc) or (f"{type(exc).__name__} (the Python parser "
+                              "ran out of stack)")
+        raise MexecError(f"cannot compile {name}: {reason}") from None
 
 
 class CompiledProgram:
@@ -488,8 +490,7 @@ class CompiledProgram:
     Each flavour is generated on first use.
     """
 
-    def __init__(self, program, cfg, entry=None, step_budget=1_000_000,
-                 compile_code=_compile):
+    def __init__(self, program, cfg, entry=None, step_budget=1_000_000):
         if entry is None:
             entry = program.functions[-1].name
         fn = program.function(entry)
@@ -500,7 +501,6 @@ class CompiledProgram:
         self.entry = entry
         self.arity = len(fn.params)
         self.step_budget = step_budget
-        self._compile_code = compile_code
         self._flavours = {}
 
     def _flavour(self, tracing):
@@ -521,7 +521,7 @@ class CompiledProgram:
             target = cfg.target_path
             ns["_tl"] = tuple(label for label, _side in target) + (None,)
             ns["_tt"] = tuple(side == "T" for _label, side in target)
-        exec(self._compile_code(gen.text(), name), ns)
+        exec(_compile(gen.text(), name), ns)
         self._flavours[tracing] = ns
         return ns
 
@@ -586,9 +586,9 @@ def execute(program, inputs, cfg=None, sat_state=None, entry=None,
             step_budget=1_000_000):
     """Run `entry` on `inputs` and return the execution trace.
 
-    `program` is a parsed Program, compiled here for this one run
-    under `cfg` (default: plain), or a CompiledProgram, which already
-    fixes the mode, entry and step budget.  The trace's final_r is the
+    `program` is a parsed Program, set up for this one run under `cfg`
+    (default: plain), or a CompiledProgram, which already fixes the
+    mode, entry and step budget.  The trace's final_r is the
     representing value at termination; an aborted run reports a large
     sentinel so the optimizer steers away.
     """
@@ -596,9 +596,8 @@ def execute(program, inputs, cfg=None, sat_state=None, entry=None,
         if cfg is not None or entry is not None:
             raise TypeError("a compiled program fixes its mode and entry")
         return program.trace(inputs, sat_state)
-    compiled = CompiledProgram(program, cfg or plain_config(), entry,
-                               step_budget, _compile_recent)
-    return compiled.trace(inputs, sat_state)
+    return CompiledProgram(program, cfg or plain_config(), entry,
+                           step_budget).trace(inputs, sat_state)
 
 
 def compile_comparisons(comparisons, names, epsilon=1e-6):

@@ -4,7 +4,8 @@ Random grammar-valid programs (loops, nested and recursive calls,
 pointer parameters), edge-case inputs, tiny step budgets and random
 saturation states run through both the compiled representing function,
 in its fast and its tracing flavour, and `interp_oracle`; every trace
-field and the final value must agree exactly.
+field and the final value must agree exactly.  Code compiled once and
+shared through the code cache must give what a fresh compile gives.
 """
 
 import math
@@ -14,16 +15,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import interp_oracle
-from conftest import BENCH
+from conftest import BENCH, load
 from mexec.distance import branch_distance, compare
-from mexec.errors import NaNOperand
+from mexec.driver import SearchConfig, run_coverage, run_path
+from mexec.errors import MexecError, NaNOperand
 from mexec.interp import (
-    CompiledProgram, bva_config, coverage_config, execute, path_config,
-    plain_config,
+    CompiledProgram, _compile, bva_config, coverage_config, execute,
+    path_config, plain_config,
 )
 from mexec.lang import BUILTIN_ARITY, Program, parse
 from mexec.optimize import SENTINEL
-from mexec.satcheck import _holds, compile_constraint, parse_constraint
+from mexec.satcheck import (
+    _holds, check_sat, compile_constraint, parse_constraint,
+)
 from mexec.saturation import SaturationState
 from mexec.transforms import prepare
 
@@ -321,3 +325,102 @@ def test_compiled_constraint_matches_oracle(case):
     assert _run_value(lambda: compile_constraint(constraint).fn(x)) \
         == expected
     assert _holds(constraint, x) == _oracle_holds(constraint, x)
+
+
+# -- the code cache
+
+def _calls(compiled, points, states):
+    """Every objective value and trace of `compiled` at `points` under
+    `states`."""
+    return [(_run_value(lambda: compiled.objective(state)(x)),
+             _run(lambda: compiled.trace(x, state)))
+            for x in points for state in states]
+
+
+def test_compiled_programs_sharing_code_keep_their_run_state_apart():
+    program = load("k_cos.mx")
+    branches = [(label, side) for label in range(program.num_conditionals)
+                for side in "TF"]
+    states = [SaturationState(cfg=None, explored=frozenset(explored))
+              for explored in ((), branches[::2], branches[1::3])]
+    rng = random.Random("shared code")
+    points = [[0.5, 1e-9], [-3.0, 2.0], [1e-10, 0.0], [math.nan, 1.0]]
+    points += [_point(rng, 2) for _ in range(8)]
+    # each group shares one source per flavour: the step budget,
+    # epsilon and path target live in the namespace
+    groups = [
+        [(coverage_config(), 1), (coverage_config(), 1_000_000),
+         (coverage_config(0.25), 1_000_000)],
+        [(path_config(((0, "F"), (2, "F"), (3, "T"))), 1_000_000),
+         (path_config(((0, "T"), (1, "T"))), 1_000_000),
+         (path_config(((0, "T"), (1, "F")), 0.25), 1),
+         (path_config(((1, "F"),), 0.25), 1_000_000)],
+        [(bva_config(), 1_000_000), (bva_config(), 1)],
+    ]
+    for group in groups:
+        expected = []
+        for cfg, budget in group:
+            _compile.cache_clear()
+            compiled = CompiledProgram(program, cfg, None, budget)
+            expected.append(_calls(compiled, points, states))
+        assert len(set(map(repr, expected))) == len(group)
+        _compile.cache_clear()
+        shared = [CompiledProgram(program, cfg, None, budget)
+                  for cfg, budget in group]
+        got = [[] for _ in group]
+        for x in points:
+            for state in states:
+                for i, compiled in enumerate(shared):
+                    got[i] += _calls(compiled, [x], [state])
+        assert got == expected
+        assert _compile.cache_info().misses == 2
+
+
+def _misses(call):
+    before = _compile.cache_info().misses
+    call()
+    return _compile.cache_info().misses - before
+
+
+def test_mode_calls_replays_and_constraints_reuse_compiled_code():
+    text = (BENCH / "k_cos.mx").read_text(encoding="utf-8")
+    program = parse(text)
+    cfg = SearchConfig(seed=3, n_start=4)
+    _compile.cache_clear()
+    assert _misses(lambda: run_coverage(program, "kernel_cos", cfg)) == 2
+    assert _misses(lambda: run_coverage(program, "kernel_cos", cfg)) == 0
+    assert _misses(
+        lambda: run_coverage(parse(text), "kernel_cos", cfg)) == 0
+
+    # the three path targets of a deep-calls run on one dispatcher
+    deep = BENCH.parent / "perfbench" / "programs" / "deep"
+    dispatcher = parse((deep / "dispatch10.mx").read_text(encoding="utf-8"))
+    top = 13
+    targets = (((top, "T"),), ((top, "F"),), ((top, "T"), (top - 1, "F")))
+    assert [_misses(lambda: run_path(dispatcher, "lvl0", target,
+                                     SearchConfig(seed=7, n_start=2)))
+            for target in targets] == [2, 0, 0]
+
+    # check_sat compiles its constraint once; the replay of `_holds` at
+    # the admitted root reuses that code
+    constraint = parse_constraint("x*y == 12 && x + y == 7")
+    before = _compile.cache_info()
+    result = check_sat(constraint, SearchConfig(seed=1, n_start=8))
+    after = _compile.cache_info()
+    assert result.verdict == "sat"
+    assert after.misses - before.misses == 1
+    assert after.hits > before.hits
+
+
+def test_a_compile_that_overflows_the_parser_names_why_and_is_not_cached():
+    # a 199-level unary minus chain inside 70 nested ifs: more than the
+    # 6000 nested grammar rules CPython 3.11's parser takes
+    expr = "-(" * 199 + "x" + ")" * 199
+    source = "".join("    " * depth + "if x:\n" for depth in range(70))
+    source += "    " * 70 + f"y = {expr}\n"
+    _compile.cache_clear()
+    for _ in range(2):
+        with pytest.raises(MexecError,
+                           match=r"^cannot compile f coverage fast: \S"):
+            _compile(source, "f coverage fast")
+    assert _compile.cache_info().currsize == 0

@@ -1,10 +1,11 @@
 """Every mode on random programs and constraints, with tiny budgets.
 
 Only documented errors (MexecError subclasses) may escape a mode call,
-and every input a mode admits must replay, compiled again, to an exact
-root: under the saturation state it was admitted in (coverage), along
-the target branches (path), or on a boundary (bva).  A sat model must
-zero the constraint's objective and satisfy the reference evaluator.
+and every input a mode admits must replay, compiled again on an emptied
+code cache, to an exact root: under the saturation state it was
+admitted in (coverage), along the target branches (path), or on a
+boundary (bva).  A sat model must zero the constraint's objective and
+satisfy the reference evaluator.
 Every program `parse` accepts, nested up to its limits, compiles and
 runs in every mode and both flavours.
 """
@@ -19,8 +20,8 @@ from mexec.cfg import build_cfg
 from mexec.driver import SearchConfig, run_bva, run_coverage, run_path
 from mexec.errors import MexecError, ParseError
 from mexec.interp import (
-    CompiledProgram, bva_config, coverage_config, execute, path_config,
-    plain_config,
+    CompiledProgram, _compile, bva_config, coverage_config, execute,
+    path_config, plain_config,
 )
 from mexec.lang import (
     BUILTIN_ARITY, MAX_LOOP_DEPTH, MAX_STMT_DEPTH, max_expr_depth, parse,
@@ -79,6 +80,7 @@ def check_coverage(program, entry, cfg):
     if result is None or not states:
         return
     assert len(states) == len(result.inputs)
+    _compile.cache_clear()
     for x, state in zip(result.inputs, states):
         trace = execute(program, x, coverage_config(cfg.epsilon), state,
                         entry=entry, step_budget=cfg.step_budget)
@@ -89,6 +91,7 @@ def check_path(program, entry, target, cfg):
     result = documented(lambda: run_path(program, entry, target, cfg))
     if result is None or result.found is None:
         return
+    _compile.cache_clear()
     trace = execute(program, result.found, path_config(target, cfg.epsilon),
                     entry=entry, step_budget=cfg.step_budget)
     assert trace.final_r == 0.0
@@ -97,6 +100,7 @@ def check_path(program, entry, target, cfg):
 
 def check_bva(program, entry, cfg):
     result = documented(lambda: run_bva(program, entry, cfg))
+    _compile.cache_clear()
     for x in result.inputs if result is not None else ():
         trace = execute(program, x, bva_config(cfg.epsilon), entry=entry,
                         step_budget=cfg.step_budget)
@@ -119,6 +123,7 @@ def test_sat_models_satisfy_the_constraint(case, seed):
     constraint, _point = case
     result = documented(lambda: check_sat(constraint, tiny_config(seed)))
     if result is not None and result.verdict == "sat":
+        _compile.cache_clear()
         assert compile_constraint(constraint).fn(result.model) == 0.0
         assert _oracle_holds(constraint, result.model)
 

@@ -6,17 +6,27 @@ branches infeasible and give the same verdict and residual.  Floats are
 compared through `repr`, so a change in the last bit of any admitted
 input fails here.  A pure refactor or speed-up of the search must keep
 every value below; a deliberate change to the search records new ones
-and says why.
+and says why.  Each case runs twice in one process, first on an empty
+code cache and then on the code that run left there.
 """
 
 import pytest
 
 from mexec.driver import SearchConfig, run_bva, run_coverage, run_path
+from mexec.interp import _compile
 from mexec.lang import parse
 from mexec.satcheck import check_sat, parse_constraint
 from mexec.transforms import prepare
 
 from conftest import load
+
+
+def cold_then_warm(run):
+    """`run` on an empty code cache, then again on a warm one."""
+    _compile.cache_clear()
+    yield run()
+    assert _compile.cache_info().currsize > 0
+    yield run()
 
 
 def _summary(result):
@@ -80,13 +90,16 @@ def test_program_mode_trajectory(mode, name, target, seed, n_start,
     program = load(f"{name}.mx")
     entry = program.functions[-1].name
     cfg = SearchConfig(seed=seed, n_start=n_start)
-    if mode == "cover":
-        result = run_coverage(program, entry, cfg)
-    elif mode == "path":
-        result = run_path(program, entry, target, cfg)
-    else:
-        result = run_bva(program, entry, cfg)
-    assert _summary(result) == expected
+
+    def run():
+        if mode == "cover":
+            return run_coverage(program, entry, cfg)
+        if mode == "path":
+            return run_path(program, entry, target, cfg)
+        return run_bva(program, entry, cfg)
+
+    for result in cold_then_warm(run):
+        assert _summary(result) == expected
 
 
 # cover returns a single sample for a label-free or input-free entry
@@ -109,10 +122,11 @@ EARLY = [
 @pytest.mark.parametrize("source, expected", EARLY)
 def test_cover_early_return_trajectory(source, expected):
     program = prepare(parse(source))
-    result = run_coverage(program, program.functions[-1].name,
-                          SearchConfig(seed=9, n_start=5))
-    assert _summary(result) == expected
-    assert [t.final_r for t in result.traces] == [0.0]
+    for result in cold_then_warm(lambda: run_coverage(
+            program, program.functions[-1].name,
+            SearchConfig(seed=9, n_start=5))):
+        assert _summary(result) == expected
+        assert [t.final_r for t in result.traces] == [0.0]
 
 
 # (constraint, seed, n_start, expected result fields)
@@ -155,11 +169,12 @@ SATS = [
 @pytest.mark.parametrize("text, seed, n_start, expected", SATS,
                          ids=[s[0] for s in SATS])
 def test_sat_trajectory(text, seed, n_start, expected):
-    result = check_sat(parse_constraint(text),
-                       SearchConfig(seed=seed, n_start=n_start))
-    model = (None if result.model is None
-             else [repr(v) for v in result.model])
-    assert {"verdict": result.verdict, "model": model,
-            "residual": repr(result.residual),
-            "eval_count": result.eval_count,
-            "starts_used": result.starts_used} == expected
+    constraint = parse_constraint(text)
+    for result in cold_then_warm(lambda: check_sat(
+            constraint, SearchConfig(seed=seed, n_start=n_start))):
+        model = (None if result.model is None
+                 else [repr(v) for v in result.model])
+        assert {"verdict": result.verdict, "model": model,
+                "residual": repr(result.residual),
+                "eval_count": result.eval_count,
+                "starts_used": result.starts_used} == expected
