@@ -16,7 +16,7 @@ call, functions being walked), so each body is walked once per distinct
 continuation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MexecError, UnknownFunction
 from .lang import Block, Call, If, Return, While, children
@@ -27,10 +27,6 @@ class CFG:
     labels: frozenset
     branches: frozenset
     descendant: dict
-    num_conditionals: int = field(init=False)
-
-    def __post_init__(self):
-        self.num_conditionals = len(self.labels)
 
 
 class _Walk:

@@ -96,6 +96,13 @@ def _search_config(args):
     if not 0.0 < args.epsilon < math.inf:
         raise _UsageError(f"bad epsilon {args.epsilon!r}, need a positive "
                           "finite number")
+    for flag, count in (("--n-start", args.n_start),
+                        ("--n-iter", args.n_iter)):
+        if count < 0:
+            raise _UsageError(f"bad {flag} {count}, need a count >= 0")
+    if not 0.0 <= args.step_scale < math.inf:
+        raise _UsageError(f"bad --step-scale {args.step_scale!r}, need a "
+                          "nonnegative finite number")
     seed = args.seed
     if seed is None and os.environ.get("MEXEC_SEED"):
         try:

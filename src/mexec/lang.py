@@ -12,6 +12,8 @@ conditional whose two operands are numeric receives a dense label
 and are excluded from instrumentation and coverage denominators.
 """
 
+import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,104 +39,65 @@ BUILTIN_ARITY["pow"] = 2
 
 KEYWORDS = ("real", "void", "if", "else", "while", "return")
 
-_PUNCT = (
-    "++", "--", "==", "!=", "<=", ">=", "<", ">", "=", "+", "-", "*", "/",
-    "^", "(", ")", "{", "}", ",", ";",
-)
+# The lexical structure of docs/grammar.md, ASCII only.  Alternatives are
+# tried in order: blanks and comments, numbers, words, punctuators (the
+# two-character ones first), and last the inputs no rule matches; the
+# lookaheads leave `0x` without a hex digit and `/*` without its `*/`
+# to that last one.
+_TOKEN = re.compile(r"""
+    (?P<blank>[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)
+  | (?P<num>0[xX][0-9a-fA-F]+
+      | (?!0[xX])(?:[0-9]+(?:\.[0-9]*)? | \.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<punct>\+\+ | -- | [=!<>]= | /(?!\*) | [-+*^<>=(){},;])
+  | (?P<bad>/\* | 0[xX] | .)
+""", re.VERBOSE | re.DOTALL)
+
+_BAD = {"/*": "unterminated comment", "0x": "malformed hex literal"}
 
 
 @dataclass
 class Token:
-    kind: str           # 'num', 'ident', 'kw', or the punctuation itself
+    kind: str   # 'num', 'ident', 'eof', or the keyword or punctuator itself
     text: str
     line: int
     col: int
 
 
 def tokenize(source):
+    """The tokens of `source`, ending in an 'eof' token; the first input
+    that no token rule matches is a ParseError."""
     tokens = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "blank":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + text.rindex("\n") + 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            if j < 0:
-                break
-            col += j - i
-            i = j
-            continue
-        if source.startswith("/*", i):
-            j = source.find("*/", i + 2)
-            if j < 0:
-                raise ParseError("unterminated comment", line, col)
-            chunk = source[i:j + 2]
-            nl = chunk.count("\n")
-            if nl:
-                line += nl
-                col = len(chunk) - chunk.rfind("\n")
-            else:
-                col += len(chunk)
-            i = j + 2
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            if source.startswith(("0x", "0X"), i):
-                j = i + 2
-                while j < n and source[j] in "0123456789abcdefABCDEF":
-                    j += 1
-                if j == i + 2:
-                    raise ParseError("malformed hex literal", line, col)
-            else:
-                while j < n and source[j].isdigit():
-                    j += 1
-                if j < n and source[j] == ".":
-                    j += 1
-                    while j < n and source[j].isdigit():
-                        j += 1
-                if j < n and source[j] in "eE":
-                    k = j + 1
-                    if k < n and source[k] in "+-":
-                        k += 1
-                    if k < n and source[k].isdigit():
-                        j = k
-                        while j < n and source[j].isdigit():
-                            j += 1
-            tokens.append(Token("num", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token(p, p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        if kind == "bad":
+            raise ParseError(
+                _BAD.get(text.lower(), f"unexpected character {text!r}"),
+                line, col)
+        if kind == "punct" or text in KEYWORDS:
+            kind = text
+        tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
+
+
+def _number(text):
+    """The value of a number token; a literal past the double range is
+    inf, hex ones included."""
+    if text.startswith(("0x", "0X")):
+        try:
+            return float(int(text, 16))
+        except OverflowError:
+            return math.inf
+    return float(text)
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +326,6 @@ class _Parser:
                 tok.line, tok.col)
         return self.next()
 
-    def expect_kw(self, word):
-        tok = self.peek()
-        if tok.kind != "kw" or tok.text != word:
-            raise ParseError(
-                f"expected {word!r}, found {tok.text or 'end of input'!r}",
-                tok.line, tok.col)
-        return self.next()
-
     # -- program structure
 
     def parse_program(self):
@@ -383,7 +338,7 @@ class _Parser:
 
     def parse_function(self):
         tok = self.peek()
-        if tok.kind != "kw" or tok.text not in ("real", "void"):
+        if tok.kind not in ("real", "void"):
             raise ParseError(
                 f"expected function definition, found {tok.text!r}",
                 tok.line, tok.col)
@@ -393,7 +348,7 @@ class _Parser:
         params = []
         if self.peek().kind != ")":
             while True:
-                self.expect_kw("real")
+                self.expect("real")
                 kind = "real"
                 if self.peek().kind == "*":
                     self.next()
@@ -429,28 +384,26 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "{":
             return self.parse_block()
-        if tok.kind == "kw":
-            if tok.text == "if":
-                return self.parse_if()
-            if tok.text == "while":
-                return self.parse_while()
-            if tok.text == "return":
+        if tok.kind == "if":
+            return self.parse_if()
+        if tok.kind == "while":
+            return self.parse_while()
+        if tok.kind == "return":
+            self.next()
+            expr = None
+            if self.peek().kind != ";":
+                expr = self.parse_expr()
+            self.expect(";")
+            return Return(line=tok.line, col=tok.col, expr=expr)
+        if tok.kind == "real":
+            self.next()
+            name = self.expect("ident", "variable name")
+            init = None
+            if self.peek().kind == "=":
                 self.next()
-                expr = None
-                if self.peek().kind != ";":
-                    expr = self.parse_expr()
-                self.expect(";")
-                return Return(line=tok.line, col=tok.col, expr=expr)
-            if tok.text == "real":
-                self.next()
-                name = self.expect("ident", "variable name")
-                init = None
-                if self.peek().kind == "=":
-                    self.next()
-                    init = self.parse_expr()
-                self.expect(";")
-                return Decl(line=tok.line, col=tok.col,
-                            name=name.text, init=init)
+                init = self.parse_expr()
+            self.expect(";")
+            return Decl(line=tok.line, col=tok.col, name=name.text, init=init)
         if tok.kind == "ident" or tok.kind == "*":
             target = self.parse_lvalue()
             nxt = self.peek()
@@ -487,20 +440,19 @@ class _Parser:
         return Var(line=tok.line, col=tok.col, name=name.text)
 
     def parse_if(self):
-        tok = self.expect_kw("if")
+        tok = self.expect("if")
         self.expect("(")
         cond = self.parse_compare()
         self.expect(")")
         then = self.parse_stmt()
         els = None
-        nxt = self.peek()
-        if nxt.kind == "kw" and nxt.text == "else":
+        if self.peek().kind == "else":
             self.next()
             els = self.parse_stmt()
         return If(line=tok.line, col=tok.col, cond=cond, then=then, els=els)
 
     def parse_while(self):
-        tok = self.expect_kw("while")
+        tok = self.expect("while")
         self.expect("(")
         cond = self.parse_compare()
         self.expect(")")
@@ -549,8 +501,8 @@ class _Parser:
             if tok.kind == "+":
                 return operand
             return Unary(line=tok.line, col=tok.col, op="-", operand=operand)
-        if (tok.kind == "(" and self.peek(1).kind == "kw"
-                and self.peek(1).text == "real" and self.peek(2).kind == ")"):
+        if (tok.kind == "(" and self.peek(1).kind == "real"
+                and self.peek(2).kind == ")"):
             # a (real) cast: every value already is a real
             self.next()
             self.next()
@@ -572,14 +524,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.next()
-            text = tok.text
-            if text.startswith(("0x", "0X")):
-                value = float(int(text, 16))
-            elif "." in text or "e" in text or "E" in text:
-                value = float(text)
-            else:
-                value = float(int(text))
-            return Num(line=tok.line, col=tok.col, value=value, text=text)
+            return Num(line=tok.line, col=tok.col, value=_number(tok.text),
+                       text=tok.text)
         if tok.kind == "ident":
             self.next()
             if self.peek().kind == "(":

@@ -68,7 +68,7 @@ def test_branch_universe_size():
             return 0;
         }
     """, "f")
-    assert len(g.branches) == 2 * g.num_conditionals == 4
+    assert len(g.branches) == 2 * len(g.labels) == 4
 
 
 def test_calls_are_inlined_for_reachability():
@@ -128,7 +128,7 @@ def test_recursive_calls_do_not_loop_the_builder():
             return f(x - 1);
         }
     """, "f")
-    assert g.num_conditionals == 1
+    assert len(g.labels) == 1
 
 
 def test_unknown_entry_raises():

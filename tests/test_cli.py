@@ -358,3 +358,23 @@ def test_call_chain_too_deep_for_the_cfg_is_an_error(capsys, tmp_path):
     assert code == 1
     assert err == ("mexec: cannot build the CFG of f1: user calls nested "
                    "too deeply\n")
+
+
+def test_negative_counts_and_bad_step_scale_are_usage_errors(capsys):
+    for flag, value in (("--n-start", "-3"), ("--n-iter", "-1"),
+                        ("--step-scale", "-0.5"), ("--step-scale", "nan"),
+                        ("--step-scale", "inf")):
+        for argv in (["cover", FOO], ["sat", "x == 1"]):
+            code, _, err = run_cli(capsys, *argv, flag, value)
+            assert code == 1, (argv, flag, value)
+            assert err.startswith(f"mexec: bad {flag} {value}"), err
+
+
+def test_zero_restarts_and_iterations_are_valid(capsys):
+    code, out, _ = run_cli(capsys, "sat", "x == 1", "--n-start", "0")
+    assert (code, out) == (0, "unknown (best residual inf)\n")
+    code, out, _ = run_cli(capsys, "cover", FOO, "--n-iter", "0",
+                           "--step-scale", "0", "--seed", "1",
+                           "--n-start", "5")
+    assert code == 0
+    assert "Branches taken" in out

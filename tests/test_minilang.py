@@ -1,11 +1,15 @@
-import pytest
+import math
 
+import pytest
+from hypothesis import given, strategies as st
+
+from mexec.cli import main
 from mexec.errors import (
     DuplicateFunction, ParseError, UndeclaredIdentifier,
 )
 from mexec.lang import (
-    MAX_EXPR_DEPTH, Call, If, Return, Var, While, children, parse,
-    render_instrumented, to_source, walk,
+    KEYWORDS, MAX_EXPR_DEPTH, Call, If, Return, Token, Var, While, children,
+    parse, render_instrumented, to_source, tokenize, walk,
 )
 from mexec.satcheck import parse_constraint
 
@@ -212,3 +216,73 @@ def test_operators_nest_at_most_max_expr_depth(op):
             parse(source)
     with pytest.raises(ParseError, match="nested more than 199"):
         parse_constraint(f"x > 0 && 1 < {deeper}")
+
+
+# characters outside ASCII, among them ones Python reads as digits or
+# folds into ASCII letters in identifiers
+@pytest.mark.parametrize("source, char", [
+    ("real f(real x) { return x + ²; }", "²"),
+    ("real f(real fi) { real ﬁ = 2; return fi; }", "ﬁ"),
+    ("real f(real x2) { real x² = 5; return x2; }", "²"),
+    ("real f(real é) { return é; }", "é"),
+])
+def test_non_ascii_characters_are_parse_errors(capsys, tmp_path, source,
+                                               char):
+    with pytest.raises(ParseError,
+                       match=f"unexpected character '{char}'"):
+        parse(source)
+    path = tmp_path / "f.mx"
+    path.write_text(source, encoding="utf-8")
+    assert main(["cover", str(path), "--seed", "1", "--n-start", "1"]) == 2
+    assert main(["sat", f"x == {char}", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"parse error: unexpected character '{char}'") == 2
+
+
+@pytest.mark.parametrize("literal", ["7" * 400, "1" * 5000, "0x" + "f" * 300],
+                         ids=["400 digits", "5000 digits", "300 hex digits"])
+def test_literals_past_the_double_range_read_as_inf(capsys, tmp_path,
+                                                    literal):
+    source = (f"real f(real x) {{ if (x < {literal}) {{ return 1; }} "
+              "return 0; }")
+    assert _conditionals(parse(source))[0].rhs.value == math.inf
+    path = tmp_path / "f.mx"
+    path.write_text(source)
+    assert main(["cover", str(path), "--seed", "1", "--n-start", "2"]) == 0
+    assert "Branches taken" in capsys.readouterr().out
+    assert main(["sat", f"x < {literal}", "--seed", "1",
+                 "--n-start", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert (out.startswith("sat: x = "), err) == (True, "")
+
+
+def test_keywords_and_punctuators_are_their_own_token_kinds():
+    tokens = tokenize("real void if else while return reals _if 0x1F 2.5e3 "
+                      "<= + ;")
+    assert [t.kind for t in tokens] == [
+        "real", "void", "if", "else", "while", "return", "ident", "ident",
+        "num", "num", "<=", "+", ";", "eof"]
+
+
+def test_eof_follows_a_trailing_line_comment():
+    assert tokenize("x // note")[-1] == Token("eof", "", 1, 10)
+    assert tokenize("x /* a\nb */")[-1] == Token("eof", "", 2, 5)
+
+
+_PIECES = ["//", "/*", "*/", "0x", "0X", "1e", "1E-", ".5", "\n", " ",
+           *KEYWORDS, "++", "--", "==", "!=", "<=", ">="]
+
+
+@given(st.lists(st.sampled_from(_PIECES)
+                | st.characters(max_codepoint=127), max_size=30)
+       .map("".join))
+def test_tokens_sit_in_the_source_at_their_position(source):
+    try:
+        tokens = tokenize(source)
+    except ParseError:
+        return
+    lines = source.split("\n")
+    for tok in tokens:
+        assert lines[tok.line - 1].startswith(tok.text, tok.col - 1)
+    eof = tokens[-1]
+    assert (eof.line, eof.col) == (len(lines), len(lines[-1]) + 1)
