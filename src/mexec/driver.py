@@ -44,16 +44,20 @@ class SearchConfig:
     step_budget: int = 1_000_000
 
     def resolved_box(self, arity):
-        """The per-input (lo, hi) bounds; raises InvalidBox unless every
-        bound is finite and lo < hi."""
+        """One (lo, hi) bound per input, from one pair for every input
+        or one pair each; raises InvalidBox unless every bound is finite
+        and lo < hi."""
         if self.box is None:
             return [(-1e3, 1e3)] * arity
         for lo, hi in self.box:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise InvalidBox(f"bad box ({lo!r}, {hi!r}), need finite "
                                  "lo < hi")
-        if len(self.box) == 1 and arity > 1:
+        if len(self.box) == 1:
             return list(self.box) * arity
+        if len(self.box) != arity:
+            raise InvalidBox(f"bad box of {len(self.box)} pairs for "
+                             f"{arity} inputs, need 1 or {arity}")
         return list(self.box)
 
 
@@ -152,11 +156,7 @@ def search(cfg, arity, objective_at, admit):
         if evaluate is None:
             break
         starts += 1
-
-        def clamped(x, evaluate=evaluate):
-            return evaluate(clamp(x, box))
-
-        objective = Objective(clamped, arity)
+        objective = Objective(evaluate, arity, box)
         x_star, f_star = _minimize_once(objective, cfg, box, rng)
         evals += objective.eval_count
         if admit(clamp(x_star, box), f_star):

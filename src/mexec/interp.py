@@ -5,11 +5,19 @@ Python function per .mx function, and execs it; the code is compiled
 once per distinct source, not once per mode call.  One generator emits
 two flavours of the same program:
 
-* the fast flavour returns only the final representing value r; the
-  search's objectives call it;
+* the fast flavour computes only the final representing value r.  It
+  ends in the generated evaluations of the entry: `_value` gives r at
+  a point as it is, and `_bind` gives the point and line runners of one
+  optimize.Objective.  A runner takes a point (the line runner builds
+  it as x + t*d), clamps it into the objective's box, counts one
+  evaluation on the objective, runs the entry and maps a non-finite or
+  above-sentinel r to the sentinel, all in one generated call;
 * the tracing flavour also records coverage facts (lines, conditionals,
   branches, call sites, the branch path, steps) in an ExecutionTrace;
   `execute`, admission replays and reports use it.
+
+A `sat` constraint compiles to the same evaluations, its r the sum of
+its comparisons' branch distances.
 
 At each labeled conditional the mode decides how r changes: coverage
 assigns the penalty of the saturation state, path adds the distance
@@ -22,13 +30,14 @@ nested deeper than MAX_CALL_DEPTH.
 
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Optional
 
 from .distance import negate_op
 from .errors import (
-    ArityMismatch, CallDepthExceeded, MexecError, NaNOperand,
+    ArityMismatch, CallDepthExceeded, InvalidBox, MexecError, NaNOperand,
     StepBudgetExceeded, UnknownFunction,
 )
 from .lang import (
@@ -442,6 +451,50 @@ class _Source:
             self.emit("return 0.0")
         self.indent -= 1
 
+    def define(self, signature, lines):
+        self.emit(f"def {signature}:")
+        self.suite(lines)
+
+    def evaluations(self, name, params, core, raw_tail):
+        """Emit the evaluations of a representing function of the inputs
+        `params`, local names; `core` computes `_r` from them and
+        returns the sentinel on an abort.
+
+        `_value(_s, x)` runs `core` on `x`, then `raw_tail`.
+        `_bind(_obj, _s, _lo0, _hi0, _lo1, ...)` returns the point
+        runner `(x)` and the line runner `(x, d, t)`, whose point is
+        x[i] + t * d[i] on every coordinate.  Each runner counts one
+        evaluation on `_obj`, clamps every input into its (lo, hi) as
+        min(max(v, lo), hi) does, NaN and signed zeros included, and
+        maps a non-finite or above-sentinel `_r` to the sentinel.  The
+        saturation table `_s` and the bounds are the runners' own, so
+        runners bound to different objectives never share them.
+        """
+        n = len(params)
+        wrong = f"{name} expects {n} inputs, got "
+        check = (f"if len(x) != {n}: "
+                 f"raise _ArityMismatch({wrong!r} + str(len(x)))")
+        take = [f"{v} = _float(x[{i}])" for i, v in enumerate(params)]
+        clamp = [line for i, v in enumerate(params)
+                 for line in (f"if {v} < _lo{i}: {v} = _lo{i}",
+                              f"if {v} > _hi{i}: {v} = _hi{i}")]
+        sanitise = [f"if {-sys.float_info.max!r} <= _r <= {SENTINEL!r}:",
+                    "    return _r",
+                    "return _SENTINEL"]
+        self.define("_value(_s, x)", [check] + take + core + raw_tail)
+        bounds = "".join(f", _lo{i}, _hi{i}" for i in range(n))
+        self.emit(f"def _bind(_obj, _s{bounds}):")
+        self.indent += 1
+        count = "_obj.eval_count += 1"
+        self.define("_point(x)", [count, check] + take + clamp + core
+                    + sanitise)
+        self.define("_line(x, d, t)",
+                    [count] + [f"{v} = x[{i}] + t * d[{i}]"
+                               for i, v in enumerate(params)]
+                    + clamp + core + sanitise)
+        self.emit("return _point, _line")
+        self.indent -= 1
+
 
 # the tracing flavour's per-statement count and per-branch record
 _TRACING_HELPERS = """
@@ -481,13 +534,43 @@ def _compile(source, name):
         raise MexecError(f"cannot compile {name}: {reason}") from None
 
 
+class RepresentingFunction:
+    """A compiled representing function of the input vector.
+
+    Called on a point, it gives the representing value there as it is.
+    `runners(objective, box)` gives the generated point and line runners
+    of an optimize.Objective: they clamp into `box` (per-input (lo, hi),
+    or None for no bounds), count on `objective` and sanitise.
+    """
+
+    def __init__(self, ns, arity, table=None):
+        self._value = ns["_value"]
+        self._bind = ns["_bind"]
+        self.arity = arity
+        self.table = table
+
+    def __call__(self, x):
+        return self._value(self.table, x)
+
+    def runners(self, objective, box):
+        if box is None:
+            box = [(-math.inf, math.inf)] * self.arity
+        elif len(box) != self.arity:
+            raise InvalidBox(f"bad box of {len(box)} pairs for "
+                             f"{self.arity} inputs")
+        # float bounds keep a clamped input a float; a float input
+        # clamps to the same value as with the bounds given
+        return self._bind(objective, self.table,
+                          *(float(b) for pair in box for b in pair))
+
+
 class CompiledProgram:
     """The representing function of `entry` (default: the last function)
     under mode configuration `cfg`, compiled.
 
-    `objective(sat_state)` gives the fast flavour as a function of the
-    input vector; `trace(inputs, sat_state)` runs the tracing flavour.
-    Each flavour is generated on first use.
+    `objective(sat_state)` gives the fast flavour as a
+    RepresentingFunction; `trace(inputs, sat_state)` runs the tracing
+    flavour.  Each flavour is generated on first use.
     """
 
     def __init__(self, program, cfg, entry=None, step_budget=1_000_000):
@@ -514,7 +597,10 @@ class CompiledProgram:
         for fn in self.program.functions:
             gen.function(fn)
         if not tracing:
-            self._fast_runner(gen)
+            params = [f"v{i}" for i in range(self.arity)]
+            gen.evaluations(self.entry, params, self._core(params),
+                            ["if _r - _r == 0.0:", "    return _r",
+                             "return _SENTINEL"])
         ns = _namespace()
         ns.update(_B=self.step_budget, _eps=cfg.epsilon, _pen=pen)
         if cfg.mode == PATH:
@@ -525,36 +611,29 @@ class CompiledProgram:
         self._flavours[tracing] = ns
         return ns
 
-    def _fast_runner(self, gen):
-        args = ", ".join(["1"] + [f"_float(x[{i}])"
-                                  for i in range(self.arity)])
-        gen.emit("def _fast(_s, x):")
-        gen.indent += 1
-        gen.emit("global _r, _n, _c, _sat")
-        wrong = f"{self.entry} expects {self.arity} inputs, got "
-        gen.emit(f"if len(x) != {self.arity}: "
-                 f"raise _ArityMismatch({wrong!r} + str(len(x)))")
-        gen.emit("_sat = _s")
-        gen.emit(f"_r = {_R0[self.cfg.mode]!r}")
-        gen.emit("_n = 0")
-        gen.emit("_c = 0")
-        gen.emit("try:")
-        gen.emit(f"    f_{self.entry}({args})")
-        gen.emit("except _ABORTS:")
-        gen.emit("    return _SENTINEL")
-        gen.emit("if _r - _r == 0.0:")
-        gen.emit("    return _r")
-        gen.emit("return _SENTINEL")
-        gen.indent -= 1
+    def _core(self, params):
+        """Lines running the entry on `params` from a fresh `_r`, step
+        count, path cursor and saturation table."""
+        fresh = {"_r": repr(_R0[self.cfg.mode]), "_n": "0"}
+        if self.cfg.mode == PATH:
+            fresh["_c"] = "0"
+        if self.cfg.mode == COVERAGE:
+            fresh["_sat"] = "_s"
+        return ([f"global {', '.join(fresh)}"]
+                + [f"{name} = {value}" for name, value in fresh.items()]
+                + ["try:",
+                   f"    f_{self.entry}({', '.join(['1'] + params)})",
+                   "except _ABORTS:",
+                   "    return _SENTINEL"])
 
     def objective(self, sat_state=None):
-        """The fast flavour: inputs -> final representing value."""
-        ns = self._flavour(False)
+        """The fast flavour: inputs -> final representing value, with
+        the coverage penalty of `sat_state`."""
         table = None
         if self.cfg.mode == COVERAGE:
             table = _saturation_table(sat_state,
                                       self.program.num_conditionals)
-        return partial(ns["_fast"], table)
+        return RepresentingFunction(self._flavour(False), self.arity, table)
 
     def trace(self, inputs, sat_state=None):
         """Run the tracing flavour on `inputs`."""
@@ -602,42 +681,30 @@ def execute(program, inputs, cfg=None, sat_state=None, entry=None,
 
 def compile_comparisons(comparisons, names, epsilon=1e-6):
     """Compile a conjunction of comparisons over the variables `names`
-    into two functions of an input vector: the sum of the comparisons'
-    branch distances, the sentinel if an operand is NaN, and whether
-    every comparison holds."""
+    into a RepresentingFunction, the sum of the comparisons' branch
+    distances or the sentinel if an operand is NaN, and a function of
+    an input vector telling whether every comparison holds."""
     gen = _Source()
-    unpack = [f"v_{name} = _float(x[{i}])" for i, name in enumerate(names)]
-    gen.emit("def _distance(x):")
-    gen.indent += 1
-    for line in unpack:
-        gen.emit(line)
-    gen.emit("_t = 0.0")
-    gen.emit("try:")
-    gen.indent += 1
+    core = ["_r = 0.0", "try:"]
     for cmp in comparisons:
-        gen.emit(f"_a = {gen.expr(cmp.lhs)}")
-        gen.emit(f"_b = {gen.expr(cmp.rhs)}")
-        for line in _distance(cmp.op, "_t = _t + {}"):
-            gen.emit(line)
-    gen.emit("pass")
-    gen.indent -= 1
-    gen.emit("except _ABORTS:")
-    gen.emit("    return _SENTINEL")
-    gen.emit("return _t")
-    gen.indent -= 1
-    gen.emit("def _holds(x):")
-    gen.indent += 1
-    for line in unpack:
-        gen.emit(line)
+        core += [f"    _a = {gen.expr(cmp.lhs)}",
+                 f"    _b = {gen.expr(cmp.rhs)}"]
+        core += ["    " + line
+                 for line in _distance(cmp.op, "_r = _r + {}")]
+    core += ["    pass", "except _ABORTS:", "    return _SENTINEL"]
+    params = [f"v_{name}" for name in names]
+    gen.evaluations("constraint", params, core, ["return _r"])
     # unparenthesized, so that a comparison adds no nesting level beyond
     # its operands' (lang.MAX_EXPR_DEPTH)
     tests = [f"{gen.expr(c.lhs)} {c.op} {gen.expr(c.rhs)}"
              for c in comparisons]
-    gen.emit(f"return {' and '.join(tests) or 'True'}")
+    gen.define("_holds(x)",
+               [f"{v} = _float(x[{i}])" for i, v in enumerate(params)]
+               + [f"return {' and '.join(tests) or 'True'}"])
     ns = _namespace()
     ns["_eps"] = epsilon
     exec(_compile(gen.text(), "constraint"), ns)
-    return ns["_distance"], ns["_holds"]
+    return RepresentingFunction(ns, len(names)), ns["_holds"]
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ _TOKEN = re.compile(r"""
   | (?P<num>0[xX][0-9a-fA-F]+
       | (?!0[xX])(?:[0-9]+(?:\.[0-9]*)? | \.[0-9]+)(?:[eE][+-]?[0-9]+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>\+\+ | -- | [=!<>]= | /(?!\*) | [-+*^<>=(){},;])
+  | (?P<punct>\+\+ | -- | && | [=!<>]= | /(?!\*) | [-+*^<>=(){},;])
   | (?P<bad>/\* | 0[xX] | .)
 """, re.VERBOSE | re.DOTALL)
 

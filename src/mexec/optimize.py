@@ -4,12 +4,16 @@ a Metropolis basinhopping loop on top.
 All routines treat the objective as a black box that returns a finite
 value or a large sentinel; none of them require derivatives, which
 matters because representing functions are flat on large regions and
-discontinuous at branch flips.
+discontinuous at branch flips.  They evaluate it through an Objective:
+at a point by calling it, and along a line by the function of t that
+`Objective.along` returns, so a line search builds no point list per
+evaluation.
 """
 
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .errors import InvalidBracket
@@ -21,21 +25,45 @@ _CGOLD = 0.3819660
 _TINY = 1e-21
 
 
-class Objective:
-    """Callable wrapper that counts evaluations and sanitizes outputs.
+def _on_line(f, x, direction, t):
+    """f at x + t*direction."""
+    return f([xi + t * di for xi, di in zip(x, direction)])
 
-    NaN or infinite values from the raw function are mapped to a large
-    finite sentinel so acceptance arithmetic stays well defined.
+
+class Objective:
+    """The evaluator the optimizer sees: counts evaluations, clamps each
+    point into `box` (per-dimension (lo, hi), or None for no bounds)
+    and maps NaN, infinite or above-sentinel values to a large finite
+    sentinel, so acceptance arithmetic stays well defined.
+
+    `fn` is a function of a point.  If it has a `runners(objective,
+    box)` method, as interp's compiled representing functions do, the
+    generated point and line runners it returns do all of this in one
+    call; otherwise each evaluation calls `fn` on the clamped point.
     """
 
-    def __init__(self, fn, arity):
+    def __init__(self, fn, arity, box=None):
         self.fn = fn
         self.arity = arity
+        self.box = box
         self.eval_count = 0
+        runners = getattr(fn, "runners", None)
+        if runners is None:
+            self._point, self._line = self._evaluate, partial(_on_line, self)
+        else:
+            self._point, self._line = runners(self, box)
 
     def __call__(self, x):
+        return self._point(x)
+
+    def along(self, x, direction):
+        """The objective at x + t*direction as a function of the float t,
+        computing x[i] + t*direction[i] on every coordinate."""
+        return partial(self._line, x, direction)
+
+    def _evaluate(self, x):
         self.eval_count += 1
-        value = self.fn(x)
+        value = self.fn(x if self.box is None else clamp(x, self.box))
         if math.isnan(value) or math.isinf(value) or value > SENTINEL:
             return SENTINEL
         return value
@@ -148,9 +176,10 @@ def brent_line_min(g, bracket, xtol=1e-8, max_iter=100):
 
 def _line_minimize(f, x, direction, cfg):
     """Minimize f along x + t*direction; returns (new x, new f, decrease)."""
-    def g(t):
-        return f([xi + t * di for xi, di in zip(x, direction)])
-
+    if isinstance(f, Objective):
+        g = f.along(x, direction)
+    else:
+        g = partial(_on_line, f, x, direction)
     f0 = g(0.0)
     bracket = bracket_minimum(g, 0.0, 1.0, cfg.bracket_growth)
     try:

@@ -45,17 +45,18 @@ def parse_constraint(text, variables=None):
     """Parse `expr op expr && expr op expr && ...` into a Constraint."""
     conjuncts = []
     names = {}
-    for part in text.split("&&"):
-        part = part.strip()
-        if not part:
-            continue
-        parser = _Parser(tokenize(part))
+    parser = _Parser(tokenize(text))
+    while True:
+        while parser.peek().kind == "&&":
+            parser.next()
+        if parser.peek().kind == "eof":
+            break
         try:
             cmp = parser.parse_compare()
         except RecursionError:
             raise ParseError("constraint nested too deeply") from None
         tail = parser.peek()
-        if tail.kind != "eof":
+        if tail.kind not in ("&&", "eof"):
             raise ParseError(f"trailing input {tail.text!r} in conjunct",
                              tail.line, tail.col)
         _collect_vars(cmp, names)

@@ -94,6 +94,18 @@ def test_sat_mode_unknown(capsys):
     assert "1.0" in out
 
 
+def test_sat_splits_conjuncts_on_tokens_so_comments_may_hold_ands(capsys):
+    code, out, err = run_cli(capsys, "sat", "x == 1 /* a && b */",
+                             "--seed", "1", "--n-start", "3")
+    assert (code, out.strip(), err) == (0, "sat: x = 1.0", "")
+
+
+def test_sat_parse_error_is_placed_in_the_whole_constraint(capsys):
+    code, _, err = run_cli(capsys, "sat", "x == 1 && y == ²")
+    assert code == 2
+    assert "unexpected character '²' (line 1, col 16)" in err
+
+
 def test_emit_instrumented(capsys):
     code, out, _ = run_cli(
         capsys, "cover", FOO, "--entry", "FOO", "--seed", "42",

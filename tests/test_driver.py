@@ -186,6 +186,22 @@ def test_non_finite_or_empty_box_raises(box, foo):
         check_sat(parse_constraint("x == 1"), cfg)
 
 
+@pytest.mark.parametrize("pairs", [2, 4])
+def test_box_needs_one_pair_or_one_pair_per_input(pairs):
+    program = parse("real f(real a, real b, real c) "
+                    "{ if (a < b + c) { return 1; } return 0; }")
+    for ok in (1, 3):
+        cfg = SearchConfig(box=[(-1.0, 1.0)] * ok)
+        assert cfg.resolved_box(3) == [(-1.0, 1.0)] * 3
+    cfg = SearchConfig(box=[(-1.0, 1.0)] * pairs, n_start=2, seed=0)
+    with pytest.raises(InvalidBox, match=f"{pairs} pairs for 3 inputs"):
+        cfg.resolved_box(3)
+    with pytest.raises(InvalidBox):
+        run_coverage(program, "f", cfg)
+    with pytest.raises(InvalidBox):
+        check_sat(parse_constraint("a < b + c"), cfg)
+
+
 def test_snap_to_zero_polishes_near_roots():
     def f(x):
         return (x[0] - 2.0) ** 2

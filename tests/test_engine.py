@@ -24,7 +24,7 @@ from mexec.interp import (
     path_config, plain_config,
 )
 from mexec.lang import BUILTIN_ARITY, Program, parse
-from mexec.optimize import SENTINEL
+from mexec.optimize import SENTINEL, Objective, clamp
 from mexec.satcheck import (
     _holds, check_sat, compile_constraint, parse_constraint,
 )
@@ -325,6 +325,168 @@ def test_compiled_constraint_matches_oracle(case):
     assert _run_value(lambda: compile_constraint(constraint).fn(x)) \
         == expected
     assert _holds(constraint, x) == _oracle_holds(constraint, x)
+
+
+# -- the generated point and line runners
+
+# floats that the box, the line point or the sanitising may treat
+# specially: NaN, signed zeros and infinities, the largest doubles and
+# subnormals
+EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308,
+         1.7976931348623157e308, 5e-324, -5e-324, 2.2250738585072014e-308,
+         1.0, -1.0, 0.5, 1e-3, -3.0)
+edge_floats = st.one_of(st.sampled_from(EDGES), st.floats())
+# bounds as a caller may give them, ints included, in either order
+bounds = st.one_of(st.sampled_from((-0.0, 0.0, -1e-3, 1e-3, -1.0, 1.0,
+                                    5e-324, -1e308, 1e308, -1, 0, 2)),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def runner_calls(draw, arity):
+    """None or a box of one bound pair per input, and a sequence of
+    point calls `(x,)` and line calls `(x, d, t)`; directions often
+    have zero components."""
+    box = None
+    if draw(st.integers(0, 3)):
+        box = [(draw(bounds), draw(bounds)) for _ in range(arity)]
+    vector = st.lists(edge_floats, min_size=arity, max_size=arity)
+    direction = st.lists(st.one_of(st.sampled_from((0.0, -0.0, 1.0)),
+                                   edge_floats),
+                         min_size=arity, max_size=arity)
+    calls = draw(st.lists(st.one_of(
+        st.tuples(vector), st.tuples(vector, direction, edge_floats)),
+        min_size=1, max_size=6))
+    return box, calls
+
+
+def _evaluations(objective, calls):
+    """The repr of each call's value, or its exception's type, and the
+    evaluation count after it."""
+    out = []
+    for call in calls:
+        if len(call) == 1:
+            value = _run_value(lambda: objective(call[0]))
+        else:
+            value = _run_value(lambda: objective.along(*call[:2])(call[2]))
+        out.append((value, objective.eval_count))
+    return out
+
+
+def _reference_evaluations(evaluate, arity, box, calls):
+    """`_evaluations` of the composition the runners replace: a plain
+    function of the clamped point, sanitised by a generic Objective, at
+    the line point built as a list."""
+    reference = Objective(lambda x: evaluate(clamp(x, box)), arity)
+    out = []
+    for call in calls:
+        if len(call) == 1:
+            point = call[0]
+        else:
+            x, d, t = call
+            point = [xi + t * di for xi, di in zip(x, d)]
+        out.append((_run_value(lambda: reference(point)),
+                    reference.eval_count))
+    return out
+
+
+def assert_runners_match_reference(evaluate, arity, box, calls):
+    assert _evaluations(Objective(evaluate, arity, box), calls) \
+        == _reference_evaluations(evaluate, arity, box, calls)
+
+
+@settings(max_examples=150)
+@given(cases(), st.data())
+def test_generated_runners_match_the_reference_composition(case, data):
+    program, _x, budget, cfg, state = case
+    compiled = CompiledProgram(program, cfg, None, budget)
+    box, calls = data.draw(runner_calls(compiled.arity))
+    assert_runners_match_reference(compiled.objective(state),
+                                   compiled.arity, box, calls)
+
+
+@settings(max_examples=150)
+@given(constraints(), st.data())
+def test_generated_constraint_runners_match_the_reference_composition(
+        case, data):
+    constraint, _x = case
+    arity = len(constraint.variables)
+    box, calls = data.draw(runner_calls(arity))
+    assert_runners_match_reference(compile_constraint(constraint).fn,
+                                   arity, box, calls)
+
+
+# the branch taken at label 0 tells -0.0 from 0.0, and the distance at
+# label 2 of two clamped inputs is an int if the bounds stay ints
+SIGNED = """
+real f(real x, real y) {
+    if (1 / x < 0) {
+        if (y < 1) { return 1; }
+    } else {
+        if (y > x) { return 2; }
+    }
+    return 0;
+}
+"""
+
+
+def test_runners_keep_signed_zeros_float_bounds_and_the_sentinel():
+    program = parse(SIGNED)
+    calls = [([-0.0, 0.0],), ([0.0, 0.5],),
+             ([-0.0, 0.0], [0.0, 1.0], 2.0),
+             ([10.0, 0.0], [0.0, 0.0], 1.0),
+             ([-0.0, 1e151],),
+             ([math.nan, 0.5], [1.0, 0.0], 3.0),
+             ([0.0, 0.0], [1.0, 1.0], math.inf)]
+    state = SaturationState(cfg=None, explored=frozenset(
+        {(0, "T"), (0, "F"), (1, "T"), (2, "T")}))
+    for cfg in (coverage_config(), path_config(((0, "T"), (1, "T"))),
+                bva_config(), plain_config()):
+        evaluate = CompiledProgram(program, cfg).objective(state)
+        for box in (None, [(0.0, 2), (5, 6.0)],
+                    [(-0.0, 1.0), (-1.0, 1e-3)], [(-1.0, -0.0), (-1.0, 1.0)]):
+            assert_runners_match_reference(evaluate, 2, box, calls)
+
+
+def test_objectives_sharing_code_keep_their_box_and_state_apart():
+    """Objectives of one compiled program, or of one compiled
+    constraint, called in turn give what fresh ones give alone."""
+    program = load("k_cos.mx")
+    rng = random.Random("shared runners")
+    calls = []
+    for _ in range(12):
+        x, d = _point(rng, 2), _point(rng, 2)
+        calls.append((x,) if rng.random() < 0.3
+                     else (x, d, rng.choice((0.0, 1.0, -0.5, 1e-6))))
+
+    def objective(compiled, explored):
+        return compiled.objective(SaturationState(cfg=None,
+                                                  explored=explored))
+
+    shared = CompiledProgram(program, coverage_config())
+    constraint = parse_constraint("x*y == 12 && x + y < 7")
+    distance = compile_constraint(constraint).fn
+    # (fresh function, shared function, box) per objective
+    groups = [
+        [(objective(CompiledProgram(program, coverage_config()), explored),
+          objective(shared, explored), box)
+         for explored, box in (
+             (frozenset(), [(-1.0, 1.0), (-1e-3, 1e-3)]),
+             (frozenset({(0, "T"), (1, "F"), (3, "T")}), None),
+             (frozenset({(0, "F")}), [(0.25, 4.0), (-10.0, 10.0)]))],
+        [(compile_constraint(constraint).fn, distance, box)
+         for box in ([(-1.0, 1.0), (2.0, 3.0)], None, [(0.0, 1e-3)] * 2)],
+    ]
+    for group in groups:
+        expected = [_evaluations(Objective(fresh, 2, box), calls)
+                    for fresh, _shared, box in group]
+        assert len(set(map(repr, expected))) == len(group)
+        objectives = [Objective(fn, 2, box) for _fresh, fn, box in group]
+        got = [[] for _ in group]
+        for call in calls:
+            for i, each in enumerate(objectives):
+                got[i] += _evaluations(each, [call])
+        assert got == expected
 
 
 # -- the code cache

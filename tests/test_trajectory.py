@@ -102,6 +102,25 @@ def test_program_mode_trajectory(mode, name, target, seed, n_start,
         assert _summary(result) == expected
 
 
+def test_cover_trajectory_under_a_narrow_box():
+    # Powell's unit steps leave this box on nearly every line search, so
+    # most evaluations clamp their point, some on both inputs
+    program = load("k_cos.mx")
+    cfg = SearchConfig(seed=3, n_start=60, box=[(-1.0, 1.0), (-1e-3, 1e-3)])
+    for result in cold_then_warm(
+            lambda: run_coverage(program, "kernel_cos", cfg)):
+        assert _summary(result) == {
+            'inputs': [['0.08845845059190371', '0.00020784007719238892'],
+                       ['-0.8689422815203738', '0.00067493816419292'],
+                       ['-0.5313380779066073', '-1.4391448684616207e-18'],
+                       ['5.1946771328914565e-09', '0.000269721316570377']],
+            'eval_count': 3222,
+            'starts_used': 7,
+            'infeasible': [(1, 'F')],
+            'covered': [(0, 'F'), (0, 'T'), (1, 'T'), (2, 'F'), (2, 'T'),
+                        (3, 'F'), (3, 'T')]}
+
+
 # cover returns a single sample for a label-free or input-free entry
 EARLY = [
     ('real id(real x) { return x; }',
@@ -129,33 +148,33 @@ def test_cover_early_return_trajectory(source, expected):
         assert [t.final_r for t in result.traces] == [0.0]
 
 
-# (constraint, seed, n_start, expected result fields)
+# (constraint, seed, n_start, box, expected result fields)
 SATS = [
-    ('1 + 1 == 2', 1, 3,
+    ('1 + 1 == 2', 1, 3, None,
      {'verdict': 'sat',
       'model': [],
       'residual': '0.0',
       'eval_count': 1,
       'starts_used': 0}),
-    ('1 < 0', 1, 3,
+    ('1 < 0', 1, 3, None,
      {'verdict': 'unknown',
       'model': None,
       'residual': '1.000001',
       'eval_count': 1,
       'starts_used': 0}),
-    ('x*y == 12 && x + y == 7', 1, 8,
+    ('x*y == 12 && x + y == 7', 1, 8, None,
      {'verdict': 'sat',
       'model': ['3.9999999999999987', '3.000000000000001'],
       'residual': '0.0',
       'eval_count': 3364,
       'starts_used': 1}),
-    ('x*x == 2', 3, 4,
+    ('x*x == 2', 3, 4, None,
      {'verdict': 'unknown',
       'model': None,
       'residual': '1.9721522630525295e-31',
       'eval_count': 2854,
       'starts_used': 4}),
-    ('a*b - c == 1 && a + b + c == 10', 7, 8,
+    ('a*b - c == 1 && a + b + c == 10', 7, 8, None,
      {'verdict': 'sat',
       'model': ['-0.7782530797492326',
                 '53.115745943301214',
@@ -163,15 +182,31 @@ SATS = [
       'residual': '0.0',
       'eval_count': 1035,
       'starts_used': 1}),
+    # narrow boxes, one pair per variable: every line search clamps
+    ('x*y*z == 6 && x + y + z == 6 && x < y', 2, 8,
+     [(-2.0, 2.0), (0.5, 3.0), (-1e-3, 4.0)],
+     {'verdict': 'sat',
+      'model': ['2.0', '2.9999999999999996', '1.0000000000000002'],
+      'residual': '0.0',
+      'eval_count': 2681,
+      'starts_used': 1}),
+    # no root inside the box: a + b >= 7 forces a*b >= 6 > 1 + c
+    ('p*q - r == 1 && p + q + r == 10', 7, 8,
+     [(0.0, 5.0), (1.0, 4.0), (-1.0, 3.0)],
+     {'verdict': 'unknown',
+      'model': None,
+      'residual': '2.0',
+      'eval_count': 12754,
+      'starts_used': 8}),
 ]
 
 
-@pytest.mark.parametrize("text, seed, n_start, expected", SATS,
+@pytest.mark.parametrize("text, seed, n_start, box, expected", SATS,
                          ids=[s[0] for s in SATS])
-def test_sat_trajectory(text, seed, n_start, expected):
+def test_sat_trajectory(text, seed, n_start, box, expected):
     constraint = parse_constraint(text)
     for result in cold_then_warm(lambda: check_sat(
-            constraint, SearchConfig(seed=seed, n_start=n_start))):
+            constraint, SearchConfig(seed=seed, n_start=n_start, box=box))):
         model = (None if result.model is None
                  else [repr(v) for v in result.model])
         assert {"verdict": result.verdict, "model": model,
