@@ -13,16 +13,17 @@ body again until the set before the loop stops growing, and a call
 walks the callee's body with the set after the call as the set at the
 callee's returns.  That walk is memoised on (callee, set after the
 call, functions being walked), so each body is walked once per distinct
-continuation.
+continuation, and the relation itself is kept on the Program, so each
+entry of a parsed program is walked once.
 """
 
 from dataclasses import dataclass
 
 from .errors import MexecError, UnknownFunction
-from .lang import Block, Call, If, Return, While, children
+from .lang import Block, Call, If, Return, While, children, memoised
 
 
-@dataclass
+@dataclass(frozen=True)
 class CFG:
     labels: frozenset
     branches: frozenset
@@ -101,9 +102,14 @@ class _Walk:
 
 def build_cfg(program, entry):
     """The labels, branches and descendant relation of `entry`, with
-    user calls followed into their callees."""
-    fn = program.function(entry)
-    if fn is None:
+    user calls followed into their callees.  Built once per program and
+    entry: every later call returns the same CFG, which callers only
+    read."""
+    return memoised(program, ("cfg", entry), lambda: _build(program, entry))
+
+
+def _build(program, entry):
+    if program.function(entry) is None:
         raise UnknownFunction(f"no function named {entry!r}")
     walk = _Walk(program)
     try:

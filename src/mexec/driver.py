@@ -45,12 +45,18 @@ class SearchConfig:
 
     def resolved_box(self, arity):
         """One (lo, hi) bound per input, from one pair for every input
-        or one pair each; raises InvalidBox unless every bound is finite
-        and lo < hi."""
+        or one pair each; raises InvalidBox unless every bound is a
+        finite double and lo < hi."""
         if self.box is None:
             return [(-1e3, 1e3)] * arity
         for lo, hi in self.box:
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            try:
+                ok = math.isfinite(lo) and math.isfinite(hi) and lo < hi
+            except OverflowError:
+                # an int bound past the double range, too long to print
+                raise InvalidBox("bad box bound past the double "
+                                 "range") from None
+            if not ok:
                 raise InvalidBox(f"bad box ({lo!r}, {hi!r}), need finite "
                                  "lo < hi")
         if len(self.box) == 1:

@@ -1,9 +1,10 @@
 """Representing functions compiled to Python.
 
-Each mode call translates the parsed program to Python source, one
-Python function per .mx function, and execs it; the code is compiled
-once per distinct source, not once per mode call.  One generator emits
-two flavours of the same program:
+The parsed program is translated to Python source, one Python function
+per .mx function, once per program, entry, mode and flavour: the source
+is kept on the Program, and its code is compiled once per distinct
+source.  Each mode call execs that code into a namespace of its own.
+One generator emits two flavours of the same program:
 
 * the fast flavour computes only the final representing value r.  It
   ends in the generated evaluations of the entry: `_value` gives r at
@@ -17,7 +18,7 @@ two flavours of the same program:
   `execute`, admission replays and reports use it.
 
 A `sat` constraint compiles to the same evaluations, its r the sum of
-its comparisons' branch distances.
+its comparisons' branch distances; its source is kept on the Constraint.
 
 At each labeled conditional the mode decides how r changes: coverage
 assigns the penalty of the saturation state, path adds the distance
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .lang import (
     Assign, Binary, Block, Call, Decl, Deref, ExprStmt, If, Incr, Num,
-    Return, Unary, Var, While, walk,
+    Return, Unary, Var, While, memoised, walk,
 )
 from .optimize import SENTINEL
 from .saturation import pen
@@ -570,7 +571,8 @@ class CompiledProgram:
 
     `objective(sat_state)` gives the fast flavour as a
     RepresentingFunction; `trace(inputs, sat_state)` runs the tracing
-    flavour.  Each flavour is generated on first use.
+    flavour.  Each flavour is set up on first use, from the source the
+    program keeps per entry, mode and flavour.
     """
 
     def __init__(self, program, cfg, entry=None, step_budget=1_000_000):
@@ -591,7 +593,21 @@ class CompiledProgram:
             return self._flavours[tracing]
         cfg = self.cfg
         name = f"{self.entry} {cfg.mode} {'tracing' if tracing else 'fast'}"
-        gen = _Source(cfg.mode, tracing)
+        source = memoised(self.program,
+                          ("source", self.entry, cfg.mode, tracing),
+                          lambda: self._source(tracing))
+        ns = _namespace()
+        ns.update(_B=self.step_budget, _eps=cfg.epsilon, _pen=pen)
+        if cfg.mode == PATH:
+            target = cfg.target_path
+            ns["_tl"] = tuple(label for label, _side in target) + (None,)
+            ns["_tt"] = tuple(side == "T" for _label, side in target)
+        exec(_compile(source, name), ns)
+        self._flavours[tracing] = ns
+        return ns
+
+    def _source(self, tracing):
+        gen = _Source(self.cfg.mode, tracing)
         if tracing:
             gen.lines.append(_TRACING_HELPERS)
         for fn in self.program.functions:
@@ -601,15 +617,7 @@ class CompiledProgram:
             gen.evaluations(self.entry, params, self._core(params),
                             ["if _r - _r == 0.0:", "    return _r",
                              "return _SENTINEL"])
-        ns = _namespace()
-        ns.update(_B=self.step_budget, _eps=cfg.epsilon, _pen=pen)
-        if cfg.mode == PATH:
-            target = cfg.target_path
-            ns["_tl"] = tuple(label for label, _side in target) + (None,)
-            ns["_tt"] = tuple(side == "T" for _label, side in target)
-        exec(_compile(gen.text(), name), ns)
-        self._flavours[tracing] = ns
-        return ns
+        return gen.text()
 
     def _core(self, params):
         """Lines running the entry on `params` from a fresh `_r`, step
@@ -679,11 +687,23 @@ def execute(program, inputs, cfg=None, sat_state=None, entry=None,
                            step_budget).trace(inputs, sat_state)
 
 
-def compile_comparisons(comparisons, names, epsilon=1e-6):
-    """Compile a conjunction of comparisons over the variables `names`
-    into a RepresentingFunction, the sum of the comparisons' branch
-    distances or the sentinel if an operand is NaN, and a function of
-    an input vector telling whether every comparison holds."""
+def compile_comparisons(constraint, epsilon=1e-6):
+    """Compile the conjunction of comparisons `constraint.conjuncts` over
+    the variables `constraint.variables` into a RepresentingFunction,
+    the sum of the comparisons' branch distances or the sentinel if an
+    operand is NaN, and a function of an input vector telling whether
+    every comparison holds.  The source is generated once per
+    constraint."""
+    source = memoised(constraint, "source",
+                      lambda: _comparisons_source(constraint))
+    ns = _namespace()
+    ns["_eps"] = epsilon
+    exec(_compile(source, "constraint"), ns)
+    return RepresentingFunction(ns, len(constraint.variables)), ns["_holds"]
+
+
+def _comparisons_source(constraint):
+    comparisons, names = constraint.conjuncts, constraint.variables
     gen = _Source()
     core = ["_r = 0.0", "try:"]
     for cmp in comparisons:
@@ -701,10 +721,7 @@ def compile_comparisons(comparisons, names, epsilon=1e-6):
     gen.define("_holds(x)",
                [f"{v} = _float(x[{i}])" for i, v in enumerate(params)]
                + [f"return {' and '.join(tests) or 'True'}"])
-    ns = _namespace()
-    ns["_eps"] = epsilon
-    exec(_compile(gen.text(), "constraint"), ns)
-    return RepresentingFunction(ns, len(names)), ns["_holds"]
+    return gen.text()
 
 
 # ---------------------------------------------------------------------------
@@ -716,16 +733,21 @@ def _nodes(program):
 
 
 def executable_lines(program):
-    """Line numbers of all executable statements in the program."""
-    return {node.line for node in _nodes(program)
-            if isinstance(node, _STATEMENTS) and node.line}
+    """Line numbers of all executable statements in the program, found
+    once per program."""
+    return memoised(program, "lines", lambda: frozenset(
+        node.line for node in _nodes(program)
+        if isinstance(node, _STATEMENTS) and node.line))
 
 
 def call_sites(program):
-    """Static (line, col) positions of user-function call expressions."""
-    user = {f.name for f in program.functions}
-    return {(node.line, node.col) for node in _nodes(program)
-            if isinstance(node, Call) and node.name in user}
+    """Static (line, col) positions of user-function call expressions,
+    found once per program."""
+    def find():
+        user = {f.name for f in program.functions}
+        return frozenset((node.line, node.col) for node in _nodes(program)
+                         if isinstance(node, Call) and node.name in user)
+    return memoised(program, "calls", find)
 
 
 def conditional_counts(program):

@@ -210,14 +210,28 @@ class FunctionDef(Node):
 
 @dataclass
 class Program:
+    """A parsed program.  `parse` builds it, labels its conditionals and
+    counts them; from then on the AST is read-only.  What depends only
+    on it (generated source, descendant relation, report totals) is
+    computed on first use and kept in `_memo` (see `memoised`)."""
     functions: list
     num_conditionals: int = 0
+    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def function(self, name):
         for f in self.functions:
             if f.name == name:
                 return f
         return None
+
+
+def memoised(owner, key, make):
+    """`make()`, computed once per `key` and kept in the `_memo` dict of
+    the read-only `owner`; a `make` that raises leaves nothing kept."""
+    memo = owner._memo
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
 
 
 # the fields of each node type that hold child nodes, in field order

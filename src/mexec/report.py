@@ -2,7 +2,7 @@
 versioned JSON form that round-trips losslessly."""
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .interp import call_sites, executable_lines
@@ -106,9 +106,9 @@ def coverage_report(result, program, entry="", uninstrumentable=0):
 
 
 def to_json(report):
-    payload = {"schema": SCHEMA}
-    payload.update(asdict(report))
-    return json.dumps(payload, indent=2, sort_keys=True)
+    # the fields in place: dataclasses.asdict would deep-copy them first
+    return json.dumps({"schema": SCHEMA, **vars(report)}, indent=2,
+                      sort_keys=True)
 
 
 def from_json(text):

@@ -21,9 +21,12 @@ from . import driver
 
 @dataclass
 class Constraint:
+    """A parsed constraint, read-only once `parse_constraint` returns it;
+    its generated source is kept in `_memo`."""
     conjuncts: list                     # list of Compare nodes
     variables: list                     # ordered names
     text: str = ""
+    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _collect_vars(cmp, names):
@@ -72,8 +75,7 @@ def parse_constraint(text, variables=None):
 
 def compile_constraint(constraint, epsilon=1e-6):
     """Objective summing the distance of every conjunct from holding."""
-    distance, _ = compile_comparisons(
-        constraint.conjuncts, constraint.variables, epsilon)
+    distance, _ = compile_comparisons(constraint, epsilon)
     return Objective(distance, len(constraint.variables))
 
 
@@ -89,8 +91,7 @@ class SatResult:
 
 
 def _holds(constraint, x):
-    _, holds = compile_comparisons(constraint.conjuncts,
-                                   constraint.variables)
+    _, holds = compile_comparisons(constraint)
     return holds(x)
 
 

@@ -1,10 +1,15 @@
 import json
 import pathlib
+from dataclasses import asdict
 
 import pytest
 
 from mexec.cli import main
-from mexec.report import CoverageReport, from_json, to_json
+from mexec.driver import SearchConfig, run_bva, run_coverage, run_path
+from mexec.lang import parse
+from mexec.report import (
+    SCHEMA, CoverageReport, coverage_report, from_json, to_json,
+)
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 FOO = str(BENCH / "foo.mx")
@@ -127,6 +132,23 @@ def test_json_report_round_trip(capsys, tmp_path):
     report = from_json(text)
     assert isinstance(report, CoverageReport)
     assert from_json(to_json(report)) == report
+
+
+@pytest.mark.parametrize("mode", ["cover", "path", "bva"])
+def test_json_report_is_the_fields_as_asdict_gives_them(mode):
+    program = parse((BENCH / "k_cos.mx").read_text(encoding="utf-8"))
+    entry = program.functions[-1].name
+    cfg = SearchConfig(n_start=8, seed=5)
+    result = {"cover": lambda: run_coverage(program, entry, cfg),
+              "path": lambda: run_path(program, entry, [(0, "F")], cfg),
+              "bva": lambda: run_bva(program, entry, cfg)}[mode]()
+    report = coverage_report(result, program, entry, uninstrumentable=1)
+    assert report.inputs and report.branch_status
+    text = to_json(report)
+    assert text == json.dumps({"schema": SCHEMA, **asdict(report)},
+                              indent=2, sort_keys=True)
+    assert from_json(text) == report
+    assert to_json(from_json(text)) == text
 
 
 def test_json_report_deterministic_modulo_wall_time(capsys, tmp_path):

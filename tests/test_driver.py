@@ -175,6 +175,7 @@ def test_sample_start_in_a_box_wider_than_the_largest_double():
 @pytest.mark.parametrize("box", [
     [(-math.inf, math.inf)], [(0.0, math.inf)], [(math.nan, 1.0)],
     [(1.0, 1.0)], [(2.0, -2.0)], [(-1.0, 1.0), (0.0, math.inf)],
+    [(-10**400, 1)], [(-1.0, 1.0), (0, 10**5000)],
 ])
 def test_non_finite_or_empty_box_raises(box, foo):
     cfg = SearchConfig(box=box, n_start=2, seed=0)

@@ -1,11 +1,13 @@
 """Every mode on random programs and constraints, with tiny budgets.
 
 Only documented errors (MexecError subclasses) may escape a mode call,
-and every input a mode admits must replay, compiled again on an emptied
-code cache, to an exact root: under the saturation state it was
-admitted in (coverage), along the target branches (path), or on a
-boundary (bva).  A sat model must zero the constraint's objective and
-satisfy the reference evaluator.
+and every input a mode admits must replay to an exact root, on the
+program parsed again and compiled again on an emptied code cache, so
+the replay shares no kept source or code with the search: under the
+saturation state it was admitted in (coverage), along the target
+branches (path), or on a boundary (bva).  A sat model must zero the
+objective of the constraint parsed again and satisfy the reference
+evaluator.
 Every program `parse` accepts, nested up to its limits, compiles and
 runs in every mode and both flavours.
 """
@@ -27,7 +29,7 @@ from mexec.lang import (
     BUILTIN_ARITY, MAX_LOOP_DEPTH, MAX_STMT_DEPTH, max_expr_depth, parse,
 )
 from mexec.optimize import LocalMinConfig, MCMCConfig
-from mexec.satcheck import check_sat, compile_constraint
+from mexec.satcheck import check_sat, compile_constraint, parse_constraint
 from test_engine import OPS, _ProgramGen, _oracle_holds, constraints
 
 
@@ -59,15 +61,20 @@ def programs_and_targets(draw):
                f"if (a {gen.pick(OPS)} {gen.number()}) {{ "
                f"if (b {gen.pick(OPS)} {gen.number()}) {{ {call} }} }} "
                f"while (b < {gen.number()}) {{ b = b + 1; }} return a; }}")
-    program = parse(source)
     entry = "main"
-    branches = sorted(build_cfg(program, entry).branches)
+    branches = sorted(build_cfg(parse(source), entry).branches)
     target = (draw(st.lists(st.sampled_from(branches), max_size=3))
               if branches else [])
-    return program, entry, target, draw(st.integers(0, 1000))
+    return source, entry, target, draw(st.integers(0, 1000))
 
 
-def check_coverage(program, entry, cfg):
+def replay_program(source):
+    """`source` parsed again, its code compiled again."""
+    _compile.cache_clear()
+    return parse(source)
+
+
+def check_coverage(program, source, entry, cfg):
     states = []
     update = saturation.update_saturation
 
@@ -80,27 +87,27 @@ def check_coverage(program, entry, cfg):
     if result is None or not states:
         return
     assert len(states) == len(result.inputs)
-    _compile.cache_clear()
+    program = replay_program(source)
     for x, state in zip(result.inputs, states):
         trace = execute(program, x, coverage_config(cfg.epsilon), state,
                         entry=entry, step_budget=cfg.step_budget)
         assert trace.final_r == 0.0
 
 
-def check_path(program, entry, target, cfg):
+def check_path(program, source, entry, target, cfg):
     result = documented(lambda: run_path(program, entry, target, cfg))
     if result is None or result.found is None:
         return
-    _compile.cache_clear()
-    trace = execute(program, result.found, path_config(target, cfg.epsilon),
+    trace = execute(replay_program(source), result.found,
+                    path_config(target, cfg.epsilon),
                     entry=entry, step_budget=cfg.step_budget)
     assert trace.final_r == 0.0
     assert tuple(trace.path[:len(target)]) == tuple(target)
 
 
-def check_bva(program, entry, cfg):
+def check_bva(program, source, entry, cfg):
     result = documented(lambda: run_bva(program, entry, cfg))
-    _compile.cache_clear()
+    program = replay_program(source)
     for x in result.inputs if result is not None else ():
         trace = execute(program, x, bva_config(cfg.epsilon), entry=entry,
                         step_budget=cfg.step_budget)
@@ -110,11 +117,13 @@ def check_bva(program, entry, cfg):
 @settings(max_examples=40)
 @given(programs_and_targets())
 def test_program_modes_admit_only_replayed_roots(case):
-    program, entry, target, seed = case
+    source, entry, target, seed = case
     cfg = tiny_config(seed)
-    check_coverage(program, entry, cfg)
-    check_path(program, entry, target, cfg)
-    check_bva(program, entry, cfg)
+    # one program searched in every mode, each replay on its own parse
+    program = parse(source)
+    check_coverage(program, source, entry, cfg)
+    check_path(program, source, entry, target, cfg)
+    check_bva(program, source, entry, cfg)
 
 
 @settings(max_examples=60)
@@ -124,7 +133,8 @@ def test_sat_models_satisfy_the_constraint(case, seed):
     result = documented(lambda: check_sat(constraint, tiny_config(seed)))
     if result is not None and result.verdict == "sat":
         _compile.cache_clear()
-        assert compile_constraint(constraint).fn(result.model) == 0.0
+        again = parse_constraint(constraint.text, constraint.variables)
+        assert compile_constraint(again).fn(result.model) == 0.0
         assert _oracle_holds(constraint, result.model)
 
 
