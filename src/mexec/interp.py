@@ -1,9 +1,10 @@
 """Representing functions compiled to Python.
 
 The parsed program is translated to Python source, one Python function
-per .mx function, once per program, entry, mode and flavour: the source
-is kept on the Program, and its code is compiled once per distinct
-source.  Each mode call execs that code into a namespace of its own.
+per .mx function, once per program, mode and flavour, and for the fast
+flavour once per entry: the source is kept on the Program, and its code
+is compiled once per distinct source.  Each mode call execs that code
+into a namespace of its own.
 One generator emits two flavours of the same program:
 
 * the fast flavour computes only the final representing value r.  It
@@ -12,7 +13,8 @@ One generator emits two flavours of the same program:
   optimize.Objective.  A runner takes a point (the line runner builds
   it as x + t*d), clamps it into the objective's box, counts one
   evaluation on the objective, runs the entry and maps a non-finite or
-  above-sentinel r to the sentinel, all in one generated call;
+  above-sentinel r to the sentinel, all in one generated call; at the
+  last clamped point the runners ran it returns the value kept;
 * the tracing flavour also records coverage facts (lines, conditionals,
   branches, call sites, the branch path, steps) in an ExecutionTrace;
   `execute`, admission replays and reports use it.
@@ -470,6 +472,12 @@ class _Source:
         maps a non-finite or above-sentinel `_r` to the sentinel.  The
         saturation table `_s` and the bounds are the runners' own, so
         runners bound to different objectives never share them.
+
+        The two runners share the last clamped point `_m0, _m1, ...`
+        they ran to a normal return, and its value `_mr`.  A request at
+        exactly that point, each input equal and of the same sign if
+        zero, returns `_mr` and counts a reuse on `_obj` instead of
+        running the entry again; a NaN input never matches.
         """
         n = len(params)
         wrong = f"{name} expects {n} inputs, got "
@@ -480,19 +488,32 @@ class _Source:
                  for line in (f"if {v} < _lo{i}: {v} = _lo{i}",
                               f"if {v} > _hi{i}: {v} = _hi{i}")]
         sanitise = [f"if {-sys.float_info.max!r} <= _r <= {SENTINEL!r}:",
-                    "    return _r",
-                    "return _SENTINEL"]
+                    "    _mr = _r",
+                    "else:",
+                    "    _mr = _SENTINEL",
+                    "return _mr"]
         self.define("_value(_s, x)", [check] + take + core + raw_tail)
         bounds = "".join(f", _lo{i}, _hi{i}" for i in range(n))
         self.emit(f"def _bind(_obj, _s{bounds}):")
         self.indent += 1
-        count = "_obj.eval_count += 1"
-        self.define("_point(x)", [count, check] + take + clamp + core
-                    + sanitise)
+        head, reuse = ["_obj.eval_count += 1"], []
+        if n:
+            last = [f"_m{i}" for i in range(n)]
+            self.emit(f"_mr = {' = '.join(last)} = _float('nan')")
+            head.insert(0, f"nonlocal {', '.join(last)}, _mr")
+            same = ([f"{v} == {m}" for v, m in zip(params, last)]
+                    + [f"({v} or _cs(1.0, {v}) == _cs(1.0, {m}))"
+                       for v, m in zip(params, last)])
+            reuse = [f"if {' and '.join(same)}:",
+                     "    _obj.reuse_count += 1",
+                     "    return _mr"]
+            sanitise.insert(0, f"{', '.join(last)} = {', '.join(params)}")
+        self.define("_point(x)", head + [check] + take + clamp + reuse
+                    + core + sanitise)
         self.define("_line(x, d, t)",
-                    [count] + [f"{v} = x[{i}] + t * d[{i}]"
-                               for i, v in enumerate(params)]
-                    + clamp + core + sanitise)
+                    head + [f"{v} = x[{i}] + t * d[{i}]"
+                            for i, v in enumerate(params)]
+                    + clamp + reuse + core + sanitise)
         self.emit("return _point, _line")
         self.indent -= 1
 
@@ -513,7 +534,7 @@ def _took(branch):
 def _namespace():
     ns = {f"_b_{name}": fn for name, fn in BUILTIN_FUNCTIONS.items()}
     ns.update(_pow=_pow, _div=_div, _nan=_nan,
-              _float=float, _ArityMismatch=ArityMismatch,
+              _float=float, _cs=math.copysign, _ArityMismatch=ArityMismatch,
               _StepBudgetExceeded=StepBudgetExceeded,
               _CallDepthExceeded=CallDepthExceeded, _SENTINEL=SENTINEL,
               _ABORTS=tuple(_ABORTS))
@@ -572,7 +593,7 @@ class CompiledProgram:
     `objective(sat_state)` gives the fast flavour as a
     RepresentingFunction; `trace(inputs, sat_state)` runs the tracing
     flavour.  Each flavour is set up on first use, from the source the
-    program keeps per entry, mode and flavour.
+    program keeps per mode and flavour (and entry, for the fast one).
     """
 
     def __init__(self, program, cfg, entry=None, step_budget=1_000_000):
@@ -592,9 +613,11 @@ class CompiledProgram:
         if tracing in self._flavours:
             return self._flavours[tracing]
         cfg = self.cfg
-        name = f"{self.entry} {cfg.mode} {'tracing' if tracing else 'fast'}"
-        source = memoised(self.program,
-                          ("source", self.entry, cfg.mode, tracing),
+        # the tracing source holds the program's functions only, so the
+        # entries of one program share it
+        entry = None if tracing else self.entry
+        name = f"{cfg.mode} tracing" if tracing else f"{entry} {cfg.mode} fast"
+        source = memoised(self.program, ("source", entry, cfg.mode, tracing),
                           lambda: self._source(tracing))
         ns = _namespace()
         ns.update(_B=self.step_budget, _eps=cfg.epsilon, _pen=pen)

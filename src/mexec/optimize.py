@@ -8,6 +8,12 @@ discontinuous at branch flips.  They evaluate it through an Objective:
 at a point by calling it, and along a line by the function of t that
 `Objective.along` returns, so a line search builds no point list per
 evaluation.
+
+A line search asks for no value it already holds: the bracket starts
+from the value at t = 0, and Brent checks the bracket with the values
+the bracketing found.  The Objective still counts each of those
+requests in `eval_count`, as an evaluation reused, so the count and the
+search path are those of a search that evaluates every request.
 """
 
 import math
@@ -40,6 +46,11 @@ class Objective:
     box)` method, as interp's compiled representing functions do, the
     generated point and line runners it returns do all of this in one
     call; otherwise each evaluation calls `fn` on the clamped point.
+
+    `eval_count` counts the evaluations the search requests, and
+    `reuse_count` those of them answered with a value already held:
+    by the runners when a request repeats the last clamped point they
+    ran, and by a line search for the values it passes on.
     """
 
     def __init__(self, fn, arity, box=None):
@@ -47,6 +58,7 @@ class Objective:
         self.arity = arity
         self.box = box
         self.eval_count = 0
+        self.reuse_count = 0
         runners = getattr(fn, "runners", None)
         if runners is None:
             self._point, self._line = self._evaluate, partial(_on_line, self)
@@ -55,6 +67,12 @@ class Objective:
 
     def __call__(self, x):
         return self._point(x)
+
+    @property
+    def run_count(self):
+        """The evaluations actually run: those requested, less those
+        reused."""
+        return self.eval_count - self.reuse_count
 
     def along(self, x, direction):
         """The objective at x + t*direction as a function of the float t,
@@ -86,14 +104,10 @@ class MCMCConfig:
     box: Optional[list] = None     # per-dimension (lo, hi) or None
 
 
-def bracket_minimum(g, t0=0.0, step=1.0, growth=2.0, max_expand=80):
-    """Bracket a minimum of g by stepping outward from t0.
-
-    Returns (lo, mid, hi) with g(mid) <= g(lo) and g(mid) <= g(hi).
-    """
-    a = t0
-    b = t0 + step
-    fa = g(a)
+def _bracket(g, a, fa, step, growth, max_expand):
+    """`bracket_minimum` from t = a, whose value fa is known; returns
+    (t, g(t)) for lo, mid and hi."""
+    b = a + step
     fb = g(b)
     if fb > fa:
         a, b = b, a
@@ -107,17 +121,36 @@ def bracket_minimum(g, t0=0.0, step=1.0, growth=2.0, max_expand=80):
             break
         a, b, c = b, c, c + growth * (c - b)
         fa, fb, fc = fb, fc, g(c)
-    lo, hi = (a, c) if a < c else (c, a)
-    return lo, b, hi
+    if a < c:
+        return (a, fa), (b, fb), (c, fc)
+    return (c, fc), (b, fb), (a, fa)
 
 
-def brent_line_min(g, bracket, xtol=1e-8, max_iter=100):
-    """Brent's parabolic-interpolation line minimizer on a bracket."""
+def bracket_minimum(g, t0=0.0, step=1.0, growth=2.0, max_expand=80):
+    """Bracket a minimum of g by stepping outward from t0.
+
+    Returns (lo, mid, hi) with g(mid) <= g(lo) and g(mid) <= g(hi).
+    """
+    lo, mid, hi = _bracket(g, t0, g(t0), step, growth, max_expand)
+    return lo[0], mid[0], hi[0]
+
+
+def brent_line_min(g, bracket, xtol=1e-8, max_iter=100, values=None):
+    """Brent's parabolic-interpolation line minimizer on a bracket.
+
+    `values`, if given, are g(lo), g(mid) and g(hi); the check that the
+    midpoint is lowest then uses them and evaluates nothing.
+    """
     lo, mid, hi = bracket
     if not (lo <= mid <= hi) or not (lo < hi):
         raise InvalidBracket(f"bad bracket ordering {bracket!r}")
-    f_mid = g(mid)
-    if f_mid > g(lo) or f_mid > g(hi):
+    if values is None:
+        f_mid = g(mid)
+        higher = f_mid > g(lo) or f_mid > g(hi)
+    else:
+        f_lo, f_mid, f_hi = values
+        higher = f_mid > f_lo or f_mid > f_hi
+    if higher:
         raise InvalidBracket(f"midpoint is not lowest in {bracket!r}")
 
     a, b = lo, hi
@@ -181,9 +214,20 @@ def _line_minimize(f, x, direction, cfg):
     else:
         g = partial(_on_line, f, x, direction)
     f0 = g(0.0)
-    bracket = bracket_minimum(g, 0.0, 1.0, cfg.bracket_growth)
+    (lo, f_lo), (mid, f_mid), (hi, f_hi) = _bracket(
+        g, 0.0, f0, 1.0, cfg.bracket_growth, 80)
+    if isinstance(f, Objective):
+        # the requests these values answer: the bracket's g(0) and, on an
+        # ordered bracket, Brent's check g(mid), g(lo) and, unless that
+        # already fails, g(hi)
+        known = 1
+        if lo <= mid <= hi and lo < hi:
+            known += 2 if f_mid > f_lo else 3
+        f.eval_count += known
+        f.reuse_count += known
     try:
-        t, ft = brent_line_min(g, bracket, cfg.xtol)
+        t, ft = brent_line_min(g, (lo, mid, hi), cfg.xtol,
+                               values=(f_lo, f_mid, f_hi))
     except InvalidBracket:
         # runaway bracketing (objective decreasing off to huge magnitudes)
         return list(x), f0, 0.0

@@ -13,7 +13,8 @@ from typing import Optional
 from .errors import NonNumericExpression, ParseError, UnknownVariable
 from .interp import compile_comparisons
 from .lang import (
-    Call, Deref, Var, _Parser, check_call, check_depth, tokenize, walk,
+    Call, Deref, Var, _Parser, check_call, check_depth, memoised, tokenize,
+    walk,
 )
 from .optimize import Objective
 from . import driver
@@ -22,7 +23,7 @@ from . import driver
 @dataclass
 class Constraint:
     """A parsed constraint, read-only once `parse_constraint` returns it;
-    its generated source is kept in `_memo`."""
+    its generated source and its replay check are kept in `_memo`."""
     conjuncts: list                     # list of Compare nodes
     variables: list                     # ordered names
     text: str = ""
@@ -91,7 +92,10 @@ class SatResult:
 
 
 def _holds(constraint, x):
-    _, holds = compile_comparisons(constraint)
+    """Whether every conjunct holds at `x`; the check is set up once per
+    constraint."""
+    holds = memoised(constraint, "holds",
+                     lambda: compile_comparisons(constraint)[1])
     return holds(x)
 
 

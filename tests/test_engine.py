@@ -10,6 +10,8 @@ shared through the code cache must give what a fresh compile gives.
 
 import math
 import random
+import sys
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -342,11 +344,27 @@ bounds = st.one_of(st.sampled_from((-0.0, 0.0, -1e-3, 1e-3, -1.0, 1.0,
                    st.floats(allow_nan=False, allow_infinity=False))
 
 
+def _at(call):
+    """The point a runner call asks for, before the box."""
+    if len(call) == 1:
+        return list(call[0])
+    x, d, t = call
+    return [xi + t * di for xi, di in zip(x, d)]
+
+
+# the ways a call may ask again for a point the runners hold, or for one
+# next to it that they must run
+REPEATS = ("again", "line at t = 0", "zero direction", "flipped zero",
+           "nan again", "same edge")
+
+
 @st.composite
 def runner_calls(draw, arity):
     """None or a box of one bound pair per input, and a sequence of
     point calls `(x,)` and line calls `(x, d, t)`; directions often
-    have zero components."""
+    have zero components, and calls often repeat a point or come next
+    to one: a call again, a line call landing on the last point, a zero
+    of the other sign, a NaN again, two points clamped to one edge."""
     box = None
     if draw(st.integers(0, 3)):
         box = [(draw(bounds), draw(bounds)) for _ in range(arity)]
@@ -354,9 +372,33 @@ def runner_calls(draw, arity):
     direction = st.lists(st.one_of(st.sampled_from((0.0, -0.0, 1.0)),
                                    edge_floats),
                          min_size=arity, max_size=arity)
-    calls = draw(st.lists(st.one_of(
-        st.tuples(vector), st.tuples(vector, direction, edge_floats)),
-        min_size=1, max_size=6))
+    call = st.one_of(st.tuples(vector),
+                     st.tuples(vector, direction, edge_floats))
+    calls = [draw(call)]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("fresh",) + REPEATS))
+        if kind == "again":
+            calls.append(calls[-1])
+        elif kind == "line at t = 0":
+            calls.append((_at(calls[-1]), draw(direction), 0.0))
+        elif kind == "zero direction":
+            zeros = draw(st.lists(st.sampled_from((0.0, -0.0)),
+                                  min_size=arity, max_size=arity))
+            calls.append((_at(calls[-1]), zeros, draw(edge_floats)))
+        elif kind in ("flipped zero", "nan again", "same edge"):
+            first, second = draw(vector), None
+            i = draw(st.integers(0, arity - 1))
+            if kind == "flipped zero":
+                first[i] = draw(st.sampled_from((0.0, -0.0)))
+                second = -first[i]
+            elif kind == "nan again":
+                first[i] = second = math.nan
+            else:
+                sign = draw(st.sampled_from((1.0, -1.0)))
+                first[i], second = sign * math.inf, sign * sys.float_info.max
+            calls += [(first,), (first[:i] + [second] + first[i + 1:],)]
+        else:
+            calls.append(draw(call))
     return box, calls
 
 
@@ -390,9 +432,47 @@ def _reference_evaluations(evaluate, arity, box, calls):
     return out
 
 
+def _held(call, box):
+    """The clamped point of a call as the runners compare it, each input
+    by repr so that zeros keep their sign; None if an input is NaN."""
+    point = [float(v) for v in clamp(_at(call), box)]
+    if any(math.isnan(v) for v in point):
+        return None
+    return tuple(map(repr, point))
+
+
+def _returned(value):
+    """Whether a reference value shows a normal return: a float, not the
+    sentinel of an abort, nor an exception's name."""
+    try:
+        return float(value) != SENTINEL
+    except ValueError:
+        return False
+
+
+def _run_bounds(calls, box, reference):
+    """The fewest and the most evaluations the runners may run for
+    `calls`, whose reference values are `reference`.  A call must run
+    unless its clamped point equals an earlier one's; it must be reused
+    when that point is the last call's and the last call returned
+    normally."""
+    points = [_held(call, box) for call in calls]
+    fewest = sum(p is None or p not in points[:i]
+                 for i, p in enumerate(points))
+    reused = sum(p is not None and p == points[i - 1]
+                 and _returned(reference[i - 1][0])
+                 for i, p in enumerate(points) if i)
+    return fewest, len(calls) - reused
+
+
 def assert_runners_match_reference(evaluate, arity, box, calls):
-    assert _evaluations(Objective(evaluate, arity, box), calls) \
-        == _reference_evaluations(evaluate, arity, box, calls)
+    """The runners' values and `eval_count` are the reference's; they run
+    a repeated point at most once, and every point new to them."""
+    objective = Objective(evaluate, arity, box)
+    reference = _reference_evaluations(evaluate, arity, box, calls)
+    assert _evaluations(objective, calls) == reference
+    fewest, most = _run_bounds(calls, box, reference)
+    assert fewest <= objective.run_count <= most <= objective.eval_count
 
 
 @settings(max_examples=150)
@@ -446,6 +526,42 @@ def test_runners_keep_signed_zeros_float_bounds_and_the_sentinel():
         for box in (None, [(0.0, 2), (5, 6.0)],
                     [(-0.0, 1.0), (-1.0, 1e-3)], [(-1.0, -0.0), (-1.0, 1.0)]):
             assert_runners_match_reference(evaluate, 2, box, calls)
+
+
+def test_runners_run_a_point_again_only_when_it_is_not_the_one_they_hold():
+    # x * y is NaN at (inf, 0), which aborts the evaluation
+    program = parse("real f(real x, real y) { if (x * y < 1) { return 1; }"
+                    " return 0; }")
+    box = [(-math.inf, math.inf), (-1.0, 1.0)]
+    # each call, and whether the runners must run it
+    calls = [(([1.0, 0.5],), True),
+             (([1.0, 0.5],), False),
+             (([1.0, 0.5], [3.0, -2.0], 0.0), False),
+             (([1.0, 0.5], [0.0, -0.0], 7.0), False),
+             (([math.inf, 0.0],), True),
+             (([math.inf, 0.0],), True),    # an abort is not kept
+             (([1.0, 0.5],), False),
+             (([1.0, 0.0],), True),
+             (([1.0, -0.0],), True),
+             (([1.0, -0.0], [0.0, 1.0], 0.0), True),    # -0.0 + 0.0
+             (([math.nan, 0.5],), True),
+             (([math.nan, 0.5],), True),
+             (([1.0, 5.0],), True),
+             (([1.0, math.inf],), False),   # clamped to the same edge
+             (([1.0, 0.0], [0.0, 1.0], 1e300), False)]
+    # modes that compute the distance at label 0, so NaN aborts there
+    state = SaturationState(cfg=None, explored=frozenset({(0, "T")}))
+    for cfg in (coverage_config(), path_config(((0, "T"),)), bva_config()):
+        evaluate = CompiledProgram(program, cfg).objective(state)
+        assert_runners_match_reference(evaluate, 2, box,
+                                       [call for call, _ in calls])
+        objective = Objective(evaluate, 2, box)
+        runs = []
+        for call, _ in calls:
+            _evaluations(objective, [call])
+            runs.append(objective.run_count)
+        assert runs == list(accumulate(run for _, run in calls))
+        assert objective.eval_count == len(calls)
 
 
 def test_objectives_sharing_code_keep_their_box_and_state_apart():

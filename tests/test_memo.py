@@ -21,7 +21,7 @@ from mexec.interp import (
     executable_lines, execute, path_config, plain_config,
 )
 from mexec.lang import parse
-from mexec.satcheck import check_sat, parse_constraint
+from mexec.satcheck import _holds, check_sat, parse_constraint
 from mexec.saturation import new_state, update_saturation
 
 DEEP = Path(__file__).resolve().parent.parent / "perfbench/programs/deep"
@@ -89,6 +89,15 @@ def test_a_second_sat_check_on_a_constraint_generates_nothing():
     assert result.verdict == "sat"
     assert len(first) == 1
     assert second == []
+
+
+def test_replays_of_a_constraint_exec_one_namespace():
+    constraint = parse_constraint("x*y == 12 && x + y == 7")
+    with mock.patch.object(interp, "_namespace",
+                           wraps=interp._namespace) as namespaces:
+        assert _holds(constraint, [3.0, 4.0])
+        assert not _holds(constraint, [3.0, 5.0])
+    assert namespaces.call_count == 1
 
 
 def test_path_runs_on_one_program_share_one_cfg(foo):
@@ -175,7 +184,20 @@ def test_one_program_in_every_mode_and_flavour_matches_a_fresh_parse():
                         later = _compiled(shared, entry, index)
                         assert (_run(*later, tracing, x)
                                 == _run(*fresh, tracing, x))
-    assert len([key for key in shared._memo if key[0] == "source"]) == 16
+    # a fast source per entry and mode, a tracing source per mode
+    assert len([key for key in shared._memo if key[0] == "source"]) == 12
+
+
+def test_the_entries_of_a_program_share_one_tracing_code_object():
+    program = parse(TWO_ENTRIES)
+    interp._compile.cache_clear()
+    f, g = (CompiledProgram(program, plain_config(), entry)
+            for entry in ("f", "g"))
+    assert f.trace([2.0, 1.0]).covered_calls
+    assert g.trace([0.5]).path == [(0, "T")]
+    assert interp._compile.cache_info().misses == 1
+    assert (f._flavour(True)["f_g"].__code__
+            is g._flavour(True)["f_g"].__code__)
 
 
 def test_aborted_and_non_finite_evaluations_match_a_fresh_parse():

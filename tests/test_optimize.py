@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from mexec.errors import InvalidBracket
 from mexec.optimize import (
-    LocalMinConfig, MCMCConfig, Objective, SENTINEL, basinhopping,
-    bracket_minimum, brent_line_min, metropolis_accept, powell_minimize,
+    LocalMinConfig, MCMCConfig, Objective, SENTINEL, _line_minimize,
+    basinhopping, bracket_minimum, brent_line_min, metropolis_accept,
+    powell_minimize,
 )
 
 
@@ -51,6 +52,157 @@ def test_bracket_minimum_brackets_a_quadratic():
     assert lo <= mid <= hi
     assert g(mid) <= g(lo) and g(mid) <= g(hi)
     assert lo <= 7.0 <= hi
+
+
+def _recorded(g):
+    """g, and the list of the points it is called at, in order."""
+    seen = []
+
+    def call(t):
+        seen.append(t)
+        return g(t)
+    return call, seen
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except InvalidBracket as exc:
+        return str(exc)
+
+
+# one-dimensional shapes a line search meets: smooth and flat minima,
+# kinks, steps, and values falling without bound
+LINES = {
+    "quadratic": lambda t: (t - 7.0) ** 2,
+    "raised quadratic": lambda t: (t + 0.3) ** 2 + 1.0,
+    "kink": lambda t: abs(t - 2.5),
+    "step": lambda t: 0.0 if t > 4.0 else 1.0,
+    "flat": lambda t: 1.0,
+    "falling": lambda t: -t,
+    "wavy": lambda t: math.sin(t) + 0.01 * t * t,
+}
+
+
+@pytest.mark.parametrize("t0, step, growth", [
+    (0.0, 1.0, 2.0), (3.0, 0.5, 1.618), (-2.0, 1.0, 0.5),
+    (0.0, 1.0, -1.0), (1.0, 2.0, -0.5)])
+def test_bracket_minimum_requests_what_it_always_did(t0, step, growth):
+    """Against the bracketing as written before it took a known value:
+    the same bracket from the same requests, in the same order."""
+    def reference(g):
+        a, b = t0, t0 + step
+        fa, fb = g(a), g(b)
+        if fb > fa:
+            a, b, fa, fb = b, a, fb, fa
+        c = b + growth * (b - a)
+        fc = g(c)
+        expansions = 0
+        while fc < fb:
+            expansions += 1
+            if expansions > 80:
+                break
+            a, b, c = b, c, c + growth * (c - b)
+            fb, fc = fc, g(c)
+        return (a, b, c) if a < c else (c, b, a)
+
+    for g in LINES.values():
+        g_new, new = _recorded(g)
+        g_old, old = _recorded(g)
+        assert (repr(bracket_minimum(g_new, t0, step, growth))
+                == repr(reference(g_old)))
+        assert new == old
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(list(LINES.values())),
+       st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=3),
+       st.booleans())
+def test_brent_with_the_bracket_values_matches_brent_without(g, ts, order):
+    """The same minimum, or the same InvalidBracket, from the requests
+    Brent makes without `values`, less those of its bracket check."""
+    bracket = tuple(sorted(ts)) if order else tuple(ts)
+    lo, mid, hi = bracket
+    g_plain, plain = _recorded(g)
+    g_known, known = _recorded(g)
+    expected = _outcome(lambda: brent_line_min(g_plain, bracket))
+    assert _outcome(lambda: brent_line_min(
+        g_known, bracket, values=(g(lo), g(mid), g(hi)))) == expected
+    checked = 0
+    if lo <= mid <= hi and lo < hi:
+        checked = 2 if g(mid) > g(lo) else 3
+    assert known == plain[checked:]
+
+
+def test_brent_with_values_raises_the_same_invalid_bracket():
+    with pytest.raises(InvalidBracket, match="bad bracket ordering"):
+        brent_line_min(lambda t: t * t, (0.0, 5.0, 1.0),
+                       values=(0.0, 25.0, 1.0))
+    with pytest.raises(InvalidBracket, match="midpoint is not lowest"):
+        brent_line_min(lambda t: t, (0.0, 1.0, 2.0), values=(0.0, 1.0, 2.0))
+
+
+def _line_minimize_of_every_request(f, x, direction, cfg):
+    """The line search that asks again for every value it needs: f at
+    t = 0, then the public bracketing and Brent's own bracket check."""
+    def g(t):
+        return f([xi + t * di for xi, di in zip(x, direction)])
+    f0 = g(0.0)
+    try:
+        t, ft = brent_line_min(
+            g, bracket_minimum(g, 0.0, 1.0, cfg.bracket_growth), cfg.xtol)
+    except InvalidBracket:
+        return list(x), f0, 0.0
+    if ft >= f0:
+        return list(x), f0, 0.0
+    return [xi + t * di for xi, di in zip(x, direction)], ft, f0 - ft
+
+
+def test_line_search_counts_every_request_and_runs_only_new_ones():
+    """Each line search requests, and counts, what the search of every
+    request does, and runs only what it did not already hold."""
+    x = [0.5, -1.0]
+    answered = set()
+    for growth in (2.0, 1.618, 0.5, -1.0, -0.5):
+        cfg = LocalMinConfig(bracket_growth=growth)
+        for g in LINES.values():
+            for direction in ([1.0, 0.0], [0.0, -0.5], [3.0, 1.0],
+                              [-0.5, 0.0], [-0.0, 0.0]):
+                def f(p):
+                    calls.append(p)
+                    return g(p[0] - 2.0 * p[1])
+                calls = []
+                reference, objective = Objective(f, 2), Objective(f, 2)
+                expected = _line_minimize_of_every_request(
+                    reference, x, direction, cfg)
+                calls = []
+                assert (repr(_line_minimize(objective, x, direction, cfg))
+                        == repr(expected))
+                assert objective.eval_count == reference.eval_count
+                assert (objective.run_count == len(calls)
+                        < objective.eval_count)
+                answered.add(objective.reuse_count)
+    # the requests answered from the values held: the bracket's g(0)
+    # and Brent's check of the bracket, 3 requests on an ordered bracket
+    # or 2 when g(mid) > g(lo) already fails it, none when Brent rejects
+    # the ordering (a growth of -1 brings the bracket back onto its
+    # start); a falling line on a negative direction stops at the
+    # expansion limit with g(mid) > g(lo)
+    assert answered == {1, 3, 4}
+
+
+def test_powell_counts_every_requested_evaluation_and_runs_fewer():
+    calls = []
+
+    def f(x):
+        calls.append(list(x))
+        return (x[0] - 1.0) ** 2 + abs(x[1] + 2.0)
+
+    objective = Objective(f, 2)
+    assert powell_minimize(objective, [10.0, 5.0]) == ([1.0, -2.0], 0.0)
+    # the count of a search that runs every request
+    assert objective.eval_count == 332
+    assert objective.run_count == len(calls) == 308
 
 
 def test_powell_1d_quadratic():
