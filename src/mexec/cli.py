@@ -100,6 +100,11 @@ def _search_config(args):
                         ("--n-iter", args.n_iter)):
         if count < 0:
             raise _UsageError(f"bad {flag} {count}, need a count >= 0")
+    infeasible_after = getattr(args, "infeasible_after",
+                               _DEFAULTS.infeasible_after)
+    if infeasible_after < 1:
+        raise _UsageError(f"bad --infeasible-after {infeasible_after}, "
+                          "need a count >= 1")
     if not 0.0 <= args.step_scale < math.inf:
         raise _UsageError(f"bad --step-scale {args.step_scale!r}, need a "
                           "nonnegative finite number")
@@ -117,8 +122,7 @@ def _search_config(args):
         box=[(lo, hi)],
         epsilon=args.epsilon,
         seed=seed,
-        infeasible_after=getattr(args, "infeasible_after",
-                                 _DEFAULTS.infeasible_after),
+        infeasible_after=infeasible_after,
     )
     cfg.resolved_box(1)     # a bad box fails before any work
     return cfg

@@ -75,6 +75,7 @@ class TestSuiteResult:
     state: Optional[saturation.SaturationState] = None
     graph: Optional[object] = None
     eval_count: int = 0
+    run_count: int = 0                  # of eval_count, those run
     starts_used: int = 0
     wall_time: float = 0.0
     found: Optional[list] = None        # path mode
@@ -152,11 +153,12 @@ def search(cfg, arity, objective_at, admit):
     the input vector, or None to stop; minimizes it within the box from
     a sampled start; and passes the clamped minimizer and its value to
     `admit(x, f)`, which returns True to stop.  Returns the number of
-    restarts run and the objective evaluations they made.
+    restarts run, the objective evaluations they requested and those of
+    them they ran.
     """
     box = cfg.resolved_box(arity)
     rng = random.Random(cfg.seed)
-    starts = evals = 0
+    starts = evals = runs = 0
     for _start in range(cfg.n_start):
         evaluate = objective_at()
         if evaluate is None:
@@ -165,9 +167,10 @@ def search(cfg, arity, objective_at, admit):
         objective = Objective(evaluate, arity, box)
         x_star, f_star = _minimize_once(objective, cfg, box, rng)
         evals += objective.eval_count
+        runs += objective.run_count
         if admit(clamp(x_star, box), f_star):
             break
-    return starts, evals
+    return starts, evals, runs
 
 
 def run_coverage(program, entry, cfg=None):
@@ -218,8 +221,8 @@ def run_coverage(program, entry, cfg=None):
                 failure_counts[taken] = 0
         return False
 
-    result.starts_used, result.eval_count = search(cfg, arity, objective_at,
-                                                   admit)
+    result.starts_used, result.eval_count, result.run_count = search(
+        cfg, arity, objective_at, admit)
     result.state = state
     result.wall_time = time.perf_counter() - started
     return result
@@ -272,7 +275,7 @@ def run_path(program, entry, target, cfg=None):
         result.traces.append(trace)
         return True
 
-    result.starts_used, result.eval_count = search(
+    result.starts_used, result.eval_count, result.run_count = search(
         cfg, repfun.arity, lambda: evaluate, admit)
     result.wall_time = time.perf_counter() - started
     return result
@@ -297,7 +300,7 @@ def run_bva(program, entry, cfg=None):
             result.traces.append(execute(repfun, x))
         return False
 
-    result.starts_used, result.eval_count = search(
+    result.starts_used, result.eval_count, result.run_count = search(
         cfg, repfun.arity, lambda: evaluate, admit)
     result.wall_time = time.perf_counter() - started
     return result

@@ -11,15 +11,20 @@ evaluation.
 
 A line search asks for no value it already holds: the bracket starts
 from the value at t = 0, and Brent checks the bracket with the values
-the bracketing found.  The Objective still counts each of those
-requests in `eval_count`, as an evaluation reused, so the count and the
+the bracketing found.  Nor does it run again: an Objective records each
+line search it has run, keyed by the exact bits of the point, the
+direction and the line search's settings, and answers a repeat, such as
+the same failed search Powell asks again in its next round, from that
+record.  The Objective still counts each request those answers stand
+for in `eval_count`, as an evaluation reused, so the count and the
 search path are those of a search that evaluates every request.
 """
 
 import math
 import random
+import struct
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 from .errors import InvalidBracket
@@ -50,7 +55,9 @@ class Objective:
     `eval_count` counts the evaluations the search requests, and
     `reuse_count` those of them answered with a value already held:
     by the runners when a request repeats the last clamped point they
-    ran, and by a line search for the values it passes on.
+    ran, by a line search for the values it passes on, and by
+    `searches`, the record of the line searches run on this objective,
+    for every request of a line search it answers.
     """
 
     def __init__(self, fn, arity, box=None):
@@ -59,6 +66,8 @@ class Objective:
         self.box = box
         self.eval_count = 0
         self.reuse_count = 0
+        # line search key -> (new x, new f, decrease, requests)
+        self.searches = {}
         runners = getattr(fn, "runners", None)
         if runners is None:
             self._point, self._line = self._evaluate, partial(_on_line, self)
@@ -207,24 +216,52 @@ def brent_line_min(g, bracket, xtol=1e-8, max_iter=100, values=None):
     return x, fx
 
 
+@cache
+def _pack(n):
+    """The exact double bits of a line search on n inputs: x, the
+    direction, xtol and the bracket growth, as one bytes key."""
+    return struct.Struct(f"{2 * n + 2}d").pack
+
+
 def _line_minimize(f, x, direction, cfg):
-    """Minimize f along x + t*direction; returns (new x, new f, decrease)."""
-    if isinstance(f, Objective):
-        g = f.along(x, direction)
-    else:
-        g = partial(_on_line, f, x, direction)
+    """Minimize f along x + t*direction; returns (new x, new f, decrease).
+
+    An Objective answers a line search it has run before from its
+    `searches` record, counting the requests of that search again.
+    """
+    if not isinstance(f, Objective):
+        return _search_line(None, partial(_on_line, f, x, direction), x,
+                            direction, cfg)
+    key = _pack(len(x))(*x, *direction, cfg.xtol, cfg.bracket_growth)
+    known = f.searches.get(key)
+    if known is None:
+        requested = f.eval_count
+        new_x, f_new, decrease = _search_line(f, f.along(x, direction), x,
+                                              direction, cfg)
+        f.searches[key] = (tuple(new_x), f_new, decrease,
+                           f.eval_count - requested)
+        return new_x, f_new, decrease
+    new_x, f_new, decrease, requests = known
+    f.eval_count += requests
+    f.reuse_count += requests
+    return list(new_x), f_new, decrease
+
+
+def _search_line(objective, g, x, direction, cfg):
+    """Bracket and Brent along g(t) = f(x + t*direction); `objective`,
+    unless None, counts the requests answered from held values."""
     f0 = g(0.0)
     (lo, f_lo), (mid, f_mid), (hi, f_hi) = _bracket(
         g, 0.0, f0, 1.0, cfg.bracket_growth, 80)
-    if isinstance(f, Objective):
+    if objective is not None:
         # the requests these values answer: the bracket's g(0) and, on an
         # ordered bracket, Brent's check g(mid), g(lo) and, unless that
         # already fails, g(hi)
         known = 1
         if lo <= mid <= hi and lo < hi:
             known += 2 if f_mid > f_lo else 3
-        f.eval_count += known
-        f.reuse_count += known
+        objective.eval_count += known
+        objective.reuse_count += known
     try:
         t, ft = brent_line_min(g, (lo, mid, hi), cfg.xtol,
                                values=(f_lo, f_mid, f_hi))

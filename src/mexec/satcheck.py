@@ -86,6 +86,7 @@ class SatResult:
     model: Optional[list] = None
     residual: float = 0.0
     eval_count: int = 0
+    run_count: int = 0                  # of eval_count, those run
     starts_used: int = 0
     wall_time: float = 0.0
     variables: list = field(default_factory=list)
@@ -114,6 +115,7 @@ def check_sat(constraint, cfg=None):
         objective = Objective(distance, 0)
         result.residual = objective([])
         result.eval_count = objective.eval_count
+        result.run_count = objective.run_count
         if result.residual == 0.0:
             result.verdict = "sat"
             result.model = []
@@ -129,7 +131,7 @@ def check_sat(constraint, cfg=None):
             return True
         return False
 
-    result.starts_used, result.eval_count = driver.search(
+    result.starts_used, result.eval_count, result.run_count = driver.search(
         cfg, arity, lambda: distance, admit)
     result.wall_time = time.perf_counter() - started
     return result

@@ -1,9 +1,12 @@
+import contextlib
 import pathlib
+from unittest import mock
 
 import pytest
 from hypothesis import settings
 
 from mexec.lang import parse
+from mexec.optimize import Objective
 from mexec.transforms import prepare
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
@@ -23,6 +26,27 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance checks")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+class _Forgetful(dict):
+    """A line-search record that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@contextlib.contextmanager
+def no_search_record():
+    """Within the block, every Objective made runs each line search it
+    is asked for, as a search without the record would."""
+    init = Objective.__init__
+
+    def forgetful_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.searches = _Forgetful()
+
+    with mock.patch.object(Objective, "__init__", forgetful_init):
+        yield
 
 
 def load(name):

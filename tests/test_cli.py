@@ -218,6 +218,7 @@ def test_sat_json_writes_the_result(capsys, tmp_path):
     assert payload["verdict"] == "sat"
     assert payload["variables"] == ["x"]
     assert payload["model"][0] ** 2 == 4.0
+    assert 0 < payload["run_count"] <= payload["eval_count"]
     assert out.startswith(f"sat: x = {payload['model'][0]!r}")
 
 
@@ -402,6 +403,18 @@ def test_negative_counts_and_bad_step_scale_are_usage_errors(capsys):
             code, _, err = run_cli(capsys, *argv, flag, value)
             assert code == 1, (argv, flag, value)
             assert err.startswith(f"mexec: bad {flag} {value}"), err
+
+
+def test_infeasible_after_below_one_is_a_usage_error(capsys):
+    for value in ("0", "-3"):
+        code, out, err = run_cli(capsys, "cover", FOO,
+                                 "--infeasible-after", value)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"mexec: bad --infeasible-after {value}"), err
+    code, out, _ = run_cli(capsys, "cover", FOO, "--infeasible-after", "1",
+                           "--seed", "1", "--n-start", "5")
+    assert code == 0
+    assert "Branches taken" in out
 
 
 def test_zero_restarts_and_iterations_are_valid(capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mexec import driver, satcheck
 from mexec.driver import (
     SearchConfig, mark_infeasible, run_bva, run_coverage, run_path,
     sample_start, snap_to_zero,
@@ -10,6 +11,7 @@ from mexec.driver import (
 from mexec.errors import InvalidBox, MalformedPath
 from mexec.interp import ExecutionTrace, coverage_config, execute
 from mexec.lang import parse
+from mexec.optimize import Objective
 from mexec.satcheck import check_sat, parse_constraint
 from mexec.saturation import goal_reached, new_state, update_saturation
 from mexec.cfg import build_cfg
@@ -224,3 +226,48 @@ def test_coverage_determinism(foo):
     assert a.inputs == b.inputs
     assert a.state.covered == b.state.covered
     assert a.eval_count == b.eval_count
+
+
+MODES = {
+    "cover": lambda p, cfg: run_coverage(p["k_cos"], "kernel_cos", cfg),
+    "path": lambda p, cfg: run_path(p["foo"], "FOO", [(0, "F"), (1, "T")],
+                                    cfg),
+    "bva": lambda p, cfg: run_bva(p["foo"], "FOO", cfg),
+    "sat": lambda p, cfg: check_sat(parse_constraint("x*x == 2 && y > x"),
+                                    cfg),
+    "sat without variables": lambda p, cfg: check_sat(
+        parse_constraint("1 < 2"), cfg),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_count_sums_the_runs_of_the_restarts(mode, foo, k_cos,
+                                                 monkeypatch):
+    made = []
+
+    class Recorded(Objective):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(driver, "Objective", Recorded)
+    monkeypatch.setattr(satcheck, "Objective", Recorded)
+    result = MODES[mode]({"foo": foo, "k_cos": k_cos},
+                         small_cfg(seed=5, n_start=6))
+    assert result.eval_count == sum(o.eval_count for o in made)
+    assert result.run_count == sum(o.run_count for o in made)
+    assert 0 < result.run_count <= result.eval_count
+
+
+def test_kernel_cos_counts_every_request_and_runs_two_thirds(k_cos):
+    """Counts only: the evaluations requested are those of the search
+    that runs every request, and the runners' last point, the values a
+    line search hands on and the record of line searches leave at most
+    this share of them to run."""
+    results = [run_coverage(k_cos, "kernel_cos", SearchConfig(seed=seed))
+               for seed in range(6)]
+    assert ([r.eval_count for r in results]
+            == [7206, 6699, 7431, 7198, 6833, 6833])
+    # 0.865 without the record of line searches
+    ran = sum(r.run_count for r in results)
+    assert ran / sum(r.eval_count for r in results) <= 0.671

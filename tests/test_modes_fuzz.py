@@ -7,7 +7,8 @@ the replay shares no kept source or code with the search: under the
 saturation state it was admitted in (coverage), along the target
 branches (path), or on a boundary (bva).  A sat model must zero the
 objective of the constraint parsed again and satisfy the reference
-evaluator.
+evaluator.  Every mode gives the same result without the record of
+line searches.
 Every program `parse` accepts, nested up to its limits, compiles and
 runs in every mode and both flavours.
 """
@@ -30,6 +31,7 @@ from mexec.lang import (
 )
 from mexec.optimize import LocalMinConfig, MCMCConfig
 from mexec.satcheck import check_sat, compile_constraint, parse_constraint
+from conftest import no_search_record
 from test_engine import OPS, _ProgramGen, _oracle_holds, constraints
 
 
@@ -136,6 +138,56 @@ def test_sat_models_satisfy_the_constraint(case, seed):
         again = parse_constraint(constraint.text, constraint.variables)
         assert compile_constraint(again).fn(result.model) == 0.0
         assert _oracle_holds(constraint, result.model)
+
+
+def outcome(call):
+    """What a mode call produced, as text: everything a search decides
+    and the evaluations it requested; or the error it raised."""
+    try:
+        result = call()
+    except MexecError as exc:
+        return f"raised {exc!r}"
+    fields = ["inputs", "eval_count", "starts_used", "found", "verdict",
+              "model"]
+    out = {name: getattr(result, name) for name in fields
+           if hasattr(result, name)}
+    state = getattr(result, "state", None)
+    if state is not None:
+        out["infeasible"] = sorted(state.infeasible)
+    return repr(out)
+
+
+def with_and_without_record(calls):
+    """The outcomes of `calls` with and without the line-search record;
+    each call runs on a program parsed afresh."""
+    with_record = [outcome(call) for call in calls]
+    with no_search_record():
+        without = [outcome(call) for call in calls]
+    return with_record, without
+
+
+@settings(max_examples=25)
+@given(programs_and_targets())
+def test_program_modes_decide_the_same_without_the_record(case):
+    source, entry, target, seed = case
+    cfg = tiny_config(seed)
+    with_record, without = with_and_without_record([
+        lambda: run_coverage(parse(source), entry, cfg),
+        lambda: run_path(parse(source), entry, target, cfg),
+        lambda: run_bva(parse(source), entry, cfg),
+    ])
+    assert with_record == without
+
+
+@settings(max_examples=40)
+@given(constraints(), st.integers(0, 1000))
+def test_sat_decides_the_same_without_the_record(case, seed):
+    constraint, _point = case
+    with_record, without = with_and_without_record([
+        lambda: check_sat(parse_constraint(constraint.text,
+                                           constraint.variables),
+                          tiny_config(seed))])
+    assert with_record == without
 
 
 # -- the gate: every program `parse` accepts compiles

@@ -1,8 +1,11 @@
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import no_search_record
 
 from mexec.errors import InvalidBracket
 from mexec.optimize import (
@@ -203,6 +206,85 @@ def test_powell_counts_every_requested_evaluation_and_runs_fewer():
     # the count of a search that runs every request
     assert objective.eval_count == 332
     assert objective.run_count == len(calls) == 308
+
+
+def _nan(payload):
+    bits = struct.pack("Q", 0x7FF8000000000000 | payload)
+    return struct.unpack("d", bits)[0]
+
+
+# line searches that differ only in the sign of a zero, a NaN payload,
+# xtol or the bracket growth
+DISTINCT_SEARCHES = [
+    ([0.5, 0.0], [0.0, 1.0], LocalMinConfig()),
+    ([0.5, -0.0], [0.0, 1.0], LocalMinConfig()),
+    ([0.5, 0.0], [-0.0, 1.0], LocalMinConfig()),
+    ([_nan(1), 0.0], [0.0, 1.0], LocalMinConfig()),
+    ([_nan(2), 0.0], [0.0, 1.0], LocalMinConfig()),
+    ([0.5, 0.0], [1.0, 0.0], LocalMinConfig()),
+    ([0.5, 0.0], [1.0, 0.0], LocalMinConfig(xtol=1e-3)),
+    ([0.5, 0.0], [1.0, 0.0], LocalMinConfig(bracket_growth=1.5)),
+]
+
+
+def test_the_record_answers_only_the_same_line_search():
+    """On one objective, each distinct line search runs once and a
+    repeat is answered from the record, with the result and the count of
+    the search on a fresh objective."""
+    def f(p):
+        return abs(p[0] - math.pi) ** 1.5
+
+    objective = Objective(f, 2)
+    for again in (False, True):
+        for x, direction, cfg in DISTINCT_SEARCHES:
+            fresh = Objective(f, 2)
+            expected = repr(_line_minimize(fresh, x, direction, cfg))
+            requested, ran = objective.eval_count, objective.run_count
+            result = _line_minimize(objective, x, direction, cfg)
+            assert repr(result) == expected
+            assert objective.eval_count - requested == fresh.eval_count
+            assert objective.run_count - ran == (0 if again
+                                                 else fresh.run_count)
+    assert len(objective.searches) == len(DISTINCT_SEARCHES)
+    # the results differ where the settings do
+    assert len({repr(_line_minimize(Objective(f, 2), x, d, cfg))
+                for x, d, cfg in DISTINCT_SEARCHES[-3:]}) == 3
+
+
+def test_a_plain_function_has_no_record():
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        return (p[0] - 1.0) ** 2
+
+    first = _line_minimize(f, [4.0], [1.0], LocalMinConfig())
+    ran = len(calls)
+    assert _line_minimize(f, [4.0], [1.0], LocalMinConfig()) == first
+    assert len(calls) == 2 * ran
+
+
+def test_powell_answers_a_repeated_line_search_from_the_record():
+    """Flat in its second input, the function makes Powell ask the same
+    failed line search again: the record answers it, with the result and
+    the count of the search that runs it again."""
+    def run():
+        calls = []
+
+        def f(x):
+            calls.append(list(x))
+            return (x[0] - 1.0) ** 2
+
+        objective = Objective(f, 2)
+        result = powell_minimize(objective, [10.0, 5.0])
+        return repr(result), objective.eval_count, len(calls)
+
+    with no_search_record():
+        without = run()
+    assert without == ("([1.0, 5.0], 0.0)", 174, 158)
+    result, eval_count, calls = run()
+    assert (result, eval_count) == without[:2]
+    assert calls == 119
 
 
 def test_powell_1d_quadratic():

@@ -3,6 +3,7 @@ name (`perfbench/tracer.py`).  A name that disappears, or that a module
 stops looking up at call time, breaks the traced benchmark; this test
 makes such a refactor fail here instead."""
 
+import contextlib
 import importlib
 import importlib.util
 import sys
@@ -23,7 +24,10 @@ def _load_tracer():
     return module
 
 
-def test_tracer_records_the_search_layers():
+@contextlib.contextmanager
+def traced_mexec():
+    """A fresh import of mexec's modules with the tracer installed; the
+    tracer, and the modules as `mx`."""
     saved = {name: module for name, module in sys.modules.items()
              if name == "mexec" or name.startswith("mexec.")}
     for name in saved:
@@ -34,12 +38,7 @@ def test_tracer_records_the_search_layers():
         tracer = _load_tracer().Tracer(keep_spans=False)
         tracer.install(mx)
         try:
-            program = mx.transforms.prepare(mx.lang.parse(
-                (BENCH / "foo.mx").read_text(encoding="utf-8")))
-            cfg = mx.driver.SearchConfig(seed=1, n_start=2)
-            mx.driver.run_coverage(program, "FOO", cfg)
-            mx.satcheck.check_sat(mx.satcheck.parse_constraint("x*x == 4"),
-                                  cfg)
+            yield tracer, mx
         finally:
             tracer.uninstall()
     finally:
@@ -47,9 +46,41 @@ def test_tracer_records_the_search_layers():
                      if n == "mexec" or n.startswith("mexec.")]:
             del sys.modules[name]
         sys.modules.update(saved)
+
+
+def test_tracer_records_the_search_layers():
+    with traced_mexec() as (tracer, mx):
+        program = mx.transforms.prepare(mx.lang.parse(
+            (BENCH / "foo.mx").read_text(encoding="utf-8")))
+        cfg = mx.driver.SearchConfig(seed=1, n_start=2)
+        mx.driver.run_coverage(program, "FOO", cfg)
+        mx.satcheck.check_sat(mx.satcheck.parse_constraint("x*x == 4"), cfg)
     for span in ("lang.parse", "transforms.prepare",
                  "driver.run_coverage", "satcheck.check_sat", "cfg.build",
                  "driver.minimize_once", "optimize.basinhopping",
                  "driver.objective", "satcheck.objective", "driver.replay",
                  "saturation.pen"):
+        assert tracer.calls[span] > 0, span
+
+
+def test_the_line_span_counts_every_requested_line_search():
+    """On a run whose restarts ask some line searches again, the span
+    still counts each one asked, as it did before the objectives kept a
+    record of them."""
+    with traced_mexec() as (tracer, mx):
+        made = []
+
+        class Recorded(mx.driver.Objective):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        mx.driver.Objective = Recorded
+        program = mx.lang.parse(
+            (BENCH / "k_cos.mx").read_text(encoding="utf-8"))
+        mx.driver.run_coverage(program, "kernel_cos",
+                               mx.driver.SearchConfig(seed=0))
+    assert tracer.calls["optimize.line"] == 129
+    assert sum(len(o.searches) for o in made) == 101
+    for span in ("driver.objective", "optimize.basinhopping"):
         assert tracer.calls[span] > 0, span
