@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import saturation
 from .cfg import build_cfg
-from .errors import InvalidBox, MalformedPath
+from .errors import InvalidBox, MalformedPath, MexecError
 from .interp import (
     CompiledProgram, bva_config, coverage_config, execute, path_config,
     plain_config,
@@ -177,6 +177,9 @@ def run_coverage(program, entry, cfg=None):
     """Saturate as many branches as possible within the restart budget."""
     if cfg is None:
         cfg = SearchConfig()
+    if cfg.infeasible_after < 1:
+        raise MexecError(f"bad infeasible_after {cfg.infeasible_after!r}, "
+                         "need at least 1")
     started = time.perf_counter()
     graph = build_cfg(program, entry)
     arity = len(program.function(entry).params)

@@ -7,28 +7,28 @@ is compiled once per distinct source.  Each mode call execs that code
 into a namespace of its own.
 One generator emits two flavours of the same program:
 
-* the fast flavour computes only the final representing value r.  It
-  ends in the generated evaluations of the entry: `_value` gives r at
-  a point as it is, and `_bind` gives the point and line runners of one
-  optimize.Objective.  A runner takes a point (the line runner builds
-  it as x + t*d), clamps it into the objective's box, counts one
-  evaluation on the objective, runs the entry and maps a non-finite or
-  above-sentinel r to the sentinel, all in one generated call; at the
-  last clamped point the runners ran it returns the value kept;
+* the fast flavour computes only the final representing value r.  Its
+  one evaluation is the line runner that `_bind` gives an
+  optimize.Objective: it builds the point x + t*d (a point request is
+  t = -0.0 along zeros), counts one evaluation, clamps the point into
+  the objective's box, runs the entry and maps a non-finite or
+  above-sentinel r to the sentinel; at the last clamped point it ran it
+  returns the value kept;
 * the tracing flavour also records coverage facts (lines, conditionals,
   branches, call sites, the branch path, steps) in an ExecutionTrace;
   `execute`, admission replays and reports use it.
 
-A `sat` constraint compiles to the same evaluations, its r the sum of
-its comparisons' branch distances; its source is kept on the Constraint.
+A `sat` constraint compiles to the same runner, its r the sum of its
+comparisons' branch distances; its source is kept on the Constraint.
 
-At each labeled conditional the mode decides how r changes: coverage
-assigns the penalty of the saturation state, path adds the distance
-toward the target branch, boundary-value analysis multiplies by the
-equality distance, and plain leaves r alone.  An evaluation aborts, and
-reports the sentinel, on a NaN operand of a comparison whose distance
-is computed, on more statements than the step budget, or on user calls
-nested deeper than MAX_CALL_DEPTH.
+At each labeled conditional the mode decides how r changes, by the same
+lines in both flavours: coverage takes the penalty (saturation.pen) from
+the saturation table, path adds the distance toward the target branch,
+boundary-value analysis multiplies by the equality distance, and plain
+leaves r alone.  An evaluation aborts, and reports the sentinel, on a
+NaN operand of a comparison whose distance is computed, on more
+statements than the step budget, or on user calls nested deeper than
+MAX_CALL_DEPTH.
 """
 
 import math
@@ -47,8 +47,9 @@ from .lang import (
     Assign, Binary, Block, Call, Decl, Deref, ExprStmt, If, Incr, Num,
     Return, Unary, Var, While, memoised, walk,
 )
-from .optimize import SENTINEL
-from .saturation import pen
+from .optimize import SENTINEL, Objective
+# unused: bound only because the benchmark tracer patches `interp.pen`
+from .saturation import pen  # noqa: F401
 
 COVERAGE = "coverage"
 PATH = "path"
@@ -309,9 +310,6 @@ class _Source:
         conditional, per mode."""
         op, label = cond.op, cond.label
         if self.mode == COVERAGE:
-            if self.tracing:
-                return [f"_r = _pen({label}, {op!r}, _a, _b, _state, _r, "
-                        "_eps)"]
             return ([f"_k = _sat[{label}]",
                      f"if _k == {_RESET}:",
                      "    _r = 0.0",
@@ -458,32 +456,24 @@ class _Source:
         self.emit(f"def {signature}:")
         self.suite(lines)
 
-    def evaluations(self, name, params, core, raw_tail):
-        """Emit the evaluations of a representing function of the inputs
-        `params`, local names; `core` computes `_r` from them and
-        returns the sentinel on an abort.
-
-        `_value(_s, x)` runs `core` on `x`, then `raw_tail`.
-        `_bind(_obj, _s, _lo0, _hi0, _lo1, ...)` returns the point
-        runner `(x)` and the line runner `(x, d, t)`, whose point is
-        x[i] + t * d[i] on every coordinate.  Each runner counts one
-        evaluation on `_obj`, clamps every input into its (lo, hi) as
+    def runner(self, params, core):
+        """Emit `_bind(_obj, _s, _lo0, _hi0, _lo1, ...)`, which returns
+        the line runner `_line(x, d, t)` of the objective `_obj` for a
+        representing function of the inputs `params`, local names;
+        `core` computes `_r` from them and returns the sentinel on an
+        abort.  The runner builds the point x[i] + t * d[i], counts one
+        evaluation on `_obj`, clamps each input into its (lo, hi) as
         min(max(v, lo), hi) does, NaN and signed zeros included, and
         maps a non-finite or above-sentinel `_r` to the sentinel.  The
-        saturation table `_s` and the bounds are the runners' own, so
-        runners bound to different objectives never share them.
+        saturation table `_s` and the bounds are the runner's own.
 
-        The two runners share the last clamped point `_m0, _m1, ...`
-        they ran to a normal return, and its value `_mr`.  A request at
-        exactly that point, each input equal and of the same sign if
-        zero, returns `_mr` and counts a reuse on `_obj` instead of
-        running the entry again; a NaN input never matches.
+        The runner keeps the last clamped point `_m0, _m1, ...` it ran
+        to a normal return, and its value `_mr`.  A request at exactly
+        that point, each input equal and of the same sign if zero,
+        returns `_mr` and counts a reuse on `_obj` instead of running
+        the entry again; a NaN input never matches.
         """
         n = len(params)
-        wrong = f"{name} expects {n} inputs, got "
-        check = (f"if len(x) != {n}: "
-                 f"raise _ArityMismatch({wrong!r} + str(len(x)))")
-        take = [f"{v} = _float(x[{i}])" for i, v in enumerate(params)]
         clamp = [line for i, v in enumerate(params)
                  for line in (f"if {v} < _lo{i}: {v} = _lo{i}",
                               f"if {v} > _hi{i}: {v} = _hi{i}")]
@@ -492,15 +482,14 @@ class _Source:
                     "else:",
                     "    _mr = _SENTINEL",
                     "return _mr"]
-        self.define("_value(_s, x)", [check] + take + core + raw_tail)
         bounds = "".join(f", _lo{i}, _hi{i}" for i in range(n))
         self.emit(f"def _bind(_obj, _s{bounds}):")
         self.indent += 1
-        head, reuse = ["_obj.eval_count += 1"], []
+        head, reuse = [], []
         if n:
             last = [f"_m{i}" for i in range(n)]
             self.emit(f"_mr = {' = '.join(last)} = _float('nan')")
-            head.insert(0, f"nonlocal {', '.join(last)}, _mr")
+            head.append(f"nonlocal {', '.join(last)}, _mr")
             same = ([f"{v} == {m}" for v, m in zip(params, last)]
                     + [f"({v} or _cs(1.0, {v}) == _cs(1.0, {m}))"
                        for v, m in zip(params, last)])
@@ -508,13 +497,12 @@ class _Source:
                      "    _obj.reuse_count += 1",
                      "    return _mr"]
             sanitise.insert(0, f"{', '.join(last)} = {', '.join(params)}")
-        self.define("_point(x)", head + [check] + take + clamp + reuse
-                    + core + sanitise)
         self.define("_line(x, d, t)",
                     head + [f"{v} = x[{i}] + t * d[{i}]"
                             for i, v in enumerate(params)]
-                    + clamp + reuse + core + sanitise)
-        self.emit("return _point, _line")
+                    + ["_obj.eval_count += 1"] + clamp + reuse + core
+                    + sanitise)
+        self.emit("return _line")
         self.indent -= 1
 
 
@@ -534,7 +522,7 @@ def _took(branch):
 def _namespace():
     ns = {f"_b_{name}": fn for name, fn in BUILTIN_FUNCTIONS.items()}
     ns.update(_pow=_pow, _div=_div, _nan=_nan,
-              _float=float, _cs=math.copysign, _ArityMismatch=ArityMismatch,
+              _float=float, _cs=math.copysign,
               _StepBudgetExceeded=StepBudgetExceeded,
               _CallDepthExceeded=CallDepthExceeded, _SENTINEL=SENTINEL,
               _ABORTS=tuple(_ABORTS))
@@ -559,22 +547,24 @@ def _compile(source, name):
 class RepresentingFunction:
     """A compiled representing function of the input vector.
 
-    Called on a point, it gives the representing value there as it is.
-    `runners(objective, box)` gives the generated point and line runners
-    of an optimize.Objective: they clamp into `box` (per-input (lo, hi),
-    or None for no bounds), count on `objective` and sanitise.
+    `runner(objective, box)` gives the generated line runner of an
+    optimize.Objective: it clamps into `box` (per-input (lo, hi), or
+    None for no bounds), counts on `objective` and sanitises.  Called
+    on a point, it gives the value of an Objective without a box.
     """
 
     def __init__(self, ns, arity, table=None):
-        self._value = ns["_value"]
         self._bind = ns["_bind"]
         self.arity = arity
         self.table = table
 
     def __call__(self, x):
-        return self._value(self.table, x)
+        if len(x) != self.arity:
+            raise ArityMismatch(f"expected {self.arity} inputs, got "
+                                f"{len(x)}")
+        return Objective(self, self.arity)(x)
 
-    def runners(self, objective, box):
+    def runner(self, objective, box):
         if box is None:
             box = [(-math.inf, math.inf)] * self.arity
         elif len(box) != self.arity:
@@ -620,7 +610,7 @@ class CompiledProgram:
         source = memoised(self.program, ("source", entry, cfg.mode, tracing),
                           lambda: self._source(tracing))
         ns = _namespace()
-        ns.update(_B=self.step_budget, _eps=cfg.epsilon, _pen=pen)
+        ns.update(_B=self.step_budget, _eps=cfg.epsilon)
         if cfg.mode == PATH:
             target = cfg.target_path
             ns["_tl"] = tuple(label for label, _side in target) + (None,)
@@ -637,9 +627,7 @@ class CompiledProgram:
             gen.function(fn)
         if not tracing:
             params = [f"v{i}" for i in range(self.arity)]
-            gen.evaluations(self.entry, params, self._core(params),
-                            ["if _r - _r == 0.0:", "    return _r",
-                             "return _SENTINEL"])
+            gen.runner(params, self._core(params))
         return gen.text()
 
     def _core(self, params):
@@ -677,7 +665,10 @@ class CompiledProgram:
                   _cond=trace.covered_conditionals.add,
                   _branch=trace.covered_branches.add,
                   _path=trace.path.append, _call=trace.covered_calls.add,
-                  _state=sat_state, _r=_R0[self.cfg.mode], _n=0, _c=0)
+                  _r=_R0[self.cfg.mode], _n=0, _c=0)
+        if self.cfg.mode == COVERAGE:
+            ns["_sat"] = _saturation_table(sat_state,
+                                           self.program.num_conditionals)
         try:
             trace.return_value = ns[f"f_{self.entry}"](
                 1, None, *(float(v) for v in inputs))
@@ -736,7 +727,7 @@ def _comparisons_source(constraint):
                  for line in _distance(cmp.op, "_r = _r + {}")]
     core += ["    pass", "except _ABORTS:", "    return _SENTINEL"]
     params = [f"v_{name}" for name in names]
-    gen.evaluations("constraint", params, core, ["return _r"])
+    gen.runner(params, core)
     # unparenthesized, so that a comparison adds no nesting level beyond
     # its operands' (lang.MAX_EXPR_DEPTH)
     tests = [f"{gen.expr(c.lhs)} {c.op} {gen.expr(c.rhs)}"

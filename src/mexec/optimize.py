@@ -7,7 +7,8 @@ matters because representing functions are flat on large regions and
 discontinuous at branch flips.  They evaluate it through an Objective:
 at a point by calling it, and along a line by the function of t that
 `Objective.along` returns, so a line search builds no point list per
-evaluation.
+evaluation.  Both are one evaluation, of x + t*d: a point x is that
+line at t = -0.0 along zeros.
 
 A line search asks for no value it already holds: the bracket starts
 from the value at t = 0, and Brent checks the bracket with the values
@@ -47,14 +48,15 @@ class Objective:
     and maps NaN, infinite or above-sentinel values to a large finite
     sentinel, so acceptance arithmetic stays well defined.
 
-    `fn` is a function of a point.  If it has a `runners(objective,
+    Each evaluation is of the line x + t*d; a point x is t = -0.0 along
+    zeros, which is x bit for bit.  If `fn` has a `runner(objective,
     box)` method, as interp's compiled representing functions do, the
-    generated point and line runners it returns do all of this in one
-    call; otherwise each evaluation calls `fn` on the clamped point.
+    generated runner it returns does all of this in one call;
+    otherwise each evaluation calls `fn` on the clamped point.
 
     `eval_count` counts the evaluations the search requests, and
     `reuse_count` those of them answered with a value already held:
-    by the runners when a request repeats the last clamped point they
+    by the runner when a request repeats the last clamped point it
     ran, by a line search for the values it passes on, and by
     `searches`, the record of the line searches run on this objective,
     for every request of a line search it answers.
@@ -68,14 +70,15 @@ class Objective:
         self.reuse_count = 0
         # line search key -> (new x, new f, decrease, requests)
         self.searches = {}
-        runners = getattr(fn, "runners", None)
-        if runners is None:
-            self._point, self._line = self._evaluate, partial(_on_line, self)
+        self._zeros = (0.0,) * arity
+        runner = getattr(fn, "runner", None)
+        if runner is None:
+            self._line = partial(_on_line, self._evaluate)
         else:
-            self._point, self._line = runners(self, box)
+            self._line = runner(self, box)
 
     def __call__(self, x):
-        return self._point(x)
+        return self._line(x, self._zeros, -0.0)
 
     @property
     def run_count(self):

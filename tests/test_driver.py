@@ -8,7 +8,7 @@ from mexec.driver import (
     SearchConfig, mark_infeasible, run_bva, run_coverage, run_path,
     sample_start, snap_to_zero,
 )
-from mexec.errors import InvalidBox, MalformedPath
+from mexec.errors import InvalidBox, MalformedPath, MexecError
 from mexec.interp import ExecutionTrace, coverage_config, execute
 from mexec.lang import parse
 from mexec.optimize import Objective
@@ -54,6 +54,15 @@ def test_coverage_marks_unreachable_equality_infeasible(foo_infeasible):
     result = run_coverage(foo_infeasible, "FOO", small_cfg(seed=5))
     assert (1, "T") in result.state.infeasible
     assert goal_reached(result.state)
+
+
+@pytest.mark.parametrize("below_one", [0, -3])
+def test_infeasible_after_below_one_raises_before_any_search(
+        below_one, foo_infeasible, monkeypatch):
+    monkeypatch.setattr(driver, "search", None)     # never reached
+    with pytest.raises(MexecError, match=f"bad infeasible_after {below_one}"):
+        run_coverage(foo_infeasible, "FOO",
+                     small_cfg(seed=1, infeasible_after=below_one))
 
 
 def test_coverage_stops_early_once_saturated(foo):

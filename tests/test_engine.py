@@ -212,16 +212,25 @@ def _run_value(run):
         return type(exc).__name__
 
 
+def _objective_rule(value):
+    """`value` as an Objective gives it: a NaN or infinite value, or one
+    above the sentinel, is the sentinel."""
+    if math.isnan(value) or math.isinf(value) or value > SENTINEL:
+        return SENTINEL
+    return value
+
+
 def assert_engines_agree(compiled, x, state):
-    """Both flavours of `compiled` against the oracle at `x`; returns
-    the abort reason."""
+    """Both flavours of `compiled` against the oracle at `x`, the fast
+    one under the Objective rule; returns the abort reason."""
     expected = _run(lambda: interp_oracle.execute(
         compiled.program, x, compiled.cfg, state, entry=compiled.entry,
         step_budget=compiled.step_budget))
     assert _run(lambda: execute(compiled, x, sat_state=state)) == expected
     if isinstance(expected, str):
         return expected
-    assert repr(compiled.objective(state)(x)) == expected[5]
+    assert (repr(compiled.objective(state)(x))
+            == repr(_objective_rule(float(expected[5]))))
     return expected[-1]
 
 
@@ -323,7 +332,8 @@ def _oracle_holds(constraint, x):
 @given(constraints())
 def test_compiled_constraint_matches_oracle(case):
     constraint, x = case
-    expected = _run_value(lambda: _oracle_distance(constraint, x))
+    expected = _run_value(
+        lambda: _objective_rule(_oracle_distance(constraint, x)))
     assert _run_value(lambda: compile_constraint(constraint).fn(x)) \
         == expected
     assert _holds(constraint, x) == _oracle_holds(constraint, x)
@@ -517,7 +527,8 @@ def test_runners_keep_signed_zeros_float_bounds_and_the_sentinel():
              ([10.0, 0.0], [0.0, 0.0], 1.0),
              ([-0.0, 1e151],),
              ([math.nan, 0.5], [1.0, 0.0], 3.0),
-             ([0.0, 0.0], [1.0, 1.0], math.inf)]
+             ([0.0, 0.0], [1.0, 1.0], math.inf),
+             ([3, True],), ([False, -0.0],), ([-7, 10**6],), ([1e9, -1e9],)]
     state = SaturationState(cfg=None, explored=frozenset(
         {(0, "T"), (0, "F"), (1, "T"), (2, "T")}))
     for cfg in (coverage_config(), path_config(((0, "T"), (1, "T"))),
@@ -603,6 +614,70 @@ def test_objectives_sharing_code_keep_their_box_and_state_apart():
             for i, each in enumerate(objectives):
                 got[i] += _evaluations(each, [call])
         assert got == expected
+
+
+def test_a_point_request_is_the_line_request_at_minus_zero():
+    """A point request runs the line runner at t = -0.0 along zeros: the
+    point is x bit for bit, and an int or bool input converts as
+    float() does; an int past the double range raises OverflowError,
+    counted on neither side."""
+    program = parse(SIGNED)
+    state = SaturationState(cfg=None, explored=frozenset(
+        {(0, "F"), (1, "T"), (1, "F"), (2, "T"), (2, "F")}))
+    points = [[3, True], [False, -0.0], [0, 0.5], [-0.0, 0.5], [0.0, 0.5],
+              [math.nan, 1], [-7, 10**6], [-0.0, math.inf]]
+    for cfg in (coverage_config(), path_config(((0, "T"), (1, "T"))),
+                bva_config(), plain_config()):
+        compiled = CompiledProgram(program, cfg)
+        evaluate = compiled.objective(state)
+        for x in points:
+            # the value at x as floats, and the trace's under the
+            # Objective rule
+            value = repr(evaluate(x))
+            assert value == repr(evaluate([float(v) for v in x]))
+            assert value == repr(_objective_rule(
+                compiled.trace(x, state).final_r))
+        with pytest.raises(OverflowError):
+            evaluate([10**400, 0.0])
+        # the generated runner, and the generic path of a plain function
+        for objective in (Objective(evaluate, 2, [(0.0, 2), (5, 6.0)]),
+                          Objective(lambda x: evaluate(x), 2)):
+            with pytest.raises(OverflowError):
+                objective([10**400, 0.0])
+            assert objective.eval_count == 0
+        if cfg.mode == "coverage":
+            # the branch at label 0 tells -0.0 from 0.0
+            assert (evaluate([-0.0, 0.5]), evaluate([0.0, 0.5])) \
+                == (0.0, SENTINEL)
+
+
+def _shipped_programs():
+    root = BENCH.parent
+    return sorted(BENCH.glob("*.mx")) + sorted(
+        (root / "perfbench" / "programs").glob("*/*.mx"))
+
+
+@pytest.mark.parametrize("path", _shipped_programs(),
+                         ids=lambda path: path.stem)
+def test_each_program_generates_one_runner_and_one_coverage_hook(path):
+    """The fast source's only evaluation is the runner `_bind` returns,
+    which calls the entry once; the tracing source takes the coverage
+    penalty from the saturation table, as the fast one does."""
+    program = parse(path.read_text(encoding="utf-8"))
+    entry = program.functions[-1].name
+    for cfg in (coverage_config(), path_config(()), bva_config(),
+                plain_config()):
+        compiled = CompiledProgram(program, cfg, entry)
+        fast, tracing = compiled._source(False), compiled._source(True)
+        assert "\ndef _bind(" in fast
+        assert fast.count("return _line\n") == 1
+        for name in ("_value", "_point", "_ArityMismatch"):
+            assert name not in fast, name
+        assert fast.count(f"f_{entry}(1, ") == 1
+        assert "_pen" not in tracing
+        state = SaturationState(cfg=None, explored=frozenset())
+        counts_on = Objective(len, 0)   # any object with the two counts
+        assert callable(compiled.objective(state).runner(counts_on, None))
 
 
 # -- the code cache

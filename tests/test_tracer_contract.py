@@ -10,6 +10,8 @@ import sys
 from types import SimpleNamespace
 
 from conftest import BENCH
+from mexec.driver import SearchConfig
+from mexec.satcheck import check_sat, parse_constraint
 
 TRACER_PATH = BENCH.parent / "perfbench" / "tracer.py"
 MODULES = ("lang", "transforms", "cfg", "interp", "saturation", "optimize",
@@ -58,8 +60,7 @@ def test_tracer_records_the_search_layers():
     for span in ("lang.parse", "transforms.prepare",
                  "driver.run_coverage", "satcheck.check_sat", "cfg.build",
                  "driver.minimize_once", "optimize.basinhopping",
-                 "driver.objective", "satcheck.objective", "driver.replay",
-                 "saturation.pen"):
+                 "driver.objective", "satcheck.objective", "driver.replay"):
         assert tracer.calls[span] > 0, span
 
 
@@ -84,3 +85,30 @@ def test_the_line_span_counts_every_requested_line_search():
     assert sum(len(o.searches) for o in made) == 101
     for span in ("driver.objective", "optimize.basinhopping"):
         assert tracer.calls[span] > 0, span
+
+
+SAT_CASES = ("x*y == 12 && x + y == 7", "x*x == 2", "sin(x) > 0.5 && x < -2")
+
+
+def _sat_outcome(result):
+    return (result.verdict, repr(result.model), repr(result.residual),
+            result.eval_count)
+
+
+def test_the_traced_generic_sat_path_gives_the_untraced_result():
+    """Traced, `sat` evaluates through the tracer's wrapper of the
+    constraint's function, a plain function of the point, so every
+    evaluation is a point call of the representing function; the
+    verdict, model, residual and request count are those of the
+    generated runner untraced."""
+    untraced = [_sat_outcome(check_sat(parse_constraint(text),
+                                       SearchConfig(seed=3, n_start=6)))
+                for text in SAT_CASES]
+    with traced_mexec() as (tracer, mx):
+        traced = [_sat_outcome(mx.satcheck.check_sat(
+            mx.satcheck.parse_constraint(text),
+            mx.driver.SearchConfig(seed=3, n_start=6)))
+            for text in SAT_CASES]
+    assert tracer.calls["satcheck.objective"] > 0
+    assert traced == untraced
+    assert {verdict for verdict, *_ in untraced} == {"sat", "unknown"}
