@@ -46,7 +46,11 @@ class SearchConfig:
     def resolved_box(self, arity):
         """One (lo, hi) bound per input, from one pair for every input
         or one pair each; raises InvalidBox unless every bound is a
-        finite double and lo < hi."""
+        finite double and lo < hi, or if `mcmc.box` is set: a search
+        replaces it with this box."""
+        if self.mcmc.box is not None:
+            raise InvalidBox("MCMCConfig.box is not used by a search, set "
+                             "SearchConfig.box instead")
         if self.box is None:
             return [(-1e3, 1e3)] * arity
         for lo, hi in self.box:
@@ -130,7 +134,10 @@ def snap_to_zero(f, x, box):
 
 def _minimize_once(objective, cfg, box, rng):
     """One restart: sample, basinhop (stopping early at an exact root),
-    then polish.  Returns (x, f(x))."""
+    then polish.  Returns (x, f(x)).  A function of no inputs has one
+    value, which is evaluated once."""
+    if not box:
+        return [], objective([])
     x0 = sample_start(rng, box)
 
     def stop_at_root(_iteration, _x, f_value):
@@ -152,9 +159,9 @@ def search(cfg, arity, objective_at, admit):
     Each restart asks `objective_at()` for this restart's function of
     the input vector, or None to stop; minimizes it within the box from
     a sampled start; and passes the clamped minimizer and its value to
-    `admit(x, f)`, which returns True to stop.  Returns the number of
-    restarts run, the objective evaluations they requested and those of
-    them they ran.
+    `admit(x, f)`, which returns True to stop.  With no inputs, one
+    restart decides.  Returns the number of restarts run, the objective
+    evaluations they requested and those of them they ran.
     """
     box = cfg.resolved_box(arity)
     rng = random.Random(cfg.seed)
@@ -168,7 +175,7 @@ def search(cfg, arity, objective_at, admit):
         x_star, f_star = _minimize_once(objective, cfg, box, rng)
         evals += objective.eval_count
         runs += objective.run_count
-        if admit(clamp(x_star, box), f_star):
+        if admit(clamp(x_star, box), f_star) or not arity:
             break
     return starts, evals, runs
 
@@ -193,6 +200,8 @@ def run_coverage(program, entry, cfg=None):
                                         cfg.step_budget), x)
         result.inputs.append(x)
         result.traces.append(trace)
+        result.state = saturation.update_saturation(
+            state, trace.covered_branches)
         result.starts_used = 1
         result.wall_time = time.perf_counter() - started
         return result

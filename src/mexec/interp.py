@@ -559,9 +559,6 @@ class RepresentingFunction:
         self.table = table
 
     def __call__(self, x):
-        if len(x) != self.arity:
-            raise ArityMismatch(f"expected {self.arity} inputs, got "
-                                f"{len(x)}")
         return Objective(self, self.arity)(x)
 
     def runner(self, objective, box):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Optional
 
-from .errors import InvalidBracket
+from .errors import ArityMismatch, InvalidBracket
 
 # the value of an aborted or non-finite evaluation
 SENTINEL = 1e300
@@ -49,7 +49,8 @@ class Objective:
     sentinel, so acceptance arithmetic stays well defined.
 
     Each evaluation is of the line x + t*d; a point x is t = -0.0 along
-    zeros, which is x bit for bit.  If `fn` has a `runner(objective,
+    zeros, which is x bit for bit; a point of another length than
+    `arity` raises ArityMismatch.  If `fn` has a `runner(objective,
     box)` method, as interp's compiled representing functions do, the
     generated runner it returns does all of this in one call;
     otherwise each evaluation calls `fn` on the clamped point.
@@ -78,6 +79,9 @@ class Objective:
             self._line = runner(self, box)
 
     def __call__(self, x):
+        if len(x) != self.arity:
+            raise ArityMismatch(f"expected {self.arity} inputs, got "
+                                f"{len(x)}")
         return self._line(x, self._zeros, -0.0)
 
     @property
@@ -327,7 +331,7 @@ def powell_minimize(f, x0, cfg=None):
 
 def metropolis_accept(f_current, f_proposal, temperature, rng):
     """Accept rule of the basinhopping chain: always accept downhill,
-    accept uphill with probability exp(-gap / T)."""
+    accept uphill with probability exp(-gap / T), at T = 0 its limit."""
     if f_proposal < f_current:
         return True
     gap = f_proposal - f_current
@@ -335,6 +339,10 @@ def metropolis_accept(f_current, f_proposal, temperature, rng):
         threshold = math.exp(-gap / temperature)
     except OverflowError:
         threshold = 0.0
+    except ZeroDivisionError:
+        # the limit T -> 0: an equal value stays acceptable, a higher
+        # one does not
+        threshold = 1.0 if gap == 0.0 else 0.0
     return rng.random() < threshold
 
 

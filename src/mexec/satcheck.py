@@ -106,21 +106,9 @@ def check_sat(constraint, cfg=None):
     if cfg is None:
         cfg = driver.SearchConfig()
     started = time.perf_counter()
-    arity = len(constraint.variables)
     distance = compile_constraint(constraint, cfg.epsilon).fn
     result = SatResult(verdict="unknown", residual=float("inf"),
                        variables=list(constraint.variables))
-
-    if arity == 0:
-        objective = Objective(distance, 0)
-        result.residual = objective([])
-        result.eval_count = objective.eval_count
-        result.run_count = objective.run_count
-        if result.residual == 0.0:
-            result.verdict = "sat"
-            result.model = []
-        result.wall_time = time.perf_counter() - started
-        return result
 
     def admit(x, f):
         result.residual = min(result.residual, f)
@@ -132,6 +120,6 @@ def check_sat(constraint, cfg=None):
         return False
 
     result.starts_used, result.eval_count, result.run_count = driver.search(
-        cfg, arity, lambda: distance, admit)
+        cfg, len(constraint.variables), lambda: distance, admit)
     result.wall_time = time.perf_counter() - started
     return result

@@ -425,3 +425,28 @@ def test_zero_restarts_and_iterations_are_valid(capsys):
                            "--n-start", "5")
     assert code == 0
     assert "Branches taken" in out
+
+
+def test_zero_input_program_and_variable_free_constraint_in_every_mode(
+        capsys, tmp_path):
+    source = tmp_path / "zero.mx"
+    source.write_text(
+        "real f() { real x = 3; if (x > 2) { x = 1; } return x; }\n")
+    runs = {
+        "cover": ["cover", str(source)],
+        "path": ["path", str(source), "--path", "0F"],
+        "bva": ["bva", str(source)],
+        "sat": ["sat", "1e-200 == 0", "--json", str(tmp_path / "sat.json")],
+    }
+    outs = {}
+    for mode, argv in runs.items():
+        code, outs[mode], err = run_cli(capsys, *argv, "--seed", "1")
+        assert (code, err) == (0, ""), mode
+    assert "Branches taken           50.00%  (1 of 2)" in outs["cover"]
+    assert "not taken              0F\n" in outs["cover"]
+    assert outs["path"].startswith("not found\n")
+    assert "boundary" not in outs["bva"]
+    assert outs["sat"] == "unknown (best residual 0.0)\n"
+    payload = json.loads((tmp_path / "sat.json").read_text())
+    assert (payload["verdict"], payload["starts_used"],
+            payload["eval_count"]) == ("unknown", 1, 1)

@@ -9,9 +9,11 @@ from mexec.driver import (
     sample_start, snap_to_zero,
 )
 from mexec.errors import InvalidBox, MalformedPath, MexecError
-from mexec.interp import ExecutionTrace, coverage_config, execute
+from mexec.interp import (
+    ExecutionTrace, bva_config, coverage_config, execute,
+)
 from mexec.lang import parse
-from mexec.optimize import Objective
+from mexec.optimize import MCMCConfig, Objective
 from mexec.satcheck import check_sat, parse_constraint
 from mexec.saturation import goal_reached, new_state, update_saturation
 from mexec.cfg import build_cfg
@@ -280,3 +282,111 @@ def test_kernel_cos_counts_every_request_and_runs_two_thirds(k_cos):
     # 0.865 without the record of line searches
     ran = sum(r.run_count for r in results)
     assert ran / sum(r.eval_count for r in results) <= 0.671
+
+
+# -- entries and constraints without inputs: one restart evaluates the
+# one value and the mode admits it like any other restart's result
+
+ZERO_TAKES_T = "real f() { real x = 3; if (x > 2) { x = 1; } return x; }"
+ZERO_ON_BOUNDARY = "real g() { real x = 2; if (x >= 2) { x = 1; } return x; }"
+
+
+def _zero(source):
+    program = prepare(parse(source))
+    return program, program.functions[-1].name
+
+
+def _counts(result):
+    return result.starts_used, result.eval_count, result.run_count
+
+
+@pytest.mark.parametrize("target, found", [
+    ([(0, "T")], []),           # a root: the one input takes 0T
+    ([(0, "F")], None),         # not a root
+])
+def test_zero_input_path_decides_in_one_evaluation(target, found):
+    program, entry = _zero(ZERO_TAKES_T)
+    result = run_path(program, entry, target, SearchConfig(seed=1))
+    assert _counts(result) == (1, 1, 1)
+    assert result.found == found
+    assert result.inputs == ([] if found is None else [[]])
+
+
+@pytest.mark.parametrize("source, inputs", [
+    (ZERO_ON_BOUNDARY, [[]]),   # a root: x >= 2 at x = 2
+    (ZERO_TAKES_T, []),         # not a root: x > 2 at x = 3
+])
+def test_zero_input_bva_decides_in_one_evaluation(source, inputs):
+    program, entry = _zero(source)
+    result = run_bva(program, entry, SearchConfig(seed=1))
+    assert _counts(result) == (1, 1, 1)
+    assert result.inputs == inputs
+    assert len(result.traces) == len(inputs)
+
+
+@pytest.mark.parametrize("text, verdict, residual", [
+    ("1 < 2", "sat", 0.0),                  # a root that holds
+    ("1 > 2", "unknown", 1.000001),         # not a root
+    ("1e-200 == 0", "unknown", 0.0),        # a root that does not hold
+])
+def test_zero_variable_sat_is_one_replayed_evaluation(text, verdict,
+                                                      residual):
+    result = check_sat(parse_constraint(text), SearchConfig(seed=1))
+    assert _counts(result) == (1, 1, 1)
+    assert (result.verdict, result.residual) == (verdict, residual)
+    assert result.model == ([] if verdict == "sat" else None)
+
+
+@pytest.mark.parametrize("source, covered, uncovered", [
+    (ZERO_TAKES_T, (0, "T"), (0, "F")),
+    ("real h() { real x = 1; if (x > 2) { x = 0; } return x; }",
+     (0, "F"), (0, "T")),
+])
+@pytest.mark.parametrize("n_start", [0, 5])
+def test_zero_input_cover_folds_the_branch_it_took(source, covered,
+                                                   uncovered, n_start):
+    # cover records its one input for an input-free entry by design,
+    # whatever the restart budget
+    program, entry = _zero(source)
+    result = run_coverage(program, entry, SearchConfig(seed=1,
+                                                       n_start=n_start))
+    assert result.inputs == [[]]
+    assert (result.starts_used, result.eval_count) == (1, 0)
+    assert result.state.covered == {covered}
+    assert uncovered not in result.state.explored
+
+
+def test_zero_inputs_and_zero_restarts_evaluate_nothing():
+    cfg = SearchConfig(seed=1, n_start=0)
+    program, entry = _zero(ZERO_TAKES_T)
+    path = run_path(program, entry, [(0, "T")], cfg)
+    bva = run_bva(program, entry, cfg)
+    sat = check_sat(parse_constraint("1 < 2"), cfg)
+    for result in (path, bva, sat):
+        assert _counts(result) == (0, 0, 0)
+    assert (path.found, path.inputs, bva.inputs) == (None, [], [])
+    assert (sat.verdict, sat.model, sat.residual) == ("unknown", None,
+                                                      math.inf)
+
+
+def test_search_box_comes_from_search_config_only():
+    cfg = SearchConfig(seed=1, n_start=2,
+                       mcmc=MCMCConfig(box=[(0.0, 1.0)]))
+    with pytest.raises(InvalidBox, match="SearchConfig.box"):
+        cfg.resolved_box(1)
+    with pytest.raises(InvalidBox, match="SearchConfig.box"):
+        check_sat(parse_constraint("x == 0.5"), cfg)
+    program, entry = _zero(ZERO_TAKES_T)
+    with pytest.raises(InvalidBox, match="SearchConfig.box"):
+        run_bva(program, entry, cfg)
+
+
+def test_a_search_at_zero_temperature_completes(foo):
+    cfg = SearchConfig(seed=1, n_start=3, mcmc=MCMCConfig(temperature=0.0))
+    bva = run_bva(foo, "FOO", cfg)
+    assert bva.starts_used == 3
+    assert all(execute(foo, x, bva_config(), entry="FOO").final_r == 0.0
+               for x in bva.inputs)
+    sat = check_sat(parse_constraint("x*y == 12 && x + y == 7"), cfg)
+    x, y = sat.model
+    assert x * y == 12 and x + y == 7

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import no_search_record
 
-from mexec.errors import InvalidBracket
+from mexec.errors import ArityMismatch, InvalidBracket
 from mexec.optimize import (
     LocalMinConfig, MCMCConfig, Objective, SENTINEL, _line_minimize,
     basinhopping, bracket_minimum, brent_line_min, metropolis_accept,
@@ -431,3 +431,26 @@ def test_metropolis_huge_gap_never_accepts():
     rng = random.Random(0)
     assert not any(metropolis_accept(0.0, 1e6, 1.0, rng)
                    for _ in range(1000))
+
+
+def test_metropolis_at_zero_temperature_takes_the_limit():
+    # exp(-gap / T) -> 1 for an equal value and 0 for a higher one; the
+    # draw is made all the same, so the chain's random stream is that
+    # of any other temperature
+    cold, warm = random.Random(3), random.Random(3)
+    for _ in range(100):
+        assert metropolis_accept(1.0, 1.0, 0.0, cold)
+        assert not metropolis_accept(0.0, 5e-324, 0.0, cold)
+        assert metropolis_accept(2.0, 1.0, 0.0, cold)
+        metropolis_accept(1.0, 1.0, 1.0, warm)
+        metropolis_accept(0.0, 5e-324, 1.0, warm)
+    assert cold.random() == warm.random()
+
+
+def test_objective_point_of_another_length_is_an_arity_mismatch():
+    objective = Objective(lambda x: x[0] + x[1], 2)
+    for point in ([1.0], [1.0, 2.0, 3.0], []):
+        with pytest.raises(ArityMismatch, match=f"got {len(point)}"):
+            objective(point)
+    assert objective.eval_count == 0
+    assert objective([1.0, 2.0]) == 3.0

@@ -4,7 +4,8 @@ import pytest
 
 from mexec.driver import SearchConfig
 from mexec.errors import (
-    NonNumericExpression, ParseError, UndeclaredIdentifier, UnknownVariable,
+    ArityMismatch, NonNumericExpression, ParseError, UndeclaredIdentifier,
+    UnknownVariable,
 )
 from mexec.satcheck import (
     check_sat, compile_constraint, parse_constraint,
@@ -50,6 +51,14 @@ def test_empty_conjunction_is_identically_zero():
     obj = compile_constraint(parse_constraint("   "))
     assert obj.arity == 0
     assert obj([]) == 0.0
+
+
+def test_objective_checks_the_length_of_a_point():
+    obj = compile_constraint(parse_constraint("x*y == 12 && x + y == 7"))
+    for point in ([1.0, 2.0, 3.0], [1.0]):
+        with pytest.raises(ArityMismatch):
+            obj(point)
+    assert obj([3.0, 4.0]) == 0.0
 
 
 def test_objective_zero_iff_all_conjuncts_hold():

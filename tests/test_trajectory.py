@@ -134,7 +134,7 @@ EARLY = [
       'eval_count': 0,
       'starts_used': 1,
       'infeasible': [],
-      'covered': []}),
+      'covered': [(0, 'T')]}),
 ]
 
 
@@ -155,13 +155,13 @@ SATS = [
       'model': [],
       'residual': '0.0',
       'eval_count': 1,
-      'starts_used': 0}),
+      'starts_used': 1}),
     ('1 < 0', 1, 3, None,
      {'verdict': 'unknown',
       'model': None,
       'residual': '1.000001',
       'eval_count': 1,
-      'starts_used': 0}),
+      'starts_used': 1}),
     ('x*y == 12 && x + y == 7', 1, 8, None,
      {'verdict': 'sat',
       'model': ['3.9999999999999987', '3.000000000000001'],
