@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 2 on source parse errors, 1 on every other
-error (bad flags, unreadable files or --json paths, unknown entry).
+error (bad flags, unreadable files or --json paths, unknown entry, a
+closed stdout).
 """
 
 import argparse
@@ -13,8 +14,8 @@ from dataclasses import asdict
 
 from . import driver, report, satcheck
 from .errors import MalformedPath, MexecError, ParseError
-from .interp import conditional_counts
-from .lang import parse, render_instrumented
+from .interp import CompiledProgram, conditional_counts, coverage_config
+from .lang import parse
 from .optimize import LocalMinConfig, MCMCConfig
 
 
@@ -66,8 +67,8 @@ def _build_parser():
                        help="same-branch failures before deeming the "
                             "opposite branch infeasible")
     cover.add_argument("--emit-instrumented", action="store_true",
-                       help="print the entry function with penalty "
-                            "assignments inlined")
+                       help="print the Python the search minimizes, "
+                            "then the report")
 
     path = sub.add_parser("path", help="find an input following a path")
     add_common(path)
@@ -100,11 +101,6 @@ def _search_config(args):
                         ("--n-iter", args.n_iter)):
         if count < 0:
             raise _UsageError(f"bad {flag} {count}, need a count >= 0")
-    infeasible_after = getattr(args, "infeasible_after",
-                               _DEFAULTS.infeasible_after)
-    if infeasible_after < 1:
-        raise _UsageError(f"bad --infeasible-after {infeasible_after}, "
-                          "need a count >= 1")
     if not 0.0 <= args.step_scale < math.inf:
         raise _UsageError(f"bad --step-scale {args.step_scale!r}, need a "
                           "nonnegative finite number")
@@ -122,7 +118,8 @@ def _search_config(args):
         box=[(lo, hi)],
         epsilon=args.epsilon,
         seed=seed,
-        infeasible_after=infeasible_after,
+        infeasible_after=getattr(args, "infeasible_after",
+                                 _DEFAULTS.infeasible_after),
     )
     cfg.resolved_box(1)     # a bad box fails before any work
     return cfg
@@ -200,9 +197,10 @@ def main(argv=None):
         cfg = _search_config(args)
 
         if args.command == "cover":
-            if args.emit_instrumented:
-                print(render_instrumented(program, entry))
             result = driver.run_coverage(program, entry, cfg)
+            if args.emit_instrumented:
+                print(CompiledProgram(program, coverage_config(cfg.epsilon),
+                                      entry, cfg.step_budget).source())
             _emit_report(result, program, entry, args)
             return 0
         if args.command == "path":
@@ -230,7 +228,14 @@ def main(argv=None):
 
 
 def run():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

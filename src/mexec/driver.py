@@ -12,7 +12,7 @@ Path, boundary, and satisfiability modes minimize a fixed objective.
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import saturation
@@ -46,11 +46,7 @@ class SearchConfig:
     def resolved_box(self, arity):
         """One (lo, hi) bound per input, from one pair for every input
         or one pair each; raises InvalidBox unless every bound is a
-        finite double and lo < hi, or if `mcmc.box` is set: a search
-        replaces it with this box."""
-        if self.mcmc.box is not None:
-            raise InvalidBox("MCMCConfig.box is not used by a search, set "
-                             "SearchConfig.box instead")
+        finite double and lo < hi."""
         if self.box is None:
             return [(-1e3, 1e3)] * arity
         for lo, hi in self.box:
@@ -143,9 +139,8 @@ def _minimize_once(objective, cfg, box, rng):
     def stop_at_root(_iteration, _x, f_value):
         return f_value == 0.0
 
-    x_star, f_star = basinhopping(objective, x0,
-                                  replace(cfg.mcmc, box=box), rng,
-                                  stop_at_root)
+    x_star, f_star = basinhopping(objective, x0, cfg.mcmc, rng,
+                                  stop_at_root, box)
     if f_star != 0.0:
         snapped = snap_to_zero(objective, x_star, box)
         if snapped is not None:

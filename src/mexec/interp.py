@@ -600,21 +600,26 @@ class CompiledProgram:
         if tracing in self._flavours:
             return self._flavours[tracing]
         cfg = self.cfg
-        # the tracing source holds the program's functions only, so the
-        # entries of one program share it
-        entry = None if tracing else self.entry
-        name = f"{cfg.mode} tracing" if tracing else f"{entry} {cfg.mode} fast"
-        source = memoised(self.program, ("source", entry, cfg.mode, tracing),
-                          lambda: self._source(tracing))
+        name = (f"{cfg.mode} tracing" if tracing
+                else f"{self.entry} {cfg.mode} fast")
         ns = _namespace()
         ns.update(_B=self.step_budget, _eps=cfg.epsilon)
         if cfg.mode == PATH:
             target = cfg.target_path
             ns["_tl"] = tuple(label for label, _side in target) + (None,)
             ns["_tt"] = tuple(side == "T" for _label, side in target)
-        exec(_compile(source, name), ns)
+        exec(_compile(self.source(tracing), name), ns)
         self._flavours[tracing] = ns
         return ns
+
+    def source(self, tracing=False):
+        """The Python text of a flavour, the text its runs execute: the
+        fast flavour (the default) is the one a search minimizes."""
+        # the tracing source holds the program's functions only, so the
+        # entries of one program share it
+        entry = None if tracing else self.entry
+        key = ("source", entry, self.cfg.mode, tracing)
+        return memoised(self.program, key, lambda: self._source(tracing))
 
     def _source(self, tracing):
         gen = _Source(self.cfg.mode, tracing)

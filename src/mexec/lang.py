@@ -722,12 +722,12 @@ def _fmt_expr(expr, parent_prec=0):
     raise ValueError(f"unhandled expression {expr!r}")
 
 
-def _fmt_stmt(stmt, indent, out, annotate=None):
+def _fmt_stmt(stmt, indent, out):
     pad = "    " * indent
     if isinstance(stmt, Block):
         out.append(pad + "{")
         for s in stmt.stmts:
-            _fmt_stmt(s, indent + 1, out, annotate)
+            _fmt_stmt(s, indent + 1, out)
         out.append(pad + "}")
     elif isinstance(stmt, Decl):
         if stmt.init is not None:
@@ -740,18 +740,14 @@ def _fmt_stmt(stmt, indent, out, annotate=None):
         suffix = "++" if stmt.delta > 0 else "--"
         out.append(f"{pad}{_fmt_expr(stmt.target)}{suffix};")
     elif isinstance(stmt, If):
-        if annotate is not None:
-            annotate(stmt.cond, pad, out)
         out.append(f"{pad}if ({_fmt_expr(stmt.cond)})")
-        _fmt_stmt(_as_block(stmt.then), indent, out, annotate)
+        _fmt_stmt(_as_block(stmt.then), indent, out)
         if stmt.els is not None:
             out.append(f"{pad}else")
-            _fmt_stmt(_as_block(stmt.els), indent, out, annotate)
+            _fmt_stmt(_as_block(stmt.els), indent, out)
     elif isinstance(stmt, While):
-        if annotate is not None:
-            annotate(stmt.cond, pad, out)
         out.append(f"{pad}while ({_fmt_expr(stmt.cond)})")
-        _fmt_stmt(_as_block(stmt.body), indent, out, annotate)
+        _fmt_stmt(_as_block(stmt.body), indent, out)
     elif isinstance(stmt, Return):
         if stmt.expr is not None:
             out.append(f"{pad}return {_fmt_expr(stmt.expr)};")
@@ -779,24 +775,3 @@ def to_source(program):
         out.append("")
     return "\n".join(out)
 
-
-def render_instrumented(program, entry):
-    """Render the entry function with the penalty assignment that the
-    interpreter applies at each labeled conditional shown inline."""
-    fn = program.function(entry)
-    if fn is None:
-        raise ValueError(f"no function named {entry!r}")
-
-    def annotate(cond, pad, out):
-        if cond.label is not None:
-            out.append(
-                f"{pad}r = pen({cond.label}, \"{cond.op}\", "
-                f"{_fmt_expr(cond.lhs)}, {_fmt_expr(cond.rhs)});")
-
-    out = []
-    params = ", ".join(
-        f"real {'*' if kind == 'ptr' else ''}{name}"
-        for name, kind in fn.params)
-    out.append(f"{fn.rettype} {fn.name}_I({params})")
-    _fmt_stmt(fn.body, 0, out, annotate)
-    return "\n".join(out)

@@ -26,9 +26,8 @@ import random
 import struct
 from dataclasses import dataclass, field
 from functools import cache, partial
-from typing import Optional
 
-from .errors import ArityMismatch, InvalidBracket
+from .errors import ArityMismatch, InvalidBracket, MexecError
 
 # the value of an aborted or non-finite evaluation
 SENTINEL = 1e300
@@ -117,12 +116,13 @@ class MCMCConfig:
     step_scale: float = 50.0
     temperature: float = 1.0
     local: LocalMinConfig = field(default_factory=LocalMinConfig)
-    box: Optional[list] = None     # per-dimension (lo, hi) or None
 
 
 def _bracket(g, a, fa, step, growth, max_expand):
-    """`bracket_minimum` from t = a, whose value fa is known; returns
-    (t, g(t)) for lo, mid and hi."""
+    """Bracket a minimum of g by stepping outward from t = a, whose
+    value fa is known; returns (t, g(t)) for lo, mid and hi, with
+    g(mid) <= g(lo) and g(mid) <= g(hi) unless the bracket stops after
+    `max_expand` expansions, on which Brent raises InvalidBracket."""
     b = a + step
     fb = g(b)
     if fb > fa:
@@ -140,15 +140,6 @@ def _bracket(g, a, fa, step, growth, max_expand):
     if a < c:
         return (a, fa), (b, fb), (c, fc)
     return (c, fc), (b, fb), (a, fa)
-
-
-def bracket_minimum(g, t0=0.0, step=1.0, growth=2.0, max_expand=80):
-    """Bracket a minimum of g by stepping outward from t0.
-
-    Returns (lo, mid, hi) with g(mid) <= g(lo) and g(mid) <= g(hi).
-    """
-    lo, mid, hi = _bracket(g, t0, g(t0), step, growth, max_expand)
-    return lo[0], mid[0], hi[0]
 
 
 def brent_line_min(g, bracket, xtol=1e-8, max_iter=100, values=None):
@@ -354,26 +345,32 @@ def clamp(x, box):
     return [min(max(xi, lo), hi) for xi, (lo, hi) in zip(x, box)]
 
 
-def basinhopping(f, x0, cfg=None, rng=None, callback=None):
+def basinhopping(f, x0, cfg=None, rng=None, callback=None, box=None):
     """Global minimization: local minimize, then repeatedly perturb the
     incumbent, re-minimize, and Metropolis-accept the proposal.
 
-    Returns (best x, best f).  The callback, if given, runs once per
-    iteration with (iteration, incumbent x, incumbent f) and may return
-    True to stop early.
+    Returns (best x, best f).  The start and each proposal are clamped
+    into `box` (per-dimension (lo, hi), or None for no bounds).  The
+    callback, if given, runs once per iteration with (iteration,
+    incumbent x, incumbent f) and may return True to stop early.
+    Raises MexecError, before any evaluation, unless the temperature is
+    at least 0 (0 and +inf being the limits of the accept rule).
     """
     if cfg is None:
         cfg = MCMCConfig()
+    if not cfg.temperature >= 0.0:
+        raise MexecError(f"bad temperature {cfg.temperature!r}, need at "
+                         "least 0")
     if rng is None:
         rng = random.Random()
-    x_l, f_l = powell_minimize(f, clamp(x0, cfg.box), cfg.local)
+    x_l, f_l = powell_minimize(f, clamp(x0, box), cfg.local)
     best_x, best_f = list(x_l), f_l
     if callback is not None and callback(0, x_l, f_l):
         return best_x, best_f
     for iteration in range(1, cfg.n_iter + 1):
         delta = [rng.uniform(-cfg.step_scale, cfg.step_scale)
                  for _ in range(len(x_l))]
-        proposal = clamp([xi + di for xi, di in zip(x_l, delta)], cfg.box)
+        proposal = clamp([xi + di for xi, di in zip(x_l, delta)], box)
         x_t, f_t = powell_minimize(f, proposal, cfg.local)
         if metropolis_accept(f_l, f_t, cfg.temperature, rng):
             x_l, f_l = x_t, f_t

@@ -1,11 +1,16 @@
 import json
+import os
 import pathlib
+import re
+import subprocess
+import sys
 from dataclasses import asdict
 
 import pytest
 
 from mexec.cli import main
 from mexec.driver import SearchConfig, run_bva, run_coverage, run_path
+from mexec.interp import CompiledProgram, coverage_config
 from mexec.lang import parse
 from mexec.report import (
     SCHEMA, CoverageReport, coverage_report, from_json, to_json,
@@ -116,8 +121,16 @@ def test_emit_instrumented(capsys):
         capsys, "cover", FOO, "--entry", "FOO", "--seed", "42",
         "--n-start", "10", "--emit-instrumented")
     assert code == 0
-    assert "FOO_I" in out
-    assert "r = pen(" in out
+    program = parse(pathlib.Path(FOO).read_text())
+    cfg = SearchConfig()
+    source = CompiledProgram(program, coverage_config(cfg.epsilon), "FOO",
+                             cfg.step_budget).source()
+    compile(source, "foo", "exec")
+    assert "def _bind(" in source
+    assert re.findall(r"_sat\[(\d+)\]", source) == ["0", "1"]
+    assert out.startswith(source + "\n")
+    assert out[len(source) + 1:].startswith("entry FOO (cover mode)\n")
+    assert "Branches taken" in out
 
 
 def test_json_report_round_trip(capsys, tmp_path):
@@ -410,7 +423,7 @@ def test_infeasible_after_below_one_is_a_usage_error(capsys):
         code, out, err = run_cli(capsys, "cover", FOO,
                                  "--infeasible-after", value)
         assert (code, out) == (1, "")
-        assert err.startswith(f"mexec: bad --infeasible-after {value}"), err
+        assert err == f"mexec: bad infeasible_after {value}, need at least 1\n"
     code, out, _ = run_cli(capsys, "cover", FOO, "--infeasible-after", "1",
                            "--seed", "1", "--n-start", "5")
     assert code == 0
@@ -450,3 +463,19 @@ def test_zero_input_program_and_variable_free_constraint_in_every_mode(
     payload = json.loads((tmp_path / "sat.json").read_text())
     assert (payload["verdict"], payload["starts_used"],
             payload["eval_count"]) == ("unknown", 1, 1)
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "mexec.cli", "bva", FOO, "--seed", "1",
+             "--n-start", "5"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")

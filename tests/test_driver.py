@@ -369,18 +369,6 @@ def test_zero_inputs_and_zero_restarts_evaluate_nothing():
                                                       math.inf)
 
 
-def test_search_box_comes_from_search_config_only():
-    cfg = SearchConfig(seed=1, n_start=2,
-                       mcmc=MCMCConfig(box=[(0.0, 1.0)]))
-    with pytest.raises(InvalidBox, match="SearchConfig.box"):
-        cfg.resolved_box(1)
-    with pytest.raises(InvalidBox, match="SearchConfig.box"):
-        check_sat(parse_constraint("x == 0.5"), cfg)
-    program, entry = _zero(ZERO_TAKES_T)
-    with pytest.raises(InvalidBox, match="SearchConfig.box"):
-        run_bva(program, entry, cfg)
-
-
 def test_a_search_at_zero_temperature_completes(foo):
     cfg = SearchConfig(seed=1, n_start=3, mcmc=MCMCConfig(temperature=0.0))
     bva = run_bva(foo, "FOO", cfg)
@@ -390,3 +378,11 @@ def test_a_search_at_zero_temperature_completes(foo):
     sat = check_sat(parse_constraint("x*y == 12 && x + y == 7"), cfg)
     x, y = sat.model
     assert x * y == 12 and x + y == 7
+
+
+def test_a_search_at_a_negative_temperature_is_an_error(foo):
+    cfg = SearchConfig(seed=1, n_start=3, mcmc=MCMCConfig(temperature=-1.0))
+    with pytest.raises(MexecError, match="bad temperature -1.0"):
+        run_bva(foo, "FOO", cfg)
+    with pytest.raises(MexecError, match="bad temperature -1.0"):
+        check_sat(parse_constraint("x*y == 12 && x + y == 7"), cfg)

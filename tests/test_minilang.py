@@ -9,7 +9,7 @@ from mexec.errors import (
 )
 from mexec.lang import (
     KEYWORDS, MAX_EXPR_DEPTH, Call, If, Return, Token, Var, While, children,
-    parse, render_instrumented, to_source, tokenize, walk,
+    parse, to_source, tokenize, walk,
 )
 from mexec.satcheck import parse_constraint
 
@@ -163,14 +163,6 @@ def test_real_cast_is_dropped_by_the_parser():
                   "return 0; }")
     assert cast == plain
     assert "(real)" not in to_source(cast)
-
-
-def test_instrumented_rendering_shows_penalty_assignments():
-    program = parse(FOO_SRC)
-    text = render_instrumented(program, "FOO")
-    assert 'r = pen(0, "<=", x, 1)' in text
-    assert 'r = pen(1, "==", y, 4)' in text
-    assert "FOO_I" in text
 
 
 def test_children_in_field_order_and_walk_in_pre_order():

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import no_search_record
 
-from mexec.errors import ArityMismatch, InvalidBracket
+from mexec.errors import ArityMismatch, InvalidBracket, MexecError
 from mexec.optimize import (
-    LocalMinConfig, MCMCConfig, Objective, SENTINEL, _line_minimize,
-    basinhopping, bracket_minimum, brent_line_min, metropolis_accept,
+    LocalMinConfig, MCMCConfig, Objective, SENTINEL, _bracket,
+    _line_minimize, basinhopping, brent_line_min, metropolis_accept,
     powell_minimize,
 )
 
@@ -51,9 +51,11 @@ def test_brent_rejects_bad_bracket():
 
 def test_bracket_minimum_brackets_a_quadratic():
     g = lambda t: (t - 7.0) ** 2
-    lo, mid, hi = bracket_minimum(g)
+    bracket = _bracket(g, 0.0, g(0.0), 1.0, 2.0, 80)
+    assert all(ft == g(t) for t, ft in bracket)
+    (lo, f_lo), (mid, f_mid), (hi, f_hi) = bracket
     assert lo <= mid <= hi
-    assert g(mid) <= g(lo) and g(mid) <= g(hi)
+    assert f_mid <= f_lo and f_mid <= f_hi
     assert lo <= 7.0 <= hi
 
 
@@ -112,7 +114,8 @@ def test_bracket_minimum_requests_what_it_always_did(t0, step, growth):
     for g in LINES.values():
         g_new, new = _recorded(g)
         g_old, old = _recorded(g)
-        assert (repr(bracket_minimum(g_new, t0, step, growth))
+        bracket = _bracket(g_new, t0, g_new(t0), step, growth, 80)
+        assert (repr(tuple(t for t, _ft in bracket))
                 == repr(reference(g_old)))
         assert new == old
 
@@ -147,13 +150,15 @@ def test_brent_with_values_raises_the_same_invalid_bracket():
 
 def _line_minimize_of_every_request(f, x, direction, cfg):
     """The line search that asks again for every value it needs: f at
-    t = 0, then the public bracketing and Brent's own bracket check."""
+    t = 0, then the bracketing from f at t = 0 again and Brent's own
+    bracket check."""
     def g(t):
         return f([xi + t * di for xi, di in zip(x, direction)])
     f0 = g(0.0)
+    (lo, _), (mid, _), (hi, _) = _bracket(g, 0.0, g(0.0), 1.0,
+                                          cfg.bracket_growth, 80)
     try:
-        t, ft = brent_line_min(
-            g, bracket_minimum(g, 0.0, 1.0, cfg.bracket_growth), cfg.xtol)
+        t, ft = brent_line_min(g, (lo, mid, hi), cfg.xtol)
     except InvalidBracket:
         return list(x), f0, 0.0
     if ft >= f0:
@@ -352,8 +357,8 @@ def test_basinhopping_escapes_local_basin():
         x0 = [rng.uniform(-500.0, 500.0)]
         x, fx = basinhopping(
             Objective(f, 1), x0,
-            MCMCConfig(n_iter=5, step_scale=50.0,
-                       box=[(-1000.0, 1000.0)]), rng)
+            MCMCConfig(n_iter=5, step_scale=50.0), rng,
+            box=[(-1000.0, 1000.0)])
         if fx < 1e-9:
             found = True
             break
@@ -405,6 +410,20 @@ def test_seed_determinism():
     a = basinhopping(make(), [7.0], MCMCConfig(n_iter=5), random.Random(42))
     b = basinhopping(make(), [7.0], MCMCConfig(n_iter=5), random.Random(42))
     assert a == b
+
+
+def test_basinhopping_rejects_a_negative_or_nan_temperature():
+    for temperature in (-1.0, -0.5, -math.inf, math.nan):
+        f = Objective(lambda x: x[0] ** 2, 1)
+        with pytest.raises(MexecError, match="bad temperature"):
+            basinhopping(f, [3.0], MCMCConfig(temperature=temperature),
+                         random.Random(0))
+        assert f.eval_count == 0
+    for temperature in (0.0, -0.0, math.inf):
+        f = Objective(lambda x: x[0] ** 2, 1)
+        _, fx = basinhopping(f, [3.0], MCMCConfig(
+            n_iter=2, temperature=temperature), random.Random(0))
+        assert fx < 1e-12
 
 
 def test_metropolis_always_accepts_downhill():
