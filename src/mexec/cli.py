@@ -7,7 +7,6 @@ closed stdout).
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -16,20 +15,16 @@ from . import driver, report, satcheck
 from .errors import MalformedPath, MexecError, ParseError
 from .interp import CompiledProgram, conditional_counts, coverage_config
 from .lang import parse
-from .optimize import LocalMinConfig, MCMCConfig
+from .optimize import MCMCConfig
 
 
 # the library defaults, which the flags' defaults repeat
 _DEFAULTS = driver.SearchConfig()
 
 
-class _UsageError(MexecError):
-    pass
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise MexecError(message)
 
 
 def _build_parser():
@@ -89,40 +84,27 @@ def _build_parser():
 def _search_config(args):
     lo, sep, hi = args.box.partition(":")
     if not sep:
-        raise _UsageError(f"bad box {args.box!r}, expected lo:hi")
+        raise MexecError(f"bad box {args.box!r}, expected lo:hi")
     try:
         lo, hi = float(lo), float(hi)
     except ValueError:
-        raise _UsageError(f"bad box {args.box!r}, expected numbers")
-    if not 0.0 < args.epsilon < math.inf:
-        raise _UsageError(f"bad epsilon {args.epsilon!r}, need a positive "
-                          "finite number")
-    for flag, count in (("--n-start", args.n_start),
-                        ("--n-iter", args.n_iter)):
-        if count < 0:
-            raise _UsageError(f"bad {flag} {count}, need a count >= 0")
-    if not 0.0 <= args.step_scale < math.inf:
-        raise _UsageError(f"bad --step-scale {args.step_scale!r}, need a "
-                          "nonnegative finite number")
+        raise MexecError(f"bad box {args.box!r}, expected numbers")
     seed = args.seed
     if seed is None and os.environ.get("MEXEC_SEED"):
         try:
             seed = int(os.environ["MEXEC_SEED"])
         except ValueError:
-            raise _UsageError(f"bad MEXEC_SEED {os.environ['MEXEC_SEED']!r}, "
-                              "expected an integer")
-    cfg = driver.SearchConfig(
+            raise MexecError(f"bad MEXEC_SEED {os.environ['MEXEC_SEED']!r}, "
+                             "expected an integer")
+    return driver.SearchConfig(
         n_start=args.n_start,
-        mcmc=MCMCConfig(n_iter=args.n_iter, step_scale=args.step_scale,
-                        local=LocalMinConfig()),
+        mcmc=MCMCConfig(n_iter=args.n_iter, step_scale=args.step_scale),
         box=[(lo, hi)],
         epsilon=args.epsilon,
         seed=seed,
         infeasible_after=getattr(args, "infeasible_after",
                                  _DEFAULTS.infeasible_after),
     )
-    cfg.resolved_box(1)     # a bad box fails before any work
-    return cfg
 
 
 def _load_program(args):
@@ -130,14 +112,11 @@ def _load_program(args):
         with open(args.source, encoding="utf-8") as handle:
             source = handle.read()
     except OSError as exc:
-        raise _UsageError(str(exc))
+        raise MexecError(str(exc))
     except UnicodeDecodeError as exc:
-        raise _UsageError(f"{args.source} is not UTF-8 text: {exc}")
+        raise MexecError(f"{args.source} is not UTF-8 text: {exc}")
     program = parse(source)
-    entry = args.entry or program.functions[-1].name
-    if program.function(entry) is None:
-        raise _UsageError(f"no function named {entry!r} in {args.source}")
-    return program, entry
+    return program, args.entry or program.functions[-1].name
 
 
 def _parse_target(text):
@@ -159,15 +138,7 @@ def _write_json(path, text):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     except OSError as exc:
-        raise _UsageError(f"cannot write the JSON report: {exc}")
-
-
-def _emit_report(result, program, entry, args):
-    _, uninstrumentable = conditional_counts(program)
-    rep = report.coverage_report(result, program, entry, uninstrumentable)
-    print(report.format_text(rep))
-    if args.json_path:
-        _write_json(args.json_path, report.to_json(rep))
+        raise MexecError(f"cannot write the JSON report: {exc}")
 
 
 def main(argv=None):
@@ -175,7 +146,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.command is None:
-            raise _UsageError("a command is required")
+            raise MexecError("a command is required")
 
         if args.command == "sat":
             constraint = satcheck.parse_constraint(args.constraint)
@@ -195,30 +166,28 @@ def main(argv=None):
 
         program, entry = _load_program(args)
         cfg = _search_config(args)
-
         if args.command == "cover":
             result = driver.run_coverage(program, entry, cfg)
             if args.emit_instrumented:
                 print(CompiledProgram(program, coverage_config(cfg.epsilon),
                                       entry, cfg.step_budget).source())
-            _emit_report(result, program, entry, args)
-            return 0
-        if args.command == "path":
+        elif args.command == "path":
             target = _parse_target(args.target)
             result = driver.run_path(program, entry, target, cfg)
             if result.found is not None:
                 print("found: " + ", ".join(repr(v) for v in result.found))
             else:
                 print("not found")
-            _emit_report(result, program, entry, args)
-            return 0
-        if args.command == "bva":
+        else:
             result = driver.run_bva(program, entry, cfg)
             for x in result.inputs:
                 print("boundary: " + ", ".join(repr(v) for v in x))
-            _emit_report(result, program, entry, args)
-            return 0
-        raise _UsageError(f"unknown command {args.command!r}")
+        _, uninstrumentable = conditional_counts(program)
+        rep = report.coverage_report(result, program, entry, uninstrumentable)
+        print(report.format_text(rep))
+        if args.json_path:
+            _write_json(args.json_path, report.to_json(rep))
+        return 0
     except ParseError as exc:
         print(f"mexec: parse error: {exc}", file=sys.stderr)
         return 2

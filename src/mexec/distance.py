@@ -7,6 +7,7 @@ registers a positive distance.
 """
 
 import math
+import operator
 
 from .errors import NaNOperand
 
@@ -27,21 +28,15 @@ def negate_op(op):
     return _NEGATION[op]
 
 
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def compare(op, a, b):
     """Evaluate the comparison `a op b` as a boolean."""
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise ValueError(f"unknown comparator {op!r}")
+    if op not in _COMPARE:
+        raise ValueError(f"unknown comparator {op!r}")
+    return _COMPARE[op](a, b)
 
 
 def branch_distance(op, a, b, epsilon=1e-6):

@@ -17,12 +17,12 @@ from typing import Optional
 
 from . import saturation
 from .cfg import build_cfg
-from .errors import InvalidBox, MalformedPath, MexecError
+from .errors import InvalidBox, MalformedPath, check_count, check_number
 from .interp import (
     CompiledProgram, bva_config, coverage_config, execute, path_config,
     plain_config,
 )
-from .optimize import MCMCConfig, Objective, basinhopping, clamp
+from .optimize import MCMCConfig, Objective, basinhopping, checked_mcmc, clamp
 
 # values worth probing regardless of the box: zero, units, and the
 # extremes of the normal double range
@@ -35,6 +35,11 @@ SPECIALS = (
 
 @dataclass
 class SearchConfig:
+    """Search settings, checked by `checked` as a mode starts (a broken
+    rule raises MexecError naming the setting): `n_start` is an integer
+    >= 0; `epsilon` finite and > 0; `infeasible_after` and `step_budget`
+    integers >= 1; `box` keeps the rule of `resolved_box`, `mcmc` those
+    of MCMCConfig."""
     n_start: int = 500
     mcmc: MCMCConfig = field(default_factory=MCMCConfig)
     box: Optional[list] = None          # per-dimension (lo, hi)
@@ -45,26 +50,38 @@ class SearchConfig:
 
     def resolved_box(self, arity):
         """One (lo, hi) bound per input, from one pair for every input
-        or one pair each; raises InvalidBox unless every bound is a
-        finite double and lo < hi."""
+        or one pair each; raises InvalidBox unless the box is a list of
+        (lo, hi) pairs of finite doubles with lo < hi."""
         if self.box is None:
             return [(-1e3, 1e3)] * arity
-        for lo, hi in self.box:
-            try:
-                ok = math.isfinite(lo) and math.isfinite(hi) and lo < hi
-            except OverflowError:
-                # an int bound past the double range, too long to print
-                raise InvalidBox("bad box bound past the double "
-                                 "range") from None
-            if not ok:
-                raise InvalidBox(f"bad box ({lo!r}, {hi!r}), need finite "
-                                 "lo < hi")
+        try:
+            for lo, hi in self.box:
+                if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                    raise InvalidBox(f"bad box ({lo!r}, {hi!r}), need "
+                                     "finite lo < hi")
+        except (OverflowError, TypeError, ValueError):
+            # not (lo, hi) numbers, or an int too long to print
+            raise InvalidBox("bad box, need (lo, hi) pairs of finite "
+                             "doubles") from None
         if len(self.box) == 1:
             return list(self.box) * arity
         if len(self.box) != arity:
             raise InvalidBox(f"bad box of {len(self.box)} pairs for "
-                             f"{arity} inputs, need 1 or {arity}")
+                             f"{arity} inputs, need one pair or one per "
+                             "input")
         return list(self.box)
+
+
+def checked(cfg):
+    """`cfg`, or the default for None, once it keeps SearchConfig's rules."""
+    if cfg is None:
+        return SearchConfig()
+    check_count("n_start", cfg.n_start, 0)
+    check_number("epsilon", cfg.epsilon, positive=True)
+    check_count("infeasible_after", cfg.infeasible_after, 1)
+    check_count("step_budget", cfg.step_budget, 1)
+    checked_mcmc(cfg.mcmc)
+    return cfg
 
 
 @dataclass
@@ -177,11 +194,7 @@ def search(cfg, arity, objective_at, admit):
 
 def run_coverage(program, entry, cfg=None):
     """Saturate as many branches as possible within the restart budget."""
-    if cfg is None:
-        cfg = SearchConfig()
-    if cfg.infeasible_after < 1:
-        raise MexecError(f"bad infeasible_after {cfg.infeasible_after!r}, "
-                         "need at least 1")
+    cfg = checked(cfg)
     started = time.perf_counter()
     graph = build_cfg(program, entry)
     arity = len(program.function(entry).params)
@@ -189,8 +202,7 @@ def run_coverage(program, entry, cfg=None):
     result = TestSuiteResult(mode="cover", state=state, graph=graph)
 
     if not graph.labels or arity == 0:
-        box = cfg.resolved_box(arity)
-        x = sample_start(random.Random(cfg.seed), box) if arity else []
+        x = sample_start(random.Random(cfg.seed), cfg.resolved_box(arity))
         trace = execute(CompiledProgram(program, plain_config(), entry,
                                         cfg.step_budget), x)
         result.inputs.append(x)
@@ -259,8 +271,7 @@ def _validate_path(graph, target):
 def run_path(program, entry, target, cfg=None):
     """Search for an input whose execution follows the target branch
     sequence; the candidate is verified by replay before being reported."""
-    if cfg is None:
-        cfg = SearchConfig()
+    cfg = checked(cfg)
     started = time.perf_counter()
     graph = build_cfg(program, entry)
     target = tuple(target)
@@ -290,8 +301,7 @@ def run_path(program, entry, target, cfg=None):
 
 def run_bva(program, entry, cfg=None):
     """Collect inputs that sit exactly on some conditional's boundary."""
-    if cfg is None:
-        cfg = SearchConfig()
+    cfg = checked(cfg)
     started = time.perf_counter()
     graph = build_cfg(program, entry)
     result = TestSuiteResult(mode="bva", graph=graph)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the setting checks."""
+
+import math
+import numbers
 
 
 class MexecError(Exception):
@@ -66,3 +69,23 @@ class UnknownVariable(MexecError):
 
 class NonNumericExpression(MexecError):
     pass
+
+
+# a plain int or float skips the ABC check, most of the cost of a check
+def check_count(name, value, least):
+    """Raise MexecError naming the setting unless it is an integer >= least."""
+    if type(value) is not int and not isinstance(value, numbers.Integral):
+        raise MexecError(f"bad {name} {value!r}, need an integer")
+    if value < least:
+        raise MexecError(f"bad {name} {value!r}, need at least {least}")
+
+
+def check_number(name, value, positive=False, finite=True):
+    """Raise MexecError naming the setting unless it is a real number,
+    > 0 if `positive` and >= 0 if not, and finite if `finite`."""
+    if not ((type(value) in (int, float) or isinstance(value, numbers.Real))
+            and (value > 0 if positive else value >= 0)
+            and (value < math.inf or not finite)):
+        need = ("positive" if positive else "nonnegative") + (
+            " finite" if finite else "")
+        raise MexecError(f"bad {name} {value!r}, need a {need} number")

@@ -25,13 +25,10 @@ from .errors import (
     UnsupportedPointerUse,
 )
 
-BUILTINS = (
-    "sin", "cos", "tan", "exp", "log", "sqrt", "fabs", "floor", "pow",
-    "hiword", "loword",
-)
-
-BUILTIN_ARITY = {name: 1 for name in BUILTINS}
-BUILTIN_ARITY["pow"] = 2
+# the builtin functions and their argument counts
+BUILTIN_ARITY = dict.fromkeys((
+    "sin", "cos", "tan", "exp", "log", "sqrt", "fabs", "floor", "hiword",
+    "loword"), 1) | {"pow": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +444,7 @@ class _Parser:
     def parse_lvalue(self):
         tok = self.peek()
         if tok.kind == "*":
-            self.next()
-            name = self.expect("ident", "pointer name")
-            return Deref(line=tok.line, col=tok.col, name=name.text)
+            return self.parse_primary()
         name = self.expect("ident", "variable name")
         return Var(line=tok.line, col=tok.col, name=name.text)
 
@@ -487,9 +482,6 @@ class _Parser:
     # -- expressions
 
     def parse_expr(self):
-        return self.parse_additive()
-
-    def parse_additive(self):
         node = self.parse_term()
         while self.peek().kind in ("+", "-"):
             tok = self.next()
@@ -562,12 +554,10 @@ class _Parser:
         self.expect("(")
         args = []
         if self.peek().kind != ")":
-            while True:
+            args.append(self.parse_expr())
+            while self.peek().kind == ",":
+                self.next()
                 args.append(self.parse_expr())
-                if self.peek().kind == ",":
-                    self.next()
-                    continue
-                break
         self.expect(")")
         return Call(line=tok.line, col=tok.col, name=name, args=args)
 

@@ -27,7 +27,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import cache, partial
 
-from .errors import ArityMismatch, InvalidBracket, MexecError
+from .errors import ArityMismatch, InvalidBracket, check_count, check_number
 
 # the value of an aborted or non-finite evaluation
 SENTINEL = 1e300
@@ -112,10 +112,29 @@ class LocalMinConfig:
 
 @dataclass
 class MCMCConfig:
+    """Basinhopping settings, checked by `checked_mcmc`: `n_iter` and
+    `local.max_rounds` are integers >= 0; `step_scale`, `local.xtol` and
+    `local.ftol` finite and >= 0; `temperature` >= 0, +inf included;
+    `local.bracket_growth` finite and > 0."""
     n_iter: int = 5
     step_scale: float = 50.0
     temperature: float = 1.0
     local: LocalMinConfig = field(default_factory=LocalMinConfig)
+
+
+def checked_mcmc(cfg):
+    """`cfg`, or the default for None, once it keeps MCMCConfig's rules."""
+    if cfg is None:
+        return MCMCConfig()
+    local = cfg.local or LocalMinConfig()
+    check_count("n_iter", cfg.n_iter, 0)
+    check_count("max_rounds", local.max_rounds, 0)
+    check_number("step_scale", cfg.step_scale)
+    check_number("xtol", local.xtol)
+    check_number("ftol", local.ftol)
+    check_number("temperature", cfg.temperature, finite=False)
+    check_number("bracket_growth", local.bracket_growth, positive=True)
+    return cfg
 
 
 def _bracket(g, a, fa, step, growth, max_expand):
@@ -353,14 +372,10 @@ def basinhopping(f, x0, cfg=None, rng=None, callback=None, box=None):
     into `box` (per-dimension (lo, hi), or None for no bounds).  The
     callback, if given, runs once per iteration with (iteration,
     incumbent x, incumbent f) and may return True to stop early.
-    Raises MexecError, before any evaluation, unless the temperature is
-    at least 0 (0 and +inf being the limits of the accept rule).
+    Raises MexecError, before any evaluation, unless `cfg` keeps the
+    rules MCMCConfig states.
     """
-    if cfg is None:
-        cfg = MCMCConfig()
-    if not cfg.temperature >= 0.0:
-        raise MexecError(f"bad temperature {cfg.temperature!r}, need at "
-                         "least 0")
+    cfg = checked_mcmc(cfg)
     if rng is None:
         rng = random.Random()
     x_l, f_l = powell_minimize(f, clamp(x0, box), cfg.local)

@@ -139,14 +139,12 @@ def format_text(report):
     if report.uninstrumentable:
         out.append(f"  ignored conditionals   {report.uninstrumentable} "
                    "(pointer comparisons)")
-    infeasible = [k for k, v in report.branch_status.items()
-                  if v == "infeasible"]
-    if infeasible:
-        out.append(f"  deemed infeasible      {', '.join(sorted(infeasible))}")
-    uncovered = [k for k, v in report.branch_status.items()
-                 if v == "uncovered"]
-    if uncovered:
-        out.append(f"  not taken              {', '.join(sorted(uncovered))}")
+    for status, title in (("infeasible", "deemed infeasible"),
+                          ("uncovered", "not taken")):
+        keys = sorted(k for k, v in report.branch_status.items()
+                      if v == status)
+        if keys:
+            out.append(f"  {title:<22} {', '.join(keys)}")
     out.append(f"  test inputs            {len(report.inputs)}")
     out.append(f"  wall time              {report.wall_time:.3f}s")
     return "\n".join(out)

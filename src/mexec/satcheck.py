@@ -46,7 +46,8 @@ def _collect_vars(cmp, names):
 
 
 def parse_constraint(text, variables=None):
-    """Parse `expr op expr && expr op expr && ...` into a Constraint."""
+    """Parse `expr op expr && ...` into a Constraint over `variables`,
+    distinct names covering the text's, else the text's in order."""
     conjuncts = []
     names = {}
     parser = _Parser(tokenize(text))
@@ -67,10 +68,10 @@ def parse_constraint(text, variables=None):
         conjuncts.append(cmp)
     order = list(names)
     if variables is not None:
-        unknown = [v for v in order if v not in variables]
-        if unknown:
-            raise UnknownVariable(f"undeclared variables {unknown}")
-        order = list(variables)
+        order, named = list(variables), order
+        if len(set(order)) < len(order) or not set(named) <= set(order):
+            raise UnknownVariable(f"bad variables {order}, need distinct "
+                                  f"names covering {named}")
     return Constraint(conjuncts=conjuncts, variables=order, text=text)
 
 
@@ -103,8 +104,7 @@ def _holds(constraint, x):
 def check_sat(constraint, cfg=None):
     """Minimize the compiled objective over restarts; a replay-confirmed
     root yields verdict sat, anything else stays unknown."""
-    if cfg is None:
-        cfg = driver.SearchConfig()
+    cfg = driver.checked(cfg)
     started = time.perf_counter()
     distance = compile_constraint(constraint, cfg.epsilon).fn
     result = SatResult(verdict="unknown", residual=float("inf"),

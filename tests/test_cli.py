@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import re
@@ -10,8 +11,10 @@ import pytest
 
 from mexec.cli import main
 from mexec.driver import SearchConfig, run_bva, run_coverage, run_path
+from mexec.errors import MexecError
 from mexec.interp import CompiledProgram, coverage_config
 from mexec.lang import parse
+from mexec.optimize import MCMCConfig
 from mexec.report import (
     SCHEMA, CoverageReport, coverage_report, from_json, to_json,
 )
@@ -412,10 +415,33 @@ def test_negative_counts_and_bad_step_scale_are_usage_errors(capsys):
     for flag, value in (("--n-start", "-3"), ("--n-iter", "-1"),
                         ("--step-scale", "-0.5"), ("--step-scale", "nan"),
                         ("--step-scale", "inf")):
+        setting = flag[2:].replace("-", "_")
         for argv in (["cover", FOO], ["sat", "x == 1"]):
             code, _, err = run_cli(capsys, *argv, flag, value)
             assert code == 1, (argv, flag, value)
-            assert err.startswith(f"mexec: bad {flag} {value}"), err
+            assert err.startswith(f"mexec: bad {setting} {value}"), err
+
+
+@pytest.mark.parametrize("flag, value, cfg", [
+    ("--n-start", "-3", SearchConfig(n_start=-3)),
+    ("--n-iter", "-1", SearchConfig(mcmc=MCMCConfig(n_iter=-1))),
+    ("--epsilon", "nan", SearchConfig(epsilon=math.nan)),
+    ("--epsilon", "0", SearchConfig(epsilon=0.0)),
+    ("--step-scale", "inf", SearchConfig(mcmc=MCMCConfig(
+        step_scale=math.inf))),
+    ("--infeasible-after", "0", SearchConfig(infeasible_after=0)),
+    ("--box", "3:1", SearchConfig(box=[(3.0, 1.0)])),
+])
+def test_a_bad_flag_reports_the_library_message(capsys, flag, value, cfg):
+    with pytest.raises(MexecError) as library:
+        run_coverage(parse("real f(real x) { return x; }"), "f", cfg)
+    commands = [["cover", FOO]]
+    if flag != "--infeasible-after":
+        commands.append(["sat", "x == 1"])
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv, flag, value)
+        assert (code, out) == (1, ""), argv
+        assert err == f"mexec: {library.value}\n"
 
 
 def test_infeasible_after_below_one_is_a_usage_error(capsys):

@@ -13,7 +13,7 @@ from mexec.interp import (
     ExecutionTrace, bva_config, coverage_config, execute,
 )
 from mexec.lang import parse
-from mexec.optimize import MCMCConfig, Objective
+from mexec.optimize import LocalMinConfig, MCMCConfig, Objective
 from mexec.satcheck import check_sat, parse_constraint
 from mexec.saturation import goal_reached, new_state, update_saturation
 from mexec.cfg import build_cfg
@@ -386,3 +386,81 @@ def test_a_search_at_a_negative_temperature_is_an_error(foo):
         run_bva(foo, "FOO", cfg)
     with pytest.raises(MexecError, match="bad temperature -1.0"):
         check_sat(parse_constraint("x*y == 12 && x + y == 7"), cfg)
+
+
+# one program per kind of mode call: x > 999 has one labeled conditional
+ABOVE = "real f(real x) { if (x > 999) { return 1; } return 0; }"
+LABEL_FREE = "real f(real x) { return x; }"
+MODE_CALLS = {
+    "cover": lambda cfg: run_coverage(parse(ABOVE), "f", cfg),
+    "cover, one-input suite": lambda cfg: run_coverage(parse(LABEL_FREE),
+                                                       "f", cfg),
+    "path": lambda cfg: run_path(parse(ABOVE), "f", [(0, "T")], cfg),
+    "bva": lambda cfg: run_bva(parse(ABOVE), "f", cfg),
+    "sat": lambda cfg: check_sat(parse_constraint("x > 999"), cfg),
+    "sat without variables": lambda cfg: check_sat(parse_constraint("1 < 2"),
+                                                   cfg),
+}
+
+
+def _setting(name, value):
+    """A small SearchConfig with the setting `name`, of SearchConfig,
+    MCMCConfig or LocalMinConfig, set to `value`."""
+    local = LocalMinConfig()
+    mcmc = MCMCConfig(local=local)
+    cfg = SearchConfig(seed=1, n_start=3, mcmc=mcmc)
+    for owner in (cfg, mcmc, local):
+        if hasattr(owner, name):
+            setattr(owner, name, value)
+    return cfg
+
+
+def _never(*_args, **_kwargs):
+    raise AssertionError("evaluated with a bad setting")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_start", 2.5), ("n_start", -1),
+    ("epsilon", math.nan), ("epsilon", 0.0), ("epsilon", -1e-6),
+    ("epsilon", math.inf),
+    ("infeasible_after", 0), ("infeasible_after", 1.5),
+    ("step_budget", 0), ("step_budget", 2.5),
+    ("n_iter", -1), ("n_iter", 1.5),
+    ("step_scale", math.nan), ("step_scale", -0.5), ("step_scale", math.inf),
+    ("temperature", math.nan), ("temperature", -1.0),
+    ("temperature", -math.inf),
+    ("max_rounds", 1.5), ("max_rounds", -1),
+    ("xtol", math.nan), ("xtol", -1e-8), ("xtol", math.inf),
+    ("ftol", math.nan), ("ftol", -1e-8), ("ftol", math.inf),
+    ("bracket_growth", -1.0), ("bracket_growth", math.nan),
+    ("bracket_growth", 0.0), ("bracket_growth", math.inf),
+    ("box", [(1,)]), ("box", [1, 2]), ("box", [(0, "1")]),
+])
+def test_a_bad_setting_raises_naming_it_in_every_mode_before_any_evaluation(
+        name, value, monkeypatch):
+    monkeypatch.setattr(driver, "_minimize_once", _never)
+    monkeypatch.setattr(driver, "execute", _never)
+    for mode, call in MODE_CALLS.items():
+        with pytest.raises(MexecError, match=rf"^bad {name}\b"):
+            call(_setting(name, value))
+            pytest.fail(f"{mode} ran")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_start", 0), ("n_iter", 0), ("step_scale", 0.0),
+    ("temperature", 0.0), ("temperature", -0.0), ("temperature", math.inf),
+    ("defaults", None),
+])
+def test_the_edges_of_each_setting_rule_still_run(name, value):
+    cfg = None if name == "defaults" else _setting(name, value)
+    for call in MODE_CALLS.values():
+        call(cfg)
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_a_wrong_pair_count_names_what_the_box_needs(arity):
+    cfg = SearchConfig(box=[(-1.0, 1.0)] * 3)
+    with pytest.raises(InvalidBox, match=f"bad box of 3 pairs for {arity} "
+                                         "inputs, need one pair or one per "
+                                         "input$"):
+        cfg.resolved_box(arity)

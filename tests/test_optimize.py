@@ -426,6 +426,19 @@ def test_basinhopping_rejects_a_negative_or_nan_temperature():
         assert fx < 1e-12
 
 
+@pytest.mark.parametrize("local, name", [
+    (LocalMinConfig(max_rounds=1.5), "max_rounds"),
+    (LocalMinConfig(xtol=math.nan), "xtol"),
+    (LocalMinConfig(bracket_growth=-1.0), "bracket_growth"),
+])
+def test_basinhopping_checks_its_local_settings_before_any_evaluation(
+        local, name):
+    f = Objective(lambda x: x[0] ** 2, 1)
+    with pytest.raises(MexecError, match=f"^bad {name} "):
+        basinhopping(f, [3.0], MCMCConfig(local=local), random.Random(0))
+    assert f.eval_count == 0
+
+
 def test_metropolis_always_accepts_downhill():
     rng = random.Random(0)
     for _ in range(100):

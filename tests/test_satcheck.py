@@ -26,6 +26,14 @@ def test_parse_with_explicit_variables_checks_membership():
         parse_constraint("x <= z", variables=["x"])
 
 
+def test_parse_rejects_a_variable_listed_twice():
+    # listed twice, x would be two inputs of which the conjuncts read only
+    # the second, so the first, reported as x, could break x < 3
+    with pytest.raises(UnknownVariable, match=r"bad variables \['x', 'x'\], "
+                                              r"need distinct names"):
+        parse_constraint("x > 1 && x < 3", variables=["x", "x"])
+
+
 def test_parse_rejects_trailing_garbage():
     with pytest.raises(ParseError):
         parse_constraint("x <= 1 2")
