@@ -35,6 +35,7 @@ BUILTIN_ARITY = dict.fromkeys((
 # Tokens
 
 KEYWORDS = ("real", "void", "if", "else", "while", "return")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # The lexical structure of docs/grammar.md, ASCII only.  Alternatives are
 # tried in order: blanks and comments, numbers, words, punctuators (the
@@ -45,10 +46,10 @@ _TOKEN = re.compile(r"""
     (?P<blank>[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)
   | (?P<num>0[xX][0-9a-fA-F]+
       | (?!0[xX])(?:[0-9]+(?:\.[0-9]*)? | \.[0-9]+)(?:[eE][+-]?[0-9]+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ident>%s)
   | (?P<punct>\+\+ | -- | && | [=!<>]= | /(?!\*) | [-+*^<>=(){},;])
   | (?P<bad>/\* | 0[xX] | .)
-""", re.VERBOSE | re.DOTALL)
+""" % _NAME.pattern, re.VERBOSE | re.DOTALL)
 
 _BAD = {"/*": "unterminated comment", "0x": "malformed hex literal"}
 
@@ -84,6 +85,13 @@ def tokenize(source):
         tokens.append(Token(kind, text, line, col))
     tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
+
+
+def is_name(text):
+    """Whether `text` is a str that the lexer reads as one identifier,
+    not a keyword."""
+    return (isinstance(text, str) and _NAME.fullmatch(text) is not None
+            and text not in KEYWORDS)
 
 
 def _number(text):

@@ -12,11 +12,14 @@ line at t = -0.0 along zeros.
 
 A line search asks for no value it already holds: the bracket starts
 from the value at t = 0, and Brent checks the bracket with the values
-the bracketing found.  Nor does it run again: an Objective records each
-line search it has run, keyed by the exact bits of the point, the
-direction and the line search's settings, and answers a repeat, such as
-the same failed search Powell asks again in its next round, from that
-record.  The Objective still counts each request those answers stand
+the bracketing found.  An Objective over interp's compiled function has
+that line search generated, `_search_line` with the evaluation inlined
+(`Objective.line_search`); `_search_line` is its specification, and
+runs for plain functions.  Nor does a line search run again: an
+Objective records each line search it has run, keyed by the exact bits
+of the point, the direction and the line search's settings, and answers
+a repeat, such as the same failed search Powell asks again in its next
+round, from that record.  The Objective still counts each request those answers stand
 for in `eval_count`, as an evaluation reused, so the count and the
 search path are those of a search that evaluates every request.
 """
@@ -71,6 +74,8 @@ class Objective:
         # line search key -> (new x, new f, decrease, requests)
         self.searches = {}
         self._zeros = (0.0,) * arity
+        # set by a runner that has a generated line search
+        self.line_search = None
         runner = getattr(fn, "runner", None)
         if runner is None:
             self._line = partial(_on_line, self._evaluate)
@@ -104,6 +109,9 @@ class Objective:
 
 @dataclass
 class LocalMinConfig:
+    """Powell settings, checked by `checked_local`: `max_rounds` is an
+    integer >= 0; `xtol` and `ftol` finite and >= 0; `bracket_growth`
+    finite and > 0."""
     xtol: float = 1e-8
     ftol: float = 1e-8
     max_rounds: int = 60
@@ -112,28 +120,35 @@ class LocalMinConfig:
 
 @dataclass
 class MCMCConfig:
-    """Basinhopping settings, checked by `checked_mcmc`: `n_iter` and
-    `local.max_rounds` are integers >= 0; `step_scale`, `local.xtol` and
-    `local.ftol` finite and >= 0; `temperature` >= 0, +inf included;
-    `local.bracket_growth` finite and > 0."""
+    """Basinhopping settings, checked by `checked_mcmc`: `n_iter` is an
+    integer >= 0; `step_scale` finite and >= 0; `temperature` >= 0, +inf
+    included; `local` keeps LocalMinConfig's rules."""
     n_iter: int = 5
     step_scale: float = 50.0
     temperature: float = 1.0
     local: LocalMinConfig = field(default_factory=LocalMinConfig)
 
 
+def checked_local(cfg):
+    """`cfg`, or the default for None, once it keeps LocalMinConfig's
+    rules."""
+    if cfg is None:
+        return LocalMinConfig()
+    check_count("max_rounds", cfg.max_rounds, 0)
+    check_number("xtol", cfg.xtol)
+    check_number("ftol", cfg.ftol)
+    check_number("bracket_growth", cfg.bracket_growth, positive=True)
+    return cfg
+
+
 def checked_mcmc(cfg):
     """`cfg`, or the default for None, once it keeps MCMCConfig's rules."""
     if cfg is None:
         return MCMCConfig()
-    local = cfg.local or LocalMinConfig()
     check_count("n_iter", cfg.n_iter, 0)
-    check_count("max_rounds", local.max_rounds, 0)
+    checked_local(cfg.local)
     check_number("step_scale", cfg.step_scale)
-    check_number("xtol", local.xtol)
-    check_number("ftol", local.ftol)
     check_number("temperature", cfg.temperature, finite=False)
-    check_number("bracket_growth", local.bracket_growth, positive=True)
     return cfg
 
 
@@ -253,8 +268,12 @@ def _line_minimize(f, x, direction, cfg):
     known = f.searches.get(key)
     if known is None:
         requested = f.eval_count
-        new_x, f_new, decrease = _search_line(f, f.along(x, direction), x,
-                                              direction, cfg)
+        if f.line_search is None:
+            new_x, f_new, decrease = _search_line(
+                f, f.along(x, direction), x, direction, cfg)
+        else:
+            new_x, f_new, decrease = f.line_search(
+                x, direction, cfg.xtol, cfg.bracket_growth)
         f.searches[key] = (tuple(new_x), f_new, decrease,
                            f.eval_count - requested)
         return new_x, f_new, decrease
@@ -297,9 +316,10 @@ def powell_minimize(f, x0, cfg=None):
     Directions start as the coordinate axes; after each sweep the axis of
     largest decrease may be replaced by the overall displacement, and the
     direction set is reset to the axes periodically to avoid degeneracy.
+    Raises MexecError, before any evaluation, unless `cfg` keeps the
+    rules LocalMinConfig states.
     """
-    if cfg is None:
-        cfg = LocalMinConfig()
+    cfg = checked_local(cfg)
     n = len(x0)
     x = [float(v) for v in x0]
     fx = f(x)

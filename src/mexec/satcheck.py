@@ -13,8 +13,8 @@ from typing import Optional
 from .errors import NonNumericExpression, ParseError, UnknownVariable
 from .interp import compile_comparisons
 from .lang import (
-    Call, Deref, Var, _Parser, check_call, check_depth, memoised, tokenize,
-    walk,
+    Call, Deref, Var, _Parser, check_call, check_depth, is_name, memoised,
+    tokenize, walk,
 )
 from .optimize import Objective
 from . import driver
@@ -47,7 +47,8 @@ def _collect_vars(cmp, names):
 
 def parse_constraint(text, variables=None):
     """Parse `expr op expr && ...` into a Constraint over `variables`,
-    distinct names covering the text's, else the text's in order."""
+    distinct identifiers covering the text's, else the text's in
+    order."""
     conjuncts = []
     names = {}
     parser = _Parser(tokenize(text))
@@ -69,6 +70,10 @@ def parse_constraint(text, variables=None):
     order = list(names)
     if variables is not None:
         order, named = list(variables), order
+        for name in order:
+            if not is_name(name):
+                raise UnknownVariable(f"bad variable {name!r}, need an "
+                                      "identifier that is not a keyword")
         if len(set(order)) < len(order) or not set(named) <= set(order):
             raise UnknownVariable(f"bad variables {order}, need distinct "
                                   f"names covering {named}")

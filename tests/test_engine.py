@@ -10,6 +10,7 @@ shared through the code cache must give what a fresh compile gives.
 
 import math
 import random
+import struct
 import sys
 from itertools import accumulate
 
@@ -22,11 +23,13 @@ from mexec.distance import branch_distance, compare
 from mexec.driver import SearchConfig, run_coverage, run_path
 from mexec.errors import MexecError, NaNOperand
 from mexec.interp import (
-    CompiledProgram, _compile, bva_config, coverage_config, execute,
-    path_config, plain_config,
+    MAX_CALL_DEPTH, CompiledProgram, _compile, bva_config, coverage_config,
+    execute, path_config, plain_config, run_bounds,
 )
 from mexec.lang import BUILTIN_ARITY, Program, parse
-from mexec.optimize import SENTINEL, Objective, clamp
+from mexec.optimize import (
+    SENTINEL, LocalMinConfig, Objective, _search_line, clamp,
+)
 from mexec.satcheck import (
     _holds, check_sat, compile_constraint, parse_constraint,
 )
@@ -45,10 +48,12 @@ OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 class _ProgramGen:
     """Draws the source of a random program; every function may call
-    itself and the functions defined before it."""
+    itself and the functions defined before it.  Without `loops`, no
+    function has a while loop or calls itself."""
 
-    def __init__(self, draw):
+    def __init__(self, draw, loops=True):
         self.draw = draw
+        self.loops = loops
         self.fresh = 0
 
     def pick(self, seq):
@@ -102,7 +107,8 @@ class _ProgramGen:
         for _ in range(self.draw(st.integers(0, 4 if depth else 5))):
             kinds = ["decl", "assign", "incr", "call", "return"]
             if depth < 2:
-                kinds += ["if", "if", "loop", "while"]
+                kinds += ["if", "if"] + (["loop", "while"] if self.loops
+                                         else [])
             kind = self.pick(kinds)
             if kind == "decl":
                 name = self.name("v")
@@ -158,17 +164,19 @@ class _ProgramGen:
                 else:
                     params.append(f"real p{j}")
                     scope.append(f"p{j}")
+            itself = [(name, arity)] if self.loops else []
+            body = self.block(scope, callees + itself, pointers, 0)
             callees.append((name, arity))
-            body = self.block(scope, callees, pointers, 0)
             functions.append(f"real {name}({', '.join(params)}) {body}")
         return "\n".join(functions)
 
 
 @st.composite
-def cases(draw):
-    """A prepared program, an input vector, a step budget, a mode
-    configuration and a saturation state."""
-    program = prepare(parse(_ProgramGen(draw).program()))
+def cases(draw, loops=True):
+    """A prepared program, with while loops and recursion unless not
+    `loops`, an input vector, a step budget, a mode configuration and a
+    saturation state."""
+    program = prepare(parse(_ProgramGen(draw, loops).program()))
     arity = len(program.functions[-1].params)
     x = draw(st.lists(inputs, min_size=arity, max_size=arity))
     budget = draw(st.sampled_from(BUDGETS))
@@ -240,6 +248,62 @@ def test_compiled_engine_matches_oracle_on_random_programs(case):
     program, x, budget, cfg, state = case
     assert_engines_agree(CompiledProgram(program, cfg, None, budget), x,
                          state)
+
+
+# -- the static bounds that let the fast flavour drop its guards
+
+@settings(max_examples=200)
+@given(cases(loops=False))
+def test_the_step_bound_holds_and_the_guards_it_drops_are_dead(case):
+    """Without while loops or recursion, no run of the entry takes more
+    steps than its step bound.  At a budget of the bound the fast
+    flavour leaves out its guards, one below it keeps them, and at both
+    the flavours agree with the oracle."""
+    program, x, _budget, cfg, state = case
+    steps, depth = run_bounds(program)[program.functions[-1].name]
+    assert depth <= len(program.functions)
+    trace = CompiledProgram(program, cfg, None, steps + 1).trace(x, state)
+    assert trace.steps <= steps
+    assert trace.aborted != "step budget exceeded"
+    for budget, guarded in ((steps, False), (steps - 1, True)):
+        compiled = CompiledProgram(program, cfg, None, budget)
+        assert compiled.guarded() is guarded
+        assert ("_CallDepthExceeded" in compiled.source()) is guarded
+        assert_engines_agree(compiled, x, state)
+
+
+def _chain(length):
+    """A program whose function c<length> nests `length` user calls,
+    defined from the outermost in, so that its bound walks the whole
+    chain at once."""
+    return parse("\n".join(
+        [f"real c{i}(real x) {{ return c{i - 1}(x) + 1; }}"
+         for i in range(length, 1, -1)]
+        + ["real c1(real x) { return x; }"]))
+
+
+def test_the_bounds_keep_the_guards_past_the_depth_or_on_a_loop():
+    for length in (MAX_CALL_DEPTH, MAX_CALL_DEPTH + 1):
+        program = _chain(length)
+        entry = f"c{length}"
+        assert run_bounds(program)[entry] == (length, length)
+        compiled = CompiledProgram(program, plain_config(), entry)
+        assert compiled.guarded() is (length > MAX_CALL_DEPTH)
+        aborted = assert_engines_agree(compiled, [1.0], None)
+        assert aborted == (None if length == MAX_CALL_DEPTH
+                           else "recursion depth")
+    # a chain far deeper than Python's recursion limit is walked
+    assert run_bounds(_chain(5_000))["c5000"] == (5_000, 5_000)
+    program = parse("""
+        real down(real x) { return up(x - 1); }
+        real up(real x) { if (x > 0) { return down(x); } return x; }
+        real spin(real x) { while (x > 0) { x = x - 1; } return x; }
+        real calls_spin(real x) { return spin(x) + 1; }
+        real lone(real x) { real y = x; if (x > 1) { y = y * 2; y++; }
+                            else { y = 0; } return y; }
+    """)
+    assert run_bounds(program) == {"down": None, "up": None, "spin": None,
+                                   "calls_spin": None, "lone": (5, 1)}
 
 
 # -- the shipped programs
@@ -660,9 +724,10 @@ def _shipped_programs():
 @pytest.mark.parametrize("path", _shipped_programs(),
                          ids=lambda path: path.stem)
 def test_each_program_generates_one_runner_and_one_coverage_hook(path):
-    """The fast source's only evaluation is the runner `_bind` returns,
-    which calls the entry once; the tracing source takes the coverage
-    penalty from the saturation table, as the fast one does."""
+    """The fast source's evaluations are the runner `_bind` returns and
+    the line search it inlines the runner into; the tracing source takes
+    the coverage penalty from the saturation table, as the fast one
+    does."""
     program = parse(path.read_text(encoding="utf-8"))
     entry = program.functions[-1].name
     for cfg in (coverage_config(), path_config(()), bva_config(),
@@ -670,14 +735,120 @@ def test_each_program_generates_one_runner_and_one_coverage_hook(path):
         compiled = CompiledProgram(program, cfg, entry)
         fast, tracing = compiled._source(False), compiled._source(True)
         assert "\ndef _bind(" in fast
-        assert fast.count("return _line\n") == 1
+        assert fast.count("return _line, _search\n") == 1
         for name in ("_value", "_point", "_ArityMismatch"):
             assert name not in fast, name
-        assert fast.count(f"f_{entry}(1, ") == 1
+        # once in the runner, once at each of the search's evaluations
+        assert fast.count(f"f_{entry}(1, ") == 6
         assert "_pen" not in tracing
         state = SaturationState(cfg=None, explored=frozenset())
         counts_on = Objective(len, 0)   # any object with the two counts
         assert callable(compiled.objective(state).runner(counts_on, None))
+
+
+# -- the generated line search against optimize._search_line
+
+def _bits(search):
+    """A line search's new x, value and decrease, each float by its
+    bits, so that -0.0 differs from 0.0 and NaN payloads count."""
+    new_x, value, decrease = search
+    return [struct.pack("<d", v) for v in (*new_x, value, decrease)]
+
+
+def _line(rng, arity):
+    """A random line and search settings: points with +-0, NaN, inf and
+    huge inputs, directions along an axis, at random or with zeros, NaN
+    or huge entries, and xtol and bracket growth values that end Brent
+    early, run it out, or give the bracket a bad order."""
+    x = _point(rng, arity)
+    roll = rng.random()
+    if roll < 0.4:
+        d = [0.0] * arity
+        d[rng.randrange(arity)] = rng.choice((1.0, -1.0, 0.5, 1e-9, -1e5))
+    elif roll < 0.7:
+        d = [rng.uniform(-2.0, 2.0) for _ in range(arity)]
+    else:
+        d = [rng.choice((0.0, -0.0, math.nan, 1e300, -3.0))
+             for _ in range(arity)]
+    cfg = LocalMinConfig(xtol=rng.choice((1e-8, 1e-3, 0.0)),
+                         bracket_growth=rng.choice((2.0, 1.618, 0.5, -1.0)))
+    return x, d, cfg
+
+
+def assert_searches_agree(fn, arity, box, lines):
+    """The generated line search of `fn`'s runner and _search_line over
+    a second runner of `fn` give the same bits and counts on each of
+    `lines` in turn, and leave the same last point held."""
+    generated, python = Objective(fn, arity, box), Objective(fn, arity, box)
+    search, python.line_search = generated.line_search, None
+    assert search is not None
+    for x, d, cfg in lines:
+        got = search(x, d, cfg.xtol, cfg.bracket_growth)
+        want = _search_line(python, python.along(x, d), x, d, cfg)
+        assert _bits(got) == _bits(want), (x, d, cfg)
+        for probe in (got[0], x):
+            assert repr(generated(probe)) == repr(python(probe))
+            assert ((generated.eval_count, generated.reuse_count)
+                    == (python.eval_count, python.reuse_count)), (x, d, cfg)
+
+
+@pytest.mark.parametrize("path", _shipped_programs(),
+                         ids=lambda path: path.stem)
+def test_generated_line_search_is_search_line_bit_for_bit(path):
+    program = parse(path.read_text(encoding="utf-8"))
+    rng = random.Random(path.stem)
+    arity = len(program.functions[-1].params)
+    branches = [(label, side) for label in range(program.num_conditionals)
+                for side in "TF"]
+    cfgs = [(coverage_config(), None),
+            (coverage_config(0.25), frozenset(branches[::2])),
+            (path_config([rng.choice(branches) for _ in range(2)]), None),
+            (bva_config(), None), (plain_config(), None)]
+    boxes = [None, [(-1e3, 1e3)] * arity, [(-0.0, 0.5)] * arity]
+    for budget in (20, 1_000_000):
+        for cfg, explored in cfgs:
+            state = SaturationState(cfg=None, explored=explored or frozenset())
+            compiled = CompiledProgram(program, cfg, None, budget)
+            fn = compiled.objective(state)
+            for box in boxes:
+                assert_searches_agree(fn, arity, box,
+                                      [_line(rng, arity) for _ in range(4)])
+
+
+SEARCH_CONSTRAINTS = (
+    "x*y == 12 && x + y == 7", "2^x <= 5 && x*x >= 5 && x >= 0",
+    "a*b - c == 1 && a + b + c == 10", "x*x == 2", "sin(x) > 0.5 && x < -2",
+    "x == 0", "x != x + 1",
+    # a sentinel everywhere off the line x = -1e300
+    "x <= -1e300",
+    # falls the whole way out from x = 1: the bracket runs away
+    "1 / x == 0",
+)
+
+
+@pytest.mark.parametrize("text", SEARCH_CONSTRAINTS)
+def test_generated_constraint_line_search_is_search_line_bit_for_bit(text):
+    constraint = parse_constraint(text)
+    fn = compile_constraint(constraint).fn
+    arity = len(constraint.variables)
+    rng = random.Random(text)
+    lines = [_line(rng, arity) for _ in range(40)]
+    # from the origin downhill, straight along and against the fall
+    lines += [([1.0] * arity, [1.0] * arity, LocalMinConfig()),
+              ([0.0] * arity, [-1.0] * arity, LocalMinConfig()),
+              ([-0.0] * arity, [1.0] * arity, LocalMinConfig()),
+              ([math.nan] * arity, [1.0] * arity, LocalMinConfig())]
+    for box in (None, [(-1e3, 1e3)] * arity):
+        assert_searches_agree(fn, arity, box, lines)
+
+
+def test_no_inputs_emit_no_line_search():
+    assert compile_constraint(parse_constraint("1 < 2")).line_search is None
+    compiled = CompiledProgram(parse("real f() { return 1; }"),
+                               coverage_config())
+    state = SaturationState(cfg=None, explored=frozenset())
+    assert Objective(compiled.objective(state), 0).line_search is None
+    assert "_search" not in compiled.source()
 
 
 # -- the code cache
@@ -699,8 +870,10 @@ def test_compiled_programs_sharing_code_keep_their_run_state_apart():
     rng = random.Random("shared code")
     points = [[0.5, 1e-9], [-3.0, 2.0], [1e-10, 0.0], [math.nan, 1.0]]
     points += [_point(rng, 2) for _ in range(8)]
-    # each group shares one source per flavour: the step budget,
-    # epsilon and path target live in the namespace
+    # each group shares the tracing source and, per step budget, one
+    # fast source: epsilon and path target live in the namespace, and a
+    # budget of 1 is below k_cos's step bound, so its fast source keeps
+    # the step and depth guards that the other budget's leaves out
     groups = [
         [(coverage_config(), 1), (coverage_config(), 1_000_000),
          (coverage_config(0.25), 1_000_000)],
@@ -726,7 +899,7 @@ def test_compiled_programs_sharing_code_keep_their_run_state_apart():
                 for i, compiled in enumerate(shared):
                     got[i] += _calls(compiled, [x], [state])
         assert got == expected
-        assert _compile.cache_info().misses == 2
+        assert _compile.cache_info().misses == 3
 
 
 def _misses(call):

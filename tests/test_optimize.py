@@ -439,6 +439,27 @@ def test_basinhopping_checks_its_local_settings_before_any_evaluation(
     assert f.eval_count == 0
 
 
+@pytest.mark.parametrize("local, name", [
+    (LocalMinConfig(max_rounds=1.5), "max_rounds"),
+    (LocalMinConfig(max_rounds=-1), "max_rounds"),
+    (LocalMinConfig(xtol=math.nan), "xtol"),
+    (LocalMinConfig(xtol=math.inf), "xtol"),
+    (LocalMinConfig(ftol=-1e-8), "ftol"),
+    (LocalMinConfig(bracket_growth=0.0), "bracket_growth"),
+    (LocalMinConfig(bracket_growth=math.nan), "bracket_growth"),
+])
+def test_powell_checks_its_settings_before_any_evaluation(local, name):
+    f = Objective(lambda x: x[0] ** 2, 1)
+    with pytest.raises(MexecError, match=f"^bad {name} "):
+        powell_minimize(f, [3.0], local)
+    assert f.eval_count == 0
+    # the edges of each rule still run
+    for edge in (LocalMinConfig(max_rounds=0), LocalMinConfig(xtol=0.0),
+                 LocalMinConfig(ftol=0), None):
+        assert powell_minimize(Objective(lambda x: x[0] ** 2, 1), [3.0],
+                               edge)[1] <= 9.0
+
+
 def test_metropolis_always_accepts_downhill():
     rng = random.Random(0)
     for _ in range(100):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -32,6 +33,17 @@ def test_parse_rejects_a_variable_listed_twice():
     with pytest.raises(UnknownVariable, match=r"bad variables \['x', 'x'\], "
                                               r"need distinct names"):
         parse_constraint("x > 1 && x < 3", variables=["x", "x"])
+
+
+@pytest.mark.parametrize("bad", ["if", "while", 1, None, "a b", "", "1x",
+                                 "x\n", "\u00e9", "x-y"])
+def test_parse_rejects_a_variable_that_is_not_an_identifier(bad):
+    # a keyword or a non-name would answer for an input the text cannot
+    # name, or fail only when the constraint compiles
+    with pytest.raises(UnknownVariable,
+                       match=re.escape(f"bad variable {bad!r}, ")):
+        parse_constraint("x > 1", variables=["x", bad])
+    parse_constraint("x > 1", variables=["x", "_y1", "sin", "real_"])
 
 
 def test_parse_rejects_trailing_garbage():
