@@ -13,9 +13,7 @@ One generator emits two flavours of the same program:
   t = -0.0 along zeros), counts one evaluation, clamps the point into
   the objective's box, runs the entry and maps a non-finite or
   above-sentinel r to the sentinel; at the last clamped point it ran it
-  returns the value kept.  `_bind` also gives the objective's line
-  search: optimize's bracket and Brent, with the runner's body inlined
-  at each evaluation, so one line search is one call;
+  returns the value kept;
 * the tracing flavour also records coverage facts (lines, conditionals,
   branches, call sites, the branch path, steps) in an ExecutionTrace;
   `execute`, admission replays and reports use it.
@@ -50,7 +48,7 @@ from .lang import (
     Assign, Binary, Block, Call, Decl, Deref, ExprStmt, If, Incr, Num,
     Return, Unary, Var, While, memoised, walk,
 )
-from .optimize import _CGOLD, _TINY, SENTINEL, Objective
+from .optimize import SENTINEL, Objective
 # unused: bound only because the benchmark tracer patches `interp.pen`
 from .saturation import pen  # noqa: F401
 
@@ -463,205 +461,54 @@ class _Source:
         self.emit(f"def {signature}:")
         self.suite(lines)
 
-    def runner(self, params, names, core):
+    def runner(self, params, core):
         """Emit `_bind(_obj, _s, _lo0, _hi0, _lo1, ...)`, which returns
         the line runner `_line(x, d, t)` of the objective `_obj` for a
-        representing function of the inputs `params`, local names, and
-        its line search `_search(x, d, xtol, growth)`, None for no
-        inputs.  `core` computes `_r` from the inputs, with `names` as
-        globals, and raises one of _ABORTS on an abort.  The runner
-        builds the point x[i] + t * d[i], counts one evaluation on
-        `_obj`, clamps each input into its (lo, hi) as min(max(v, lo),
-        hi) does, NaN and signed zeros included, and maps an abort, a
-        non-finite or an above-sentinel `_r` to the sentinel.  The
+        representing function of the inputs `params`, local names;
+        `core` computes `_r` from them and returns the sentinel on an
+        abort.  The runner builds the point x[i] + t * d[i], counts one
+        evaluation on `_obj`, clamps each input into its (lo, hi) as
+        min(max(v, lo), hi) does, NaN and signed zeros included, and
+        maps a non-finite or above-sentinel `_r` to the sentinel.  The
         saturation table `_s` and the bounds are the runner's own.
 
         The runner keeps the last clamped point `_m0, _m1, ...` it ran
         to a normal return, and its value `_mr`.  A request at exactly
         that point, each input equal and of the same sign if zero,
         returns `_mr` and counts a reuse on `_obj` instead of running
-        the entry again; a NaN input never matches.  The search is
-        optimize._search_line with the runner's body at each of its
-        evaluations, sharing the point and value kept.
+        the entry again; a NaN input never matches.
         """
         n = len(params)
+        clamp = [line for i, v in enumerate(params)
+                 for line in (f"if {v} < _lo{i}: {v} = _lo{i}",
+                              f"if {v} > _hi{i}: {v} = _hi{i}")]
+        sanitise = [f"if {-sys.float_info.max!r} <= _r <= {SENTINEL!r}:",
+                    "    _mr = _r",
+                    "else:",
+                    "    _mr = _SENTINEL",
+                    "return _mr"]
         bounds = "".join(f", _lo{i}, _hi{i}" for i in range(n))
         self.emit(f"def _bind(_obj, _s{bounds}):")
         self.indent += 1
-        head = [f"global {', '.join(names)}"] if names else []
+        head, reuse = [], []
         if n:
             last = [f"_m{i}" for i in range(n)]
             self.emit(f"_mr = {' = '.join(last)} = _float('nan')")
-            head.insert(0, f"nonlocal {', '.join(last)}, _mr")
-        self.define("_line(x, d, t)", head + _evaluation(
-            params, core, "x[{i}] + t * d[{i}]", "_obj.eval_count += 1",
-            "_obj.reuse_count += 1", "return {}"))
-        if n:
-            self.define("_search(x, d, xtol, growth)",
-                        head + _search_body(params, core))
-            self.emit("return _line, _search")
-        else:
-            self.emit("return _line, None")
+            head.append(f"nonlocal {', '.join(last)}, _mr")
+            same = ([f"{v} == {m}" for v, m in zip(params, last)]
+                    + [f"({v} or _cs(1.0, {v}) == _cs(1.0, {m}))"
+                       for v, m in zip(params, last)])
+            reuse = [f"if {' and '.join(same)}:",
+                     "    _obj.reuse_count += 1",
+                     "    return _mr"]
+            sanitise.insert(0, f"{', '.join(last)} = {', '.join(params)}")
+        self.define("_line(x, d, t)",
+                    head + [f"{v} = x[{i}] + t * d[{i}]"
+                            for i, v in enumerate(params)]
+                    + ["_obj.eval_count += 1"] + clamp + reuse + core
+                    + sanitise)
+        self.emit("return _line")
         self.indent -= 1
-
-
-def _indented(lines):
-    return ["    " + line for line in lines]
-
-
-def _evaluation(params, core, point, count, reuse, done):
-    """The lines of one evaluation of the runner: each input is the
-    point `point` formats for its index i, the evaluation counted by the
-    line `count`, then clamped; the value is the one kept for that
-    point, the reuse counted by the line `reuse`, or else `core`'s `_r`
-    sanitised, or the sentinel on an abort; `done` formats the line
-    that ends the evaluation with its value."""
-    lines = [f"{v} = {point.format(i=i)}" for i, v in enumerate(params)]
-    lines.append(count)
-    for i, v in enumerate(params):
-        lines += [f"if {v} < _lo{i}: {v} = _lo{i}",
-                  f"if {v} > _hi{i}: {v} = _hi{i}"]
-    keep = []
-    if params:
-        last = [f"_m{i}" for i in range(len(params))]
-        keep = [f"{', '.join(last)} = {', '.join(params)}"]
-    run = (["try:"] + _indented(core)
-           + ["except _ABORTS:", "    " + done.format("_SENTINEL"), "else:"]
-           + _indented(keep + [
-               f"if {-sys.float_info.max!r} <= _r <= {SENTINEL!r}:",
-               "    _mr = _r",
-               "else:",
-               "    _mr = _SENTINEL",
-               done.format("_mr")]))
-    if not params:
-        return lines + run
-    same = ([f"{v} == _m{i}" for i, v in enumerate(params)]
-            + [f"({v} or _cs(1.0, {v}) == _cs(1.0, _m{i}))"
-               for i, v in enumerate(params)])
-    return lines + [f"if {' and '.join(same)}:", "    " + reuse,
-                    "    " + done.format("_mr"), "else:"] + _indented(run)
-
-
-def _search_body(params, core):
-    """The body of `_search`: _SEARCH over the inputs `params`, each of
-    its `@ t g` lines replaced by the runner's evaluation at t."""
-    n = len(params)
-    lines = [f"_x{i}, _d{i} = x[{i}], d[{i}]" for i in range(n)]
-    text = _SEARCH.format(tiny=_TINY, cgold=_CGOLD, new=", ".join(
-        f"_x{i} + _tx * _d{i}" for i in range(n)))
-    for line in text.splitlines():
-        stmt = line.lstrip()
-        if not stmt.startswith("@ "):
-            lines.append(line)
-            continue
-        _at, t, value = stmt.split()
-        pad = line[:len(line) - len(stmt)]
-        lines += [pad + s for s in _evaluation(
-            params, core, f"_x{{i}} + {t} * _d{{i}}", "_e += 1", "_u += 1",
-            f"{value} = {{}}")]
-    return lines
-
-
-# optimize._search_line, line for line: `_bracket` from t = 0 (step
-# 1.0, at most 80 expansions), then `brent_line_min` (100 iterations)
-# on the bracket and its values.  Each `@ t g` line stands for one
-# evaluation of the runner at t, its value put in g.  The search counts
-# the evaluations it requests in `_e`, and those answered from held
-# values in `_u`, the bracket's values that Brent's check reads
-# included, and adds both to the objective as it ends.
-_SEARCH = """\
-_e = _u = 0
-try:
-    @ 0.0 _g0
-    _ta, _ga = 0.0, _g0
-    _tb = _ta + 1.0
-    @ _tb _gb
-    if _gb > _ga:
-        _ta, _tb = _tb, _ta
-        _ga, _gb = _gb, _ga
-    _tc = _tb + growth * (_tb - _ta)
-    @ _tc _gc
-    _ex = 0
-    while _gc < _gb:
-        _ex += 1
-        if _ex > 80:
-            break
-        _ta, _tb, _tc = _tb, _tc, _tc + growth * (_tc - _tb)
-        _ga, _gb = _gb, _gc
-        @ _tc _gc
-    if _ta < _tc:
-        _tlo, _glo, _thi, _ghi = _ta, _ga, _tc, _gc
-    else:
-        _tlo, _glo, _thi, _ghi = _tc, _gc, _ta, _ga
-    _e += 1
-    _u += 1
-    if not (_tlo <= _tb <= _thi) or not (_tlo < _thi):
-        return list(x), _g0, 0.0
-    if _gb > _glo:
-        _e += 2
-        _u += 2
-        return list(x), _g0, 0.0
-    _e += 3
-    _u += 3
-    if _gb > _ghi:
-        return list(x), _g0, 0.0
-    _ia, _ib = _tlo, _thi
-    _tx = _tw = _tv = _tb
-    _gx = _gw = _gv = _gb
-    _sd = _se = 0.0
-    for _i in range(100):
-        _xm = 0.5 * (_ia + _ib)
-        _tol1 = xtol * abs(_tx) + {tiny!r}
-        _tol2 = 2.0 * _tol1
-        if abs(_tx - _xm) <= _tol2 - 0.5 * (_ib - _ia):
-            break
-        _gold = True
-        if abs(_se) > _tol1:
-            _pr = (_tx - _tw) * (_gx - _gv)
-            _pq = (_tx - _tv) * (_gx - _gw)
-            _pp = (_tx - _tv) * _pq - (_tx - _tw) * _pr
-            _pq = 2.0 * (_pq - _pr)
-            if _pq > 0.0:
-                _pp = -_pp
-            _pq = abs(_pq)
-            _sp = _se
-            _se = _sd
-            if (abs(_pp) < abs(0.5 * _pq * _sp) and _pp > _pq * (_ia - _tx)
-                    and _pp < _pq * (_ib - _tx)):
-                _sd = _pp / _pq
-                _tu = _tx + _sd
-                if _tu - _ia < _tol2 or _ib - _tu < _tol2:
-                    _sd = _cs(_tol1, _xm - _tx)
-                _gold = False
-        if _gold:
-            _se = (_ib - _tx) if _tx < _xm else (_ia - _tx)
-            _sd = {cgold!r} * _se
-        _tu = _tx + _sd if abs(_sd) >= _tol1 else _tx + _cs(_tol1, _sd)
-        @ _tu _gu
-        if _gu <= _gx:
-            if _tu >= _tx:
-                _ia = _tx
-            else:
-                _ib = _tx
-            _tv, _tw, _tx = _tw, _tx, _tu
-            _gv, _gw, _gx = _gw, _gx, _gu
-        else:
-            if _tu < _tx:
-                _ia = _tu
-            else:
-                _ib = _tu
-            if _gu <= _gw or _tw == _tx:
-                _tv, _tw = _tw, _tu
-                _gv, _gw = _gw, _gu
-            elif _gu <= _gv or _tv == _tx or _tv == _tw:
-                _tv, _gv = _tu, _gu
-    if _gx >= _g0:
-        return list(x), _g0, 0.0
-    return [{new}], _gx, _g0 - _gx
-finally:
-    _obj.eval_count += _e
-    _obj.reuse_count += _u
-"""
 
 
 # the tracing flavour's per-statement count and per-branch record
@@ -707,11 +554,8 @@ class RepresentingFunction:
 
     `runner(objective, box)` gives the generated line runner of an
     optimize.Objective: it clamps into `box` (per-input (lo, hi), or
-    None for no bounds), counts on `objective` and sanitises.  It sets
-    the objective's `line_search` to the generated line search, which
-    evaluates through the same runner state (None for no inputs).
-    Called on a point, it gives the value of an Objective without a
-    box.
+    None for no bounds), counts on `objective` and sanitises.  Called
+    on a point, it gives the value of an Objective without a box.
     """
 
     def __init__(self, ns, arity, table=None):
@@ -730,9 +574,8 @@ class RepresentingFunction:
                              f"{self.arity} inputs")
         # float bounds keep a clamped input a float; a float input
         # clamps to the same value as with the bounds given
-        line, objective.line_search = self._bind(
-            objective, self.table, *(float(b) for pair in box for b in pair))
-        return line
+        return self._bind(objective, self.table,
+                          *(float(b) for pair in box for b in pair))
 
 
 class CompiledProgram:
@@ -794,7 +637,7 @@ class CompiledProgram:
         return memoised(self.program, key,
                         lambda: self._source(tracing, guards))
 
-    def _source(self, tracing, guards=True):
+    def _source(self, tracing, guards):
         gen = _Source(self.cfg.mode, tracing, guards)
         if tracing:
             gen.lines.append(_TRACING_HELPERS)
@@ -802,12 +645,12 @@ class CompiledProgram:
             gen.function(fn)
         if not tracing:
             params = [f"v{i}" for i in range(self.arity)]
-            gen.runner(params, *self._core(params, guards))
+            gen.runner(params, self._core(params, guards))
         return gen.text()
 
     def _core(self, params, guards):
-        """The globals and the lines running the entry on `params` from
-        a fresh `_r`, step count, path cursor and saturation table."""
+        """Lines running the entry on `params` from a fresh `_r`, step
+        count (with `guards`), path cursor and saturation table."""
         fresh = {"_r": repr(_R0[self.cfg.mode])}
         if guards:
             fresh["_n"] = "0"
@@ -816,9 +659,12 @@ class CompiledProgram:
         if self.cfg.mode == COVERAGE:
             fresh["_sat"] = "_s"
         args = (["1"] if guards else []) + params
-        return list(fresh), ([f"{name} = {value}"
-                              for name, value in fresh.items()]
-                             + [f"f_{self.entry}({', '.join(args)})"])
+        return ([f"global {', '.join(fresh)}"]
+                + [f"{name} = {value}" for name, value in fresh.items()]
+                + ["try:",
+                   f"    f_{self.entry}({', '.join(args)})",
+                   "except _ABORTS:",
+                   "    return _SENTINEL"])
 
     def objective(self, sat_state=None):
         """The fast flavour: inputs -> final representing value, with
@@ -894,12 +740,15 @@ def compile_comparisons(constraint, epsilon=1e-6):
 def _comparisons_source(constraint):
     comparisons, names = constraint.conjuncts, constraint.variables
     gen = _Source()
-    core = ["_r = 0.0"]
+    core = ["_r = 0.0", "try:"]
     for cmp in comparisons:
-        core += [f"_a = {gen.expr(cmp.lhs)}", f"_b = {gen.expr(cmp.rhs)}"]
-        core += _distance(cmp.op, "_r = _r + {}")
+        core += [f"    _a = {gen.expr(cmp.lhs)}",
+                 f"    _b = {gen.expr(cmp.rhs)}"]
+        core += ["    " + line
+                 for line in _distance(cmp.op, "_r = _r + {}")]
+    core += ["    pass", "except _ABORTS:", "    return _SENTINEL"]
     params = [f"v_{name}" for name in names]
-    gen.runner(params, [], core)
+    gen.runner(params, core)
     # unparenthesized, so that a comparison adds no nesting level beyond
     # its operands' (lang.MAX_EXPR_DEPTH)
     tests = [f"{gen.expr(c.lhs)} {c.op} {gen.expr(c.rhs)}"

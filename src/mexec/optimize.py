@@ -12,14 +12,11 @@ line at t = -0.0 along zeros.
 
 A line search asks for no value it already holds: the bracket starts
 from the value at t = 0, and Brent checks the bracket with the values
-the bracketing found.  An Objective over interp's compiled function has
-that line search generated, `_search_line` with the evaluation inlined
-(`Objective.line_search`); `_search_line` is its specification, and
-runs for plain functions.  Nor does a line search run again: an
-Objective records each line search it has run, keyed by the exact bits
-of the point, the direction and the line search's settings, and answers
-a repeat, such as the same failed search Powell asks again in its next
-round, from that record.  The Objective still counts each request those answers stand
+the bracketing found.  Nor does it run again: an Objective records each
+line search it has run, keyed by the exact bits of the point, the
+direction and the line search's settings, and answers a repeat, such as
+the same failed search Powell asks again in its next round, from that
+record.  The Objective still counts each request those answers stand
 for in `eval_count`, as an evaluation reused, so the count and the
 search path are those of a search that evaluates every request.
 """
@@ -74,8 +71,6 @@ class Objective:
         # line search key -> (new x, new f, decrease, requests)
         self.searches = {}
         self._zeros = (0.0,) * arity
-        # set by a runner that has a generated line search
-        self.line_search = None
         runner = getattr(fn, "runner", None)
         if runner is None:
             self._line = partial(_on_line, self._evaluate)
@@ -268,12 +263,8 @@ def _line_minimize(f, x, direction, cfg):
     known = f.searches.get(key)
     if known is None:
         requested = f.eval_count
-        if f.line_search is None:
-            new_x, f_new, decrease = _search_line(
-                f, f.along(x, direction), x, direction, cfg)
-        else:
-            new_x, f_new, decrease = f.line_search(
-                x, direction, cfg.xtol, cfg.bracket_growth)
+        new_x, f_new, decrease = _search_line(f, f.along(x, direction), x,
+                                              direction, cfg)
         f.searches[key] = (tuple(new_x), f_new, decrease,
                            f.eval_count - requested)
         return new_x, f_new, decrease

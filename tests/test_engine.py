@@ -10,7 +10,6 @@ shared through the code cache must give what a fresh compile gives.
 
 import math
 import random
-import struct
 import sys
 from itertools import accumulate
 
@@ -27,9 +26,7 @@ from mexec.interp import (
     execute, path_config, plain_config, run_bounds,
 )
 from mexec.lang import BUILTIN_ARITY, Program, parse
-from mexec.optimize import (
-    SENTINEL, LocalMinConfig, Objective, _search_line, clamp,
-)
+from mexec.optimize import SENTINEL, Objective, clamp
 from mexec.satcheck import (
     _holds, check_sat, compile_constraint, parse_constraint,
 )
@@ -721,134 +718,42 @@ def _shipped_programs():
         (root / "perfbench" / "programs").glob("*/*.mx"))
 
 
+# the shipped programs with a while loop or recursion
+LOOPING = {"fact_rec", "fanout", "halve_rec", "loop_guard"}
+
+
 @pytest.mark.parametrize("path", _shipped_programs(),
                          ids=lambda path: path.stem)
 def test_each_program_generates_one_runner_and_one_coverage_hook(path):
-    """The fast source's evaluations are the runner `_bind` returns and
-    the line search it inlines the runner into; the tracing source takes
-    the coverage penalty from the saturation table, as the fast one
-    does."""
+    """The fast source's only evaluation is the runner `_bind` returns,
+    which calls the entry once, with a depth argument where the step
+    budget leaves the guards in; the tracing source takes the coverage
+    penalty from the saturation table, as the fast one does."""
     program = parse(path.read_text(encoding="utf-8"))
     entry = program.functions[-1].name
+    inputs = [f"v{i}" for i in range(len(program.functions[-1].params))]
     for cfg in (coverage_config(), path_config(()), bva_config(),
                 plain_config()):
-        compiled = CompiledProgram(program, cfg, entry)
-        fast, tracing = compiled._source(False), compiled._source(True)
-        assert "\ndef _bind(" in fast
-        assert fast.count("return _line, _search\n") == 1
-        for name in ("_value", "_point", "_ArityMismatch"):
-            assert name not in fast, name
-        # once in the runner, once at each of the search's evaluations
-        assert fast.count(f"f_{entry}(1, ") == 6
-        assert "_pen" not in tracing
-        state = SaturationState(cfg=None, explored=frozenset())
-        counts_on = Objective(len, 0)   # any object with the two counts
-        assert callable(compiled.objective(state).runner(counts_on, None))
-
-
-# -- the generated line search against optimize._search_line
-
-def _bits(search):
-    """A line search's new x, value and decrease, each float by its
-    bits, so that -0.0 differs from 0.0 and NaN payloads count."""
-    new_x, value, decrease = search
-    return [struct.pack("<d", v) for v in (*new_x, value, decrease)]
-
-
-def _line(rng, arity):
-    """A random line and search settings: points with +-0, NaN, inf and
-    huge inputs, directions along an axis, at random or with zeros, NaN
-    or huge entries, and xtol and bracket growth values that end Brent
-    early, run it out, or give the bracket a bad order."""
-    x = _point(rng, arity)
-    roll = rng.random()
-    if roll < 0.4:
-        d = [0.0] * arity
-        d[rng.randrange(arity)] = rng.choice((1.0, -1.0, 0.5, 1e-9, -1e5))
-    elif roll < 0.7:
-        d = [rng.uniform(-2.0, 2.0) for _ in range(arity)]
-    else:
-        d = [rng.choice((0.0, -0.0, math.nan, 1e300, -3.0))
-             for _ in range(arity)]
-    cfg = LocalMinConfig(xtol=rng.choice((1e-8, 1e-3, 0.0)),
-                         bracket_growth=rng.choice((2.0, 1.618, 0.5, -1.0)))
-    return x, d, cfg
-
-
-def assert_searches_agree(fn, arity, box, lines):
-    """The generated line search of `fn`'s runner and _search_line over
-    a second runner of `fn` give the same bits and counts on each of
-    `lines` in turn, and leave the same last point held."""
-    generated, python = Objective(fn, arity, box), Objective(fn, arity, box)
-    search, python.line_search = generated.line_search, None
-    assert search is not None
-    for x, d, cfg in lines:
-        got = search(x, d, cfg.xtol, cfg.bracket_growth)
-        want = _search_line(python, python.along(x, d), x, d, cfg)
-        assert _bits(got) == _bits(want), (x, d, cfg)
-        for probe in (got[0], x):
-            assert repr(generated(probe)) == repr(python(probe))
-            assert ((generated.eval_count, generated.reuse_count)
-                    == (python.eval_count, python.reuse_count)), (x, d, cfg)
-
-
-@pytest.mark.parametrize("path", _shipped_programs(),
-                         ids=lambda path: path.stem)
-def test_generated_line_search_is_search_line_bit_for_bit(path):
-    program = parse(path.read_text(encoding="utf-8"))
-    rng = random.Random(path.stem)
-    arity = len(program.functions[-1].params)
-    branches = [(label, side) for label in range(program.num_conditionals)
-                for side in "TF"]
-    cfgs = [(coverage_config(), None),
-            (coverage_config(0.25), frozenset(branches[::2])),
-            (path_config([rng.choice(branches) for _ in range(2)]), None),
-            (bva_config(), None), (plain_config(), None)]
-    boxes = [None, [(-1e3, 1e3)] * arity, [(-0.0, 0.5)] * arity]
-    for budget in (20, 1_000_000):
-        for cfg, explored in cfgs:
-            state = SaturationState(cfg=None, explored=explored or frozenset())
-            compiled = CompiledProgram(program, cfg, None, budget)
-            fn = compiled.objective(state)
-            for box in boxes:
-                assert_searches_agree(fn, arity, box,
-                                      [_line(rng, arity) for _ in range(4)])
-
-
-SEARCH_CONSTRAINTS = (
-    "x*y == 12 && x + y == 7", "2^x <= 5 && x*x >= 5 && x >= 0",
-    "a*b - c == 1 && a + b + c == 10", "x*x == 2", "sin(x) > 0.5 && x < -2",
-    "x == 0", "x != x + 1",
-    # a sentinel everywhere off the line x = -1e300
-    "x <= -1e300",
-    # falls the whole way out from x = 1: the bracket runs away
-    "1 / x == 0",
-)
-
-
-@pytest.mark.parametrize("text", SEARCH_CONSTRAINTS)
-def test_generated_constraint_line_search_is_search_line_bit_for_bit(text):
-    constraint = parse_constraint(text)
-    fn = compile_constraint(constraint).fn
-    arity = len(constraint.variables)
-    rng = random.Random(text)
-    lines = [_line(rng, arity) for _ in range(40)]
-    # from the origin downhill, straight along and against the fall
-    lines += [([1.0] * arity, [1.0] * arity, LocalMinConfig()),
-              ([0.0] * arity, [-1.0] * arity, LocalMinConfig()),
-              ([-0.0] * arity, [1.0] * arity, LocalMinConfig()),
-              ([math.nan] * arity, [1.0] * arity, LocalMinConfig())]
-    for box in (None, [(-1e3, 1e3)] * arity):
-        assert_searches_agree(fn, arity, box, lines)
-
-
-def test_no_inputs_emit_no_line_search():
-    assert compile_constraint(parse_constraint("1 < 2")).line_search is None
-    compiled = CompiledProgram(parse("real f() { return 1; }"),
-                               coverage_config())
-    state = SaturationState(cfg=None, explored=frozenset())
-    assert Objective(compiled.objective(state), 0).line_search is None
-    assert "_search" not in compiled.source()
+        # at the default budget, only a loop or recursion keeps the
+        # guards in; a budget of 1 keeps them in every program
+        for budget, guarded in ((1_000_000, path.stem in LOOPING),
+                                (1, True)):
+            args = ["1"] + inputs if guarded else inputs
+            compiled = CompiledProgram(program, cfg, entry, budget)
+            assert compiled.guarded() is guarded
+            fast, tracing = compiled.source(), compiled.source(True)
+            assert "\ndef _bind(" in fast
+            assert fast.count("return _line\n") == 1
+            for name in ("_value", "_point", "_ArityMismatch"):
+                assert name not in fast, name
+            assert fast.count(f"f_{entry}(") - fast.count(
+                f"def f_{entry}(") == 1
+            assert fast.count(f"f_{entry}({', '.join(args)})") == 1
+            assert ("_StepBudgetExceeded" in fast) is guarded
+            assert "_pen" not in tracing
+            state = SaturationState(cfg=None, explored=frozenset())
+            counts_on = Objective(len, 0)   # any object with the two counts
+            assert callable(compiled.objective(state).runner(counts_on, None))
 
 
 # -- the code cache

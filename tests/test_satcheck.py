@@ -8,6 +8,7 @@ from mexec.errors import (
     ArityMismatch, NonNumericExpression, ParseError, UndeclaredIdentifier,
     UnknownVariable,
 )
+from mexec.lang import MAX_EXPR_DEPTH
 from mexec.satcheck import (
     check_sat, compile_constraint, parse_constraint,
 )
@@ -139,3 +140,13 @@ def test_vacuous_constraint_is_sat():
     result = check_sat(parse_constraint(""), SearchConfig(seed=0))
     assert result.verdict == "sat"
     assert result.model == []
+
+
+def test_a_conjunct_nested_as_deep_as_parsing_allows_compiles_and_runs():
+    # a unary minus, parenthesized in the generated Python, and a
+    # non-finite literal cost the Python parser the most per level
+    deep = "- " * MAX_EXPR_DEPTH + "1e400"
+    constraint = parse_constraint(f"x > {deep} && x > 1")
+    assert compile_constraint(constraint).fn([2.0]) == 0.0
+    result = check_sat(constraint, SearchConfig(seed=0))
+    assert result.verdict == "sat"
