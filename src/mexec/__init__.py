@@ -9,7 +9,7 @@ roots are found by basinhopping over Powell local minimization.
 from .distance import branch_distance, compare, negate_op
 from .driver import SearchConfig, run_bva, run_coverage, run_path
 from .interp import execute, coverage_config, path_config, bva_config
-from .lang import parse, to_source
+from .lang import parse
 from .optimize import (
     LocalMinConfig, MCMCConfig, Objective, basinhopping, brent_line_min,
     powell_minimize,
@@ -28,7 +28,7 @@ __all__ = [
     "branch_distance", "compare", "negate_op",
     "SearchConfig", "run_bva", "run_coverage", "run_path",
     "execute", "coverage_config", "path_config", "bva_config",
-    "parse", "to_source",
+    "parse",
     "LocalMinConfig", "MCMCConfig", "Objective", "basinhopping",
     "brent_line_min", "powell_minimize",
     "CoverageReport", "coverage_report",

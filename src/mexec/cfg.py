@@ -94,7 +94,7 @@ class _Walk:
                 before = head
         if isinstance(stmt, Return):
             after = ret
-        # a declaration, assignment, increment, call or return: its calls
+        # an assignment, call or return: its calls
         for child in reversed(list(children(stmt))):
             after = self.expr(child, after, open_)
         return after

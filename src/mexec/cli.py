@@ -123,13 +123,12 @@ def _parse_target(text):
     target = []
     for item in text.split(","):
         item = item.strip().upper()
-        if len(item) < 2 or item[-1] not in ("T", "F"):
-            raise MalformedPath(f"bad branch id {item!r}, expected like 0T")
         try:
-            label = int(item[:-1])
+            if item[-1:] not in ("T", "F"):
+                raise ValueError(item)
+            target.append((int(item[:-1]), item[-1]))
         except ValueError:
             raise MalformedPath(f"bad branch id {item!r}, expected like 0T")
-        target.append((label, item[-1]))
     return target
 
 

@@ -17,7 +17,9 @@ from typing import Optional
 
 from . import saturation
 from .cfg import build_cfg
-from .errors import InvalidBox, MalformedPath, check_count, check_number
+from .errors import (
+    InvalidBox, MalformedPath, MexecError, check_count, check_number,
+)
 from .interp import (
     CompiledProgram, bva_config, coverage_config, execute, path_config,
     plain_config,
@@ -38,8 +40,9 @@ class SearchConfig:
     """Search settings, checked by `checked` as a mode starts (a broken
     rule raises MexecError naming the setting): `n_start` is an integer
     >= 0; `epsilon` finite and > 0; `infeasible_after` and `step_budget`
-    integers >= 1; `box` keeps the rule of `resolved_box`, `mcmc` those
-    of MCMCConfig."""
+    integers >= 1; `seed` None or an int, float, str, bytes or
+    bytearray, the seeds random.Random takes; `box` keeps the rule of
+    `resolved_box`, `mcmc` those of MCMCConfig."""
     n_start: int = 500
     mcmc: MCMCConfig = field(default_factory=MCMCConfig)
     box: Optional[list] = None          # per-dimension (lo, hi)
@@ -80,6 +83,10 @@ def checked(cfg):
     check_number("epsilon", cfg.epsilon, positive=True)
     check_count("infeasible_after", cfg.infeasible_after, 1)
     check_count("step_budget", cfg.step_budget, 1)
+    if not isinstance(cfg.seed, (type(None), int, float, str, bytes,
+                                 bytearray)):
+        raise MexecError(f"bad seed {cfg.seed!r}, need None, an int, a "
+                         "float, a str, bytes or a bytearray")
     checked_mcmc(cfg.mcmc)
     return cfg
 

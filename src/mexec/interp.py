@@ -45,8 +45,8 @@ from .errors import (
     StepBudgetExceeded, UnknownFunction,
 )
 from .lang import (
-    Assign, Binary, Block, Call, Decl, Deref, ExprStmt, If, Incr, Num,
-    Return, Unary, Var, While, memoised, walk,
+    Assign, Binary, Block, Call, Deref, ExprStmt, If, Num, Return, Unary,
+    Var, While, memoised, walk,
 )
 from .optimize import SENTINEL, Objective
 # unused: bound only because the benchmark tracer patches `interp.pen`
@@ -65,7 +65,7 @@ _R0 = {COVERAGE: 1.0, PATH: 0.0, BVA: 1.0, PLAIN: 0.0}
 MAX_CALL_DEPTH = 100
 
 # the statement node types; a Block only groups them
-_STATEMENTS = (Assign, Decl, ExprStmt, If, Incr, Return, While)
+_STATEMENTS = (Assign, ExprStmt, If, Return, While)
 
 
 @dataclass
@@ -143,16 +143,13 @@ _DOUBLE = struct.Struct(">d")
 _WORDS = struct.Struct(">II")
 
 
-def _hiword(x):
-    if math.isnan(x):
-        return math.nan
-    return float(_WORDS.unpack(_DOUBLE.pack(x))[0])
-
-
-def _loword(x):
-    if math.isnan(x):
-        return math.nan
-    return float(_WORDS.unpack(_DOUBLE.pack(x))[1])
+def _word(index):
+    """hiword (index 0) or loword (1): that 32-bit word of a double."""
+    def word(x):
+        if math.isnan(x):
+            return math.nan
+        return float(_WORDS.unpack(_DOUBLE.pack(x))[index])
+    return word
 
 
 def _floor(x):
@@ -182,8 +179,8 @@ BUILTIN_FUNCTIONS = {
     "fabs": math.fabs,
     "floor": _floor,
     "pow": _pow,
-    "hiword": _hiword,
-    "loword": _loword,
+    "hiword": _word(0),
+    "loword": _word(1),
 }
 
 
@@ -417,14 +414,8 @@ class _Source:
             self.suite(on_false + ["break"])
             self.body(s.body)
             self.indent -= 1
-        elif isinstance(s, Decl):
-            init = self.expr(s.init) if s.init is not None else "0.0"
-            self.emit(f"v_{s.name} = {init}")
         elif isinstance(s, Assign):
             self.emit(f"v_{s.target.name} = {self.expr(s.expr)}")
-        elif isinstance(s, Incr):
-            name = f"v_{s.target.name}"
-            self.emit(f"{name} = {name} + {s.delta!r}")
         elif isinstance(s, ExprStmt):
             self.emit(self.expr(s.expr))
         elif isinstance(s, Return):

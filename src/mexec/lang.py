@@ -1,10 +1,11 @@
-"""Front end for the .mx mini-language: lexer, AST, parser, printer.
+"""Front end for the .mx mini-language: lexer, AST, parser and gate.
 
 The language is a small C-like subset over 64-bit reals: function
 definitions, declarations, assignments, if/else, while, return, calls,
 and arithmetic expressions with `^` for exponentiation.  Pointer-to-real
 parameters are accepted so that library-style signatures can be written
-down; the engine reads `*p` like a scalar `p`.
+down; the engine reads `*p` like a scalar `p`.  The parser drops a
+`(real)` cast and reads declarations and increments as assignments.
 
 `parse` is the one gate: every program it returns compiles.  Every
 conditional whose two operands are numeric receives a dense label
@@ -14,7 +15,7 @@ and are excluded from instrumentation and coverage denominators.
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .distance import COMPARATORS
@@ -117,7 +118,6 @@ class Node:
 @dataclass
 class Num(Node):
     value: float = 0.0
-    text: str = field(default="", compare=False)
 
 
 @dataclass
@@ -133,8 +133,7 @@ class Deref(Node):
 
 @dataclass
 class Unary(Node):
-    op: str = "-"
-    operand: Optional[Node] = None
+    operand: Optional[Node] = None      # negated
 
 
 @dataclass
@@ -159,22 +158,9 @@ class Compare(Node):
 
 
 @dataclass
-class Decl(Node):
-    name: str = ""
-    init: Optional[Node] = None
-
-
-@dataclass
 class Assign(Node):
     target: Optional[Node] = None   # Var or Deref
     expr: Optional[Node] = None
-
-
-@dataclass
-class Incr(Node):
-    """x++ or x-- as a statement."""
-    target: Optional[Node] = None
-    delta: float = 1.0
 
 
 @dataclass
@@ -208,7 +194,6 @@ class Block(Node):
 @dataclass
 class FunctionDef(Node):
     name: str = ""
-    rettype: str = "real"
     params: list = field(default_factory=list)   # (name, 'real' | 'ptr')
     body: Optional[Block] = None
 
@@ -224,10 +209,7 @@ class Program:
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def function(self, name):
-        for f in self.functions:
-            if f.name == name:
-                return f
-        return None
+        return next((f for f in self.functions if f.name == name), None)
 
 
 def memoised(owner, key, make):
@@ -245,9 +227,7 @@ _CHILD_FIELDS = {
     Binary: ("lhs", "rhs"),
     Call: ("args",),
     Compare: ("lhs", "rhs"),
-    Decl: ("init",),
     Assign: ("target", "expr"),
-    Incr: ("target",),
     If: ("cond", "then", "els"),
     While: ("cond", "body"),
     Return: ("expr",),
@@ -361,7 +341,7 @@ class _Parser:
             raise ParseError(
                 f"expected function definition, found {tok.text!r}",
                 tok.line, tok.col)
-        rettype = self.next().text
+        self.next()
         name = self.expect("ident", "function name")
         self.expect("(")
         params = []
@@ -385,7 +365,7 @@ class _Parser:
         self.expect(")")
         body = self.parse_block()
         return FunctionDef(line=tok.line, col=tok.col, name=name.text,
-                           rettype=rettype, params=params, body=body)
+                           params=params, body=body)
 
     # -- statements
 
@@ -414,40 +394,41 @@ class _Parser:
                 expr = self.parse_expr()
             self.expect(";")
             return Return(line=tok.line, col=tok.col, expr=expr)
+        # `real x = e;` is `x = e;`, `real x;` is `x = 0;`, and `t++;` and
+        # `t--;` are `t = t + 1;` and `t = t + -1;`
         if tok.kind == "real":
             self.next()
             name = self.expect("ident", "variable name")
-            init = None
+            target = Var(line=name.line, col=name.col, name=name.text)
+            expr = Num(line=tok.line, col=tok.col, value=0.0)
             if self.peek().kind == "=":
                 self.next()
-                init = self.parse_expr()
-            self.expect(";")
-            return Decl(line=tok.line, col=tok.col, name=name.text, init=init)
-        if tok.kind == "ident" or tok.kind == "*":
+                expr = self.parse_expr()
+        elif tok.kind == "ident" or tok.kind == "*":
             target = self.parse_lvalue()
             nxt = self.peek()
-            if nxt.kind == "++" or nxt.kind == "--":
-                self.next()
-                self.expect(";")
-                delta = 1.0 if nxt.kind == "++" else -1.0
-                return Incr(line=tok.line, col=tok.col,
-                            target=target, delta=delta)
-            if nxt.kind == "=":
-                self.next()
-                expr = self.parse_expr()
-                self.expect(";")
-                return Assign(line=tok.line, col=tok.col,
-                              target=target, expr=expr)
             if nxt.kind == "(" and isinstance(target, Var):
                 call = self.finish_call(target.name, tok)
                 self.expect(";")
                 return ExprStmt(line=tok.line, col=tok.col, expr=call)
+            if nxt.kind not in ("=", "++", "--"):
+                raise ParseError(
+                    f"expected assignment or call, found {nxt.text!r}",
+                    nxt.line, nxt.col)
+            self.next()
+            if nxt.kind == "=":
+                expr = self.parse_expr()
+            else:
+                step = Num(line=nxt.line, col=nxt.col,
+                           value=1.0 if nxt.kind == "++" else -1.0)
+                expr = Binary(line=nxt.line, col=nxt.col, op="+",
+                              lhs=replace(target), rhs=step)
+        else:
             raise ParseError(
-                f"expected assignment or call, found {nxt.text!r}",
-                nxt.line, nxt.col)
-        raise ParseError(
-            f"unexpected token {tok.text or 'end of input'!r}",
-            tok.line, tok.col)
+                f"unexpected token {tok.text or 'end of input'!r}",
+                tok.line, tok.col)
+        self.expect(";")
+        return Assign(line=tok.line, col=tok.col, target=target, expr=expr)
 
     def parse_lvalue(self):
         tok = self.peek()
@@ -514,7 +495,7 @@ class _Parser:
             operand = self.parse_unary()
             if tok.kind == "+":
                 return operand
-            return Unary(line=tok.line, col=tok.col, op="-", operand=operand)
+            return Unary(line=tok.line, col=tok.col, operand=operand)
         if (tok.kind == "(" and self.peek(1).kind == "real"
                 and self.peek(2).kind == ")"):
             # a (real) cast: every value already is a real
@@ -538,8 +519,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.next()
-            return Num(line=tok.line, col=tok.col, value=_number(tok.text),
-                       text=tok.text)
+            return Num(line=tok.line, col=tok.col, value=_number(tok.text))
         if tok.kind == "ident":
             self.next()
             if self.peek().kind == "(":
@@ -672,104 +652,12 @@ class _Gate:
             self.cond(stmt.cond, scope, depth + loop)
             for body in list(children(stmt))[1:]:
                 self.stmt(body, set(scope), depth + 1, loops + loop)
-        elif isinstance(stmt, Decl):
-            if stmt.name in self.pointers:
-                raise UnsupportedPointerUse(
-                    f"pointer {stmt.name!r} declared again",
-                    stmt.line, stmt.col)
-            if stmt.init is not None:
-                self.expr(stmt.init, scope, depth)
-            scope.add(stmt.name)
         elif (isinstance(stmt, Assign) and isinstance(stmt.target, Var)
               and stmt.target.name not in self.pointers):
-            # an assignment may bind a new variable, like a declaration
+            # an assignment (a declaration among them) may bind a new name
             self.expr(stmt.expr, scope, depth)
             scope.add(stmt.target.name)
         else:
-            # a write through a pointer, an increment, a return or a call
+            # a write through a pointer or to a bare one, a return or a call
             for child in children(stmt):
                 self.expr(child, scope, depth)
-
-
-# ---------------------------------------------------------------------------
-# Printing
-
-def _fmt_expr(expr, parent_prec=0):
-    prec = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-    if isinstance(expr, Num):
-        return expr.text if expr.text else repr(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Deref):
-        return f"*{expr.name}"
-    if isinstance(expr, Unary):
-        inner = _fmt_expr(expr.operand, 3)
-        s = f"-{inner}"
-        return f"({s})" if parent_prec > 3 else s
-    if isinstance(expr, Binary):
-        p = prec[expr.op]
-        left = _fmt_expr(expr.lhs, p if expr.op != "^" else p + 1)
-        right = _fmt_expr(expr.rhs, p + 1 if expr.op != "^" else p)
-        s = f"{left} {expr.op} {right}"
-        return f"({s})" if p < parent_prec else s
-    if isinstance(expr, Call):
-        args = ", ".join(_fmt_expr(a) for a in expr.args)
-        return f"{expr.name}({args})"
-    if isinstance(expr, Compare):
-        return f"{_fmt_expr(expr.lhs)} {expr.op} {_fmt_expr(expr.rhs)}"
-    raise ValueError(f"unhandled expression {expr!r}")
-
-
-def _fmt_stmt(stmt, indent, out):
-    pad = "    " * indent
-    if isinstance(stmt, Block):
-        out.append(pad + "{")
-        for s in stmt.stmts:
-            _fmt_stmt(s, indent + 1, out)
-        out.append(pad + "}")
-    elif isinstance(stmt, Decl):
-        if stmt.init is not None:
-            out.append(f"{pad}real {stmt.name} = {_fmt_expr(stmt.init)};")
-        else:
-            out.append(f"{pad}real {stmt.name};")
-    elif isinstance(stmt, Assign):
-        out.append(f"{pad}{_fmt_expr(stmt.target)} = {_fmt_expr(stmt.expr)};")
-    elif isinstance(stmt, Incr):
-        suffix = "++" if stmt.delta > 0 else "--"
-        out.append(f"{pad}{_fmt_expr(stmt.target)}{suffix};")
-    elif isinstance(stmt, If):
-        out.append(f"{pad}if ({_fmt_expr(stmt.cond)})")
-        _fmt_stmt(_as_block(stmt.then), indent, out)
-        if stmt.els is not None:
-            out.append(f"{pad}else")
-            _fmt_stmt(_as_block(stmt.els), indent, out)
-    elif isinstance(stmt, While):
-        out.append(f"{pad}while ({_fmt_expr(stmt.cond)})")
-        _fmt_stmt(_as_block(stmt.body), indent, out)
-    elif isinstance(stmt, Return):
-        if stmt.expr is not None:
-            out.append(f"{pad}return {_fmt_expr(stmt.expr)};")
-        else:
-            out.append(f"{pad}return;")
-    elif isinstance(stmt, ExprStmt):
-        out.append(f"{pad}{_fmt_expr(stmt.expr)};")
-    else:
-        raise ValueError(f"unhandled statement {stmt!r}")
-
-
-def _as_block(stmt):
-    return stmt if isinstance(stmt, Block) else Block(stmts=[stmt])
-
-
-def to_source(program):
-    """Render a Program back to parseable .mx text."""
-    out = []
-    for f in program.functions:
-        params = ", ".join(
-            f"real {'*' if kind == 'ptr' else ''}{name}"
-            for name, kind in f.params)
-        out.append(f"{f.rettype} {f.name}({params})")
-        _fmt_stmt(f.body, 0, out)
-        out.append("")
-    return "\n".join(out)
-

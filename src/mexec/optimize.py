@@ -14,11 +14,11 @@ A line search asks for no value it already holds: the bracket starts
 from the value at t = 0, and Brent checks the bracket with the values
 the bracketing found.  Nor does it run again: an Objective records each
 line search it has run, keyed by the exact bits of the point, the
-direction and the line search's settings, and answers a repeat, such as
-the same failed search Powell asks again in its next round, from that
-record.  The Objective still counts each request those answers stand
-for in `eval_count`, as an evaluation reused, so the count and the
-search path are those of a search that evaluates every request.
+direction and xtol, and answers a repeat, such as the same failed search
+Powell asks again in its next round, from that record.  The Objective
+still counts each request those answers stand for in `eval_count`, as
+an evaluation reused, so the count and the search path are those of a
+search that evaluates every request.
 """
 
 import math
@@ -34,6 +34,8 @@ SENTINEL = 1e300
 
 _CGOLD = 0.3819660
 _TINY = 1e-21
+# each step of the bracketing is this many times the one before
+BRACKET_GROWTH = 2.0
 
 
 def _on_line(f, x, direction, t):
@@ -105,12 +107,10 @@ class Objective:
 @dataclass
 class LocalMinConfig:
     """Powell settings, checked by `checked_local`: `max_rounds` is an
-    integer >= 0; `xtol` and `ftol` finite and >= 0; `bracket_growth`
-    finite and > 0."""
+    integer >= 0; `xtol` and `ftol` finite and >= 0."""
     xtol: float = 1e-8
     ftol: float = 1e-8
     max_rounds: int = 60
-    bracket_growth: float = 2.0
 
 
 @dataclass
@@ -132,7 +132,6 @@ def checked_local(cfg):
     check_count("max_rounds", cfg.max_rounds, 0)
     check_number("xtol", cfg.xtol)
     check_number("ftol", cfg.ftol)
-    check_number("bracket_growth", cfg.bracket_growth, positive=True)
     return cfg
 
 
@@ -246,8 +245,8 @@ def brent_line_min(g, bracket, xtol=1e-8, max_iter=100, values=None):
 @cache
 def _pack(n):
     """The exact double bits of a line search on n inputs: x, the
-    direction, xtol and the bracket growth, as one bytes key."""
-    return struct.Struct(f"{2 * n + 2}d").pack
+    direction and xtol, as one bytes key."""
+    return struct.Struct(f"{2 * n + 1}d").pack
 
 
 def _line_minimize(f, x, direction, cfg):
@@ -259,7 +258,7 @@ def _line_minimize(f, x, direction, cfg):
     if not isinstance(f, Objective):
         return _search_line(None, partial(_on_line, f, x, direction), x,
                             direction, cfg)
-    key = _pack(len(x))(*x, *direction, cfg.xtol, cfg.bracket_growth)
+    key = _pack(len(x))(*x, *direction, cfg.xtol)
     known = f.searches.get(key)
     if known is None:
         requested = f.eval_count
@@ -279,7 +278,7 @@ def _search_line(objective, g, x, direction, cfg):
     unless None, counts the requests answered from held values."""
     f0 = g(0.0)
     (lo, f_lo), (mid, f_mid), (hi, f_hi) = _bracket(
-        g, 0.0, f0, 1.0, cfg.bracket_growth, 80)
+        g, 0.0, f0, 1.0, BRACKET_GROWTH, 80)
     if objective is not None:
         # the requests these values answer: the bracket's g(0) and, on an
         # ordered bracket, Brent's check g(mid), g(lo) and, unless that

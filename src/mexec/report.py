@@ -2,7 +2,7 @@
 versioned JSON form that round-trips losslessly."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .interp import call_sites, executable_lines
@@ -112,9 +112,11 @@ def to_json(report):
 
 
 def from_json(text):
+    """The report `to_json` wrote; ValueError for any other text."""
     payload = json.loads(text)
-    if payload.pop("schema", None) != SCHEMA:
-        raise ValueError("unrecognized report schema")
+    if (not isinstance(payload, dict) or payload.pop("schema", None) != SCHEMA
+            or payload.keys() - {f.name for f in fields(CoverageReport)}):
+        raise ValueError(f"not a {SCHEMA} coverage report")
     return CoverageReport(**payload)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from mexec.errors import UnknownFunction
 from mexec.lang import (
-    Assign, Block, Call, Decl, ExprStmt, If, Incr, Return, While, children,
+    Assign, Block, Call, ExprStmt, If, Return, While, children,
 )
 
 
@@ -93,12 +93,8 @@ class _Builder:
     def _stmt(self, stmt, succ, exit_cont, stack):
         if isinstance(stmt, Block):
             return self._seq(stmt.stmts, succ, exit_cont, stack)
-        if isinstance(stmt, Decl):
-            return self._chain_calls(stmt.init, succ, stack)
         if isinstance(stmt, Assign):
             return self._chain_calls(stmt.expr, succ, stack)
-        if isinstance(stmt, Incr):
-            return succ
         if isinstance(stmt, ExprStmt):
             return self._chain_calls(stmt.expr, succ, stack)
         if isinstance(stmt, Return):

@@ -19,8 +19,8 @@ from mexec.interp import (
     BVA, COVERAGE, MAX_CALL_DEPTH, PATH, SENTINEL, ExecutionTrace,
 )
 from mexec.lang import (
-    Assign, Binary, Block, Call, Decl, Deref, ExprStmt, If, Incr, Num,
-    Return, Unary, Var, While,
+    Assign, Binary, Block, Call, Deref, ExprStmt, If, Num, Return, Unary,
+    Var, While,
 )
 from mexec.saturation import pen
 
@@ -165,18 +165,9 @@ class _Interp:
             for s in stmt.stmts:
                 self.exec_stmt(s, env)
             return
-        if isinstance(stmt, Decl):
-            self.tick(stmt)
-            env[stmt.name] = (self.eval_expr(stmt.init, env)
-                              if stmt.init is not None else 0.0)
-            return
         if isinstance(stmt, Assign):
             self.tick(stmt)
             env[stmt.target.name] = self.eval_expr(stmt.expr, env)
-            return
-        if isinstance(stmt, Incr):
-            self.tick(stmt)
-            env[stmt.target.name] = env[stmt.target.name] + stmt.delta
             return
         if isinstance(stmt, ExprStmt):
             self.tick(stmt)

@@ -167,6 +167,15 @@ def test_json_report_is_the_fields_as_asdict_gives_them(mode):
     assert to_json(from_json(text)) == text
 
 
+def test_from_json_rejects_what_is_not_a_report_with_value_error():
+    text = to_json(CoverageReport(entry="f", inputs=[[1.0]]))
+    assert from_json(text) == CoverageReport(entry="f", inputs=[[1.0]])
+    extra = json.dumps({**json.loads(text), "colour": "red"})
+    for bad in ("[1]", "null", "3", extra):
+        with pytest.raises(ValueError):
+            from_json(bad)
+
+
 def test_json_report_deterministic_modulo_wall_time(capsys, tmp_path):
     payloads = []
     for name in ("a.json", "b.json"):

@@ -432,8 +432,7 @@ def _never(*_args, **_kwargs):
     ("max_rounds", 1.5), ("max_rounds", -1),
     ("xtol", math.nan), ("xtol", -1e-8), ("xtol", math.inf),
     ("ftol", math.nan), ("ftol", -1e-8), ("ftol", math.inf),
-    ("bracket_growth", -1.0), ("bracket_growth", math.nan),
-    ("bracket_growth", 0.0), ("bracket_growth", math.inf),
+    ("seed", [1]), ("seed", {}),
     ("box", [(1,)]), ("box", [1, 2]), ("box", [(0, "1")]),
 ])
 def test_a_bad_setting_raises_naming_it_in_every_mode_before_any_evaluation(

@@ -3,13 +3,15 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import BENCH
 from mexec.cli import main
 from mexec.errors import (
-    DuplicateFunction, ParseError, UndeclaredIdentifier,
+    DuplicateFunction, ParseError, UndeclaredIdentifier, UnsupportedPointerUse,
 )
+from mexec.interp import executable_lines, execute
 from mexec.lang import (
-    KEYWORDS, MAX_EXPR_DEPTH, Call, If, Return, Token, Var, While, children,
-    parse, to_source, tokenize, walk,
+    KEYWORDS, MAX_EXPR_DEPTH, Assign, Binary, Call, If, Num, Return, Token,
+    Var, While, children, parse, tokenize, walk,
 )
 from mexec.satcheck import parse_constraint
 
@@ -136,33 +138,46 @@ def test_while_condition_is_labeled():
     assert program.num_conditionals == 1
 
 
-def test_print_parse_round_trip():
-    program = parse(FOO_SRC)
-    reparsed = parse(to_source(program))
-    assert reparsed == program
-    assert to_source(reparsed) == to_source(program)
-
-
-def test_round_trip_preserves_labels():
-    program = parse(FOO_SRC)
-    reparsed = parse(to_source(program))
-    assert [c.label for c in _conditionals(reparsed)] == [0, 1]
-
-
-def test_round_trip_of_rich_expressions():
-    src = ("real f(real x, real y) { "
-           "return -x ^ 2 + (x - y) * 3 / (real) floor(y) - pow(x, -2); }")
-    program = parse(src)
-    assert parse(to_source(program)) == program
-
-
 def test_real_cast_is_dropped_by_the_parser():
     cast = parse("real f(real x) { if ((real) floor(x) < (real) 3) "
                  "{ return (real) x; } return 0; }")
     plain = parse("real f(real x) { if (floor(x) < 3) { return x; } "
                   "return 0; }")
     assert cast == plain
-    assert "(real)" not in to_source(cast)
+
+
+def test_declarations_and_increments_are_parsed_as_assignments():
+    def run(body, x=5.0):
+        program = parse(f"real f(real* p, real x) {{ {body} }}")
+        return execute(program, [x, x]).return_value
+
+    assert run("real y; return y;") == 0.0
+    assert run("x++; return x;") == 6.0
+    assert run("x--; return x;") == 4.0
+    assert run("*p++; return *p;") == 6.0
+    assert run("*p--; return *p;") == 4.0
+    assert (parse("real f(real x) { real y = x * 2; return y; }")
+            == parse("real f(real x) { y = x * 2; return y; }"))
+    (step,) = parse("void f(real x) { x--; }").functions[0].body.stmts
+    assert step == Assign(target=Var(name="x"), expr=Binary(
+        op="+", lhs=Var(name="x"), rhs=Num(value=-1.0)))
+    assert step.expr.lhs is not step.target
+
+
+def test_foo_keeps_its_labels_and_executable_lines():
+    program = parse((BENCH / "foo.mx").read_text(encoding="utf-8"))
+    assert [(c.label, c.line) for c in _conditionals(program)] == [
+        (0, 9), (1, 13)]
+    assert executable_lines(program) == {5, 9, 10, 12, 13, 14, 16}
+
+
+@pytest.mark.parametrize("body, col", [
+    ("real p;", 24), ("real p = 1;", 24), ("p++;", 19)])
+def test_a_pointer_declared_or_incremented_bare_is_rejected(body, col):
+    with pytest.raises(UnsupportedPointerUse,
+                       match="pointer 'p' used without '\\*'") as error:
+        parse(f"void f(real* p) {{ {body} }}")
+    assert (error.value.line, error.value.col) == (1, col)
 
 
 def test_children_in_field_order_and_walk_in_pre_order():

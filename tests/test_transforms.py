@@ -2,7 +2,7 @@ import pytest
 
 from mexec.errors import UnsupportedPointerUse
 from mexec.interp import execute
-from mexec.lang import If, Var, parse, to_source
+from mexec.lang import Assign, Binary, Deref, If, Var, parse
 from mexec.transforms import prepare
 
 
@@ -35,12 +35,13 @@ def test_prepare_leaves_the_program_as_written():
         }
     """
     program = parse(source)
-    before = to_source(program)
     prepared = prepare(program)
     assert prepared is program
-    assert to_source(prepared) == before
+    assert prepared == parse(source)
     assert prepared.functions[0].params == [("p", "ptr"), ("x", "real")]
-    assert "real *p" in before and "*p = *p + x;" in before
+    write = prepared.functions[0].body.stmts[1].then.stmts[0]
+    assert write == Assign(target=Deref(name="p"), expr=Binary(
+        op="+", lhs=Deref(name="p"), rhs=Var(name="x")))
 
 
 def test_pointer_comparison_stays_unlabeled_through_prepare():
@@ -111,7 +112,8 @@ def test_labels_stable_through_prepare():
 
 
 def test_prepared_program_reparses():
-    program = parse("real f(real x) { if (floor(x) == 0) { return 1; } "
-                    "return 0; }")
-    prepared = prepare(program)
-    assert parse(to_source(prepared)) == prepared
+    source = "real f(real x) { if (floor(x) == 0) { return 1; } return 0; }"
+    prepared = prepare(parse(source))
+    again = parse(source)
+    assert prepared == again
+    assert first_cond(prepared).label == first_cond(again).label == 0

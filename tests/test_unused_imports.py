@@ -1,13 +1,17 @@
 """Every name a module of the package imports is read in that module.
 
 `__init__.py` re-exports what it imports, and an import marked
-`# noqa: F401` is kept on purpose, so neither is checked.
+`# noqa: F401` is kept on purpose, so neither is checked; instead
+`__all__` must list what `__init__.py` imports, and only names that
+resolve.
 """
 
 import ast
 import pathlib
 
 import pytest
+
+import mexec
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "mexec"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -47,3 +51,12 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_all_lists_every_import_of_the_package_and_each_resolves():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported <= set(mexec.__all__)
+    assert [name for name in mexec.__all__
+            if not hasattr(mexec, name)] == []
