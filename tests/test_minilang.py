@@ -127,6 +127,19 @@ def test_caret_is_right_associative_power():
     assert body.rhs.op == "^"
 
 
+def test_rich_expressions_parse_with_the_documented_precedence():
+    rich = parse("real f(real x, real y) { "
+                 "return -x ^ 2 + (x - y) * 3 / (real) floor(y) "
+                 "- pow(x, -2) + x ^ -2; }")
+    grouped = parse("real f(real x, real y) { "
+                    "return ((-(x ^ 2) + (((x - y) * 3) / floor(y))) "
+                    "- pow(x, -2)) + (x ^ (-2)); }")
+    assert rich == grouped
+    x, y = 2.0, 3.5
+    want = -(x ** 2) + (x - y) * 3 / math.floor(y) - x ** -2 + x ** -2
+    assert execute(rich, [x, y]).return_value == want
+
+
 def test_comments_are_skipped():
     program = parse("/* header */ real f(real x) { // trailing\n"
                     "return x; }")
