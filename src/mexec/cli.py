@@ -13,7 +13,7 @@ from dataclasses import asdict
 
 from . import driver, report, satcheck
 from .errors import MalformedPath, MexecError, ParseError
-from .interp import CompiledProgram, conditional_counts, coverage_config
+from .interp import CompiledProgram, coverage_config
 from .lang import parse
 from .optimize import MCMCConfig
 
@@ -181,8 +181,7 @@ def main(argv=None):
             result = driver.run_bva(program, entry, cfg)
             for x in result.inputs:
                 print("boundary: " + ", ".join(repr(v) for v in x))
-        _, uninstrumentable = conditional_counts(program)
-        rep = report.coverage_report(result, program, entry, uninstrumentable)
+        rep = report.coverage_report(result, program, entry)
         print(report.format_text(rep))
         if args.json_path:
             _write_json(args.json_path, report.to_json(rep))

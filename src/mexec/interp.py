@@ -15,8 +15,9 @@ One generator emits two flavours of the same program:
   above-sentinel r to the sentinel; at the last clamped point it ran it
   returns the value kept;
 * the tracing flavour also records coverage facts (lines, conditionals,
-  branches, call sites, the branch path, steps) in an ExecutionTrace;
-  `execute`, admission replays and reports use it.
+  call sites, the branch path, steps) in an ExecutionTrace, whose
+  covered branches are the set of its path; `execute`, admission
+  replays and reports use it.
 
 A `sat` constraint compiles to the same runner, its r the sum of its
 comparisons' branch distances; its source is kept on the Constraint.
@@ -63,10 +64,6 @@ _R0 = {COVERAGE: 1.0, PATH: 0.0, BVA: 1.0, PLAIN: 0.0}
 # user calls nested deeper than this abort the evaluation; the entry
 # function is at depth 1
 MAX_CALL_DEPTH = 100
-
-# the statement node types; a Block only groups them
-_STATEMENTS = (Assign, ExprStmt, If, Return, While)
-
 
 @dataclass
 class RepFunConfig:
@@ -348,8 +345,8 @@ class _Source:
             self.emit(line)
         if not self.tracing:
             return f"_a {cond.op} _b", [], []
-        return (f"_a {cond.op} _b", [f"_took(({label}, 'T'))"],
-                [f"_took(({label}, 'F'))"])
+        return (f"_a {cond.op} _b", [f"_path(({label}, 'T'))"],
+                [f"_path(({label}, 'F'))"])
 
     # -- statements
 
@@ -502,16 +499,13 @@ class _Source:
         self.indent -= 1
 
 
-# the tracing flavour's per-statement count and per-branch record
+# the tracing flavour's per-statement count
 _TRACING_HELPERS = """
 def _tick(line):
     global _n
     _n += 1
     if _n > _B: raise _StepBudgetExceeded
     if line: _line(line)
-def _took(branch):
-    _path(branch)
-    _branch(branch)
 """
 
 
@@ -675,7 +669,6 @@ class CompiledProgram:
         trace = ExecutionTrace()
         ns.update(_line=trace.covered_lines.add,
                   _cond=trace.covered_conditionals.add,
-                  _branch=trace.covered_branches.add,
                   _path=trace.path.append, _call=trace.covered_calls.add,
                   _r=_R0[self.cfg.mode], _n=0, _c=0)
         if self.cfg.mode == COVERAGE:
@@ -691,6 +684,7 @@ class CompiledProgram:
         except tuple(_ABORTS) as exc:
             trace.final_r = SENTINEL
             trace.aborted = _ABORTS[type(exc)]
+        trace.covered_branches = set(trace.path)
         trace.steps = ns["_n"]
         return trace
 
@@ -753,29 +747,6 @@ def _comparisons_source(constraint):
 # ---------------------------------------------------------------------------
 # Static queries
 
-def _nodes(program):
-    for fn in program.functions:
-        yield from walk(fn.body)
-
-
-def executable_lines(program):
-    """Line numbers of all executable statements in the program, found
-    once per program."""
-    return memoised(program, "lines", lambda: frozenset(
-        node.line for node in _nodes(program)
-        if isinstance(node, _STATEMENTS) and node.line))
-
-
-def call_sites(program):
-    """Static (line, col) positions of user-function call expressions,
-    found once per program."""
-    def find():
-        user = {f.name for f in program.functions}
-        return frozenset((node.line, node.col) for node in _nodes(program)
-                         if isinstance(node, Call) and node.name in user)
-    return memoised(program, "calls", find)
-
-
 _OPEN = object()    # a function whose callees are still being walked
 
 
@@ -835,7 +806,4 @@ def _steps(stmt, bounds):
 def conditional_counts(program):
     """(instrumentable, uninstrumentable) conditional counts: labeled
     conditionals and those that compare a bare pointer."""
-    labels = [node.cond.label for node in _nodes(program)
-              if isinstance(node, (If, While))]
-    unlabeled = labels.count(None)
-    return len(labels) - unlabeled, unlabeled
+    return program.num_conditionals, program.uninstrumentable

@@ -201,11 +201,17 @@ class FunctionDef(Node):
 @dataclass
 class Program:
     """A parsed program.  `parse` builds it, labels its conditionals and
-    counts them; from then on the AST is read-only.  What depends only
-    on it (generated source, descendant relation, report totals) is
-    computed on first use and kept in `_memo` (see `memoised`)."""
+    records the report's static totals: the labeled and the unlabeled
+    (`uninstrumentable`) conditionals, the `lines` of every statement and
+    the (line, col) `call_sites` of every call to a user function.  From
+    then on the AST is read-only; what depends only on it (generated
+    source, descendant relation) is computed on first use and kept in
+    `_memo` (see `memoised`)."""
     functions: list
     num_conditionals: int = 0
+    uninstrumentable: int = 0
+    lines: frozenset = frozenset()
+    call_sites: frozenset = frozenset()
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def function(self, name):
@@ -584,12 +590,14 @@ class _Gate:
     appears bare only as a whole comparison operand, and `*` applies
     only to pointer parameters) and the nesting limits.  Numbers the
     conditionals that compare no bare pointer 0..N-1 in pre-order; the
-    others get label None."""
+    others get label None.  Records the totals that `Program` lists."""
 
     def __init__(self):
         self.functions = {}
         self.pointers = set()
         self.labels = 0
+        self.unlabeled = 0
+        self.lines, self.calls = set(), set()
 
     def check(self, program):
         if not program.functions:
@@ -607,6 +615,9 @@ class _Gate:
                              if kind == "ptr"}
             self.stmt(f.body, {name for name, _kind in f.params}, 0, 0)
         program.num_conditionals = self.labels
+        program.uninstrumentable = self.unlabeled
+        program.lines = frozenset(self.lines)
+        program.call_sites = frozenset(self.calls)
 
     def expr(self, expr, scope, level):
         check_depth(expr, max_expr_depth(level))
@@ -625,6 +636,8 @@ class _Gate:
                     node.line, node.col)
             if isinstance(node, Call):
                 check_call(node, self.functions)
+                if node.name in self.functions:
+                    self.calls.add((node.line, node.col))
 
     def cond(self, cond, scope, level):
         cond.label = self.labels
@@ -634,6 +647,7 @@ class _Gate:
             else:
                 self.expr(side, scope, level)
         self.labels += cond.label is not None
+        self.unlabeled += cond.label is None
 
     def stmt(self, stmt, scope, depth, loops):
         """Check `stmt`, inside `depth` ifs and whiles of which `loops`
@@ -641,7 +655,9 @@ class _Gate:
         if isinstance(stmt, Block):
             for s in stmt.stmts:
                 self.stmt(s, scope, depth, loops)
-        elif isinstance(stmt, (If, While)):
+            return
+        self.lines.add(stmt.line)
+        if isinstance(stmt, (If, While)):
             loop = isinstance(stmt, While)
             if loops + loop > MAX_LOOP_DEPTH:
                 raise ParseError(f"loops nested more than {MAX_LOOP_DEPTH} "

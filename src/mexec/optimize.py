@@ -34,7 +34,8 @@ SENTINEL = 1e300
 
 _CGOLD = 0.3819660
 _TINY = 1e-21
-# each step of the bracketing is this many times the one before
+# each step of the bracketing is this many times the one before; a
+# positive growth keeps the bracket ordered, as Brent's check needs
 BRACKET_GROWTH = 2.0
 
 
@@ -280,12 +281,9 @@ def _search_line(objective, g, x, direction, cfg):
     (lo, f_lo), (mid, f_mid), (hi, f_hi) = _bracket(
         g, 0.0, f0, 1.0, BRACKET_GROWTH, 80)
     if objective is not None:
-        # the requests these values answer: the bracket's g(0) and, on an
-        # ordered bracket, Brent's check g(mid), g(lo) and, unless that
-        # already fails, g(hi)
-        known = 1
-        if lo <= mid <= hi and lo < hi:
-            known += 2 if f_mid > f_lo else 3
+        # the requests these values answer: the bracket's g(0) and Brent's
+        # check g(mid), g(lo) and, unless that already fails, g(hi)
+        known = 3 if f_mid > f_lo else 4
         objective.eval_count += known
         objective.reuse_count += known
     try:

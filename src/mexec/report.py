@@ -5,8 +5,6 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .interp import call_sites, executable_lines
-
 SCHEMA = "mexec/1"
 
 
@@ -42,8 +40,9 @@ def _pct(num, den):
     return 100.0 * num / den if den else 0.0
 
 
-def coverage_report(result, program, entry="", uninstrumentable=0):
-    """Aggregate a search result's traces into the four coverage metrics."""
+def coverage_report(result, program, entry="", uninstrumentable=None):
+    """Aggregate a search result's traces into the four coverage metrics;
+    `uninstrumentable` defaults to the program's own count."""
     graph = result.graph
     lines = set()
     conditionals = set()
@@ -64,8 +63,9 @@ def coverage_report(result, program, entry="", uninstrumentable=0):
         infeasible = set()
         saturated = set()
 
-    total_lines = executable_lines(program)
-    total_calls = call_sites(program)
+    total_calls = program.call_sites
+    if uninstrumentable is None:
+        uninstrumentable = program.uninstrumentable
     labels = sorted(graph.labels) if graph is not None else []
     total_branches = 2 * len(labels)
 
@@ -84,12 +84,12 @@ def coverage_report(result, program, entry="", uninstrumentable=0):
     return CoverageReport(
         mode=result.mode,
         entry=entry,
-        line_pct=_pct(len(lines), len(total_lines)),
+        line_pct=_pct(len(lines), len(program.lines)),
         condition_pct=_pct(len(conditionals), len(labels)),
         branch_pct=_pct(len(branches), total_branches),
         call_pct=_pct(len(calls), len(total_calls)) if total_calls else None,
         covered_lines=len(lines),
-        total_lines=len(total_lines),
+        total_lines=len(program.lines),
         covered_conditionals=len(conditionals),
         total_conditionals=len(labels),
         covered_branches=len(branches),

@@ -16,7 +16,7 @@ from mexec.interp import CompiledProgram, coverage_config
 from mexec.lang import parse
 from mexec.optimize import MCMCConfig
 from mexec.report import (
-    SCHEMA, CoverageReport, coverage_report, from_json, to_json,
+    SCHEMA, CoverageReport, coverage_report, format_text, from_json, to_json,
 )
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
@@ -165,6 +165,23 @@ def test_json_report_is_the_fields_as_asdict_gives_them(mode):
                               indent=2, sort_keys=True)
     assert from_json(text) == report
     assert to_json(from_json(text)) == text
+
+
+POINTER_COMPARED = """real f(real *p, real x) {
+    if (p == x) { x = x + 1; }
+    if (x < 2) { x = x * 3; }
+    return x;
+}"""
+
+
+def test_a_report_counts_the_programs_ignored_conditionals_by_default():
+    program = parse(POINTER_COMPARED)
+    result = run_coverage(program, "f", SearchConfig(seed=3, n_start=4))
+    report = coverage_report(result, program, "f")
+    assert report.uninstrumentable == 1
+    assert "  ignored conditionals   1 (pointer comparisons)" in \
+        format_text(report).splitlines()
+    assert coverage_report(result, program, "f", 0).uninstrumentable == 0
 
 
 def test_from_json_rejects_what_is_not_a_report_with_value_error():

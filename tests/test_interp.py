@@ -8,9 +8,8 @@ from mexec.cfg import build_cfg
 from mexec.driver import SearchConfig, run_coverage
 from mexec.errors import ArityMismatch
 from mexec.interp import (
-    MAX_CALL_DEPTH, SENTINEL, CompiledProgram, bva_config, call_sites,
-    conditional_counts, coverage_config, executable_lines, execute,
-    path_config, plain_config,
+    MAX_CALL_DEPTH, SENTINEL, CompiledProgram, bva_config,
+    conditional_counts, coverage_config, execute, path_config, plain_config,
 )
 from mexec.lang import parse
 from mexec.saturation import new_state, update_saturation
@@ -183,8 +182,8 @@ def test_while_loop_executes():
 
 
 def test_executable_lines_and_call_sites(foo):
-    assert len(executable_lines(foo)) == 7
-    assert len(call_sites(foo)) == 1
+    assert len(foo.lines) == 7
+    assert len(foo.call_sites) == 1
     assert conditional_counts(foo) == (2, 0)
 
 

@@ -1,9 +1,9 @@
 """What a parsed program or constraint computes once and keeps: the
-generated source per entry, mode and flavour, the descendant relation
-per entry and the report totals.  A second mode call on the same
-Program generates nothing, and keeping these changes no result: every
-evaluation on a shared Program equals the same evaluation on a freshly
-parsed copy."""
+generated source per entry, mode and flavour and the descendant relation
+per entry; `parse` itself records the report totals.  A second mode
+call on the same Program generates nothing, and keeping these changes
+no result: every evaluation on a shared Program equals the same
+evaluation on a freshly parsed copy."""
 
 import math
 from contextlib import contextmanager
@@ -17,8 +17,8 @@ from mexec.cfg import build_cfg
 from mexec.driver import SearchConfig, run_bva, run_coverage, run_path
 from mexec.errors import UnknownFunction
 from mexec.interp import (
-    CompiledProgram, bva_config, call_sites, coverage_config,
-    executable_lines, execute, path_config, plain_config,
+    CompiledProgram, bva_config, coverage_config, execute, path_config,
+    plain_config,
 )
 from mexec.lang import parse
 from mexec.satcheck import _holds, check_sat, parse_constraint
@@ -108,10 +108,10 @@ def test_path_runs_on_one_program_share_one_cfg(foo):
 
 
 def test_report_totals_are_kept_and_read_only(foo):
-    lines, calls = executable_lines(foo), call_sites(foo)
-    assert executable_lines(foo) is lines
-    assert call_sites(foo) is calls
-    assert isinstance(lines, frozenset) and isinstance(calls, frozenset)
+    """`parse` sets the report's totals; nothing computes them later."""
+    assert isinstance(foo.lines, frozenset) and foo.lines
+    assert isinstance(foo.call_sites, frozenset) and foo.call_sites
+    assert not foo._memo
 
 
 def test_a_failed_build_keeps_nothing(foo):

@@ -1,19 +1,21 @@
 import math
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import BENCH
 from mexec.cli import main
 from mexec.errors import (
     DuplicateFunction, ParseError, UndeclaredIdentifier, UnsupportedPointerUse,
 )
-from mexec.interp import executable_lines, execute
+from mexec.interp import execute
 from mexec.lang import (
-    KEYWORDS, MAX_EXPR_DEPTH, Assign, Binary, Call, If, Num, Return, Token,
-    Var, While, children, parse, tokenize, walk,
+    KEYWORDS, MAX_EXPR_DEPTH, Assign, Binary, Call, ExprStmt, If, Num, Return,
+    Token, Var, While, children, parse, tokenize, walk,
 )
 from mexec.satcheck import parse_constraint
+from test_engine import _ProgramGen
 
 FOO_SRC = """
 real square(real x) { return x * x; }
@@ -181,7 +183,95 @@ def test_foo_keeps_its_labels_and_executable_lines():
     program = parse((BENCH / "foo.mx").read_text(encoding="utf-8"))
     assert [(c.label, c.line) for c in _conditionals(program)] == [
         (0, 9), (1, 13)]
-    assert executable_lines(program) == {5, 9, 10, 12, 13, 14, 16}
+    assert program.lines == {5, 9, 10, 12, 13, 14, 16}
+
+
+# -- the report's static totals, which the gate records as it checks;
+# a walk of the whole AST for each total is the reference
+
+_STATEMENTS = (Assign, ExprStmt, If, Return, While)
+
+
+def _nodes(program):
+    for fn in program.functions:
+        yield from walk(fn.body)
+
+
+def executable_lines(program):
+    return frozenset(node.line for node in _nodes(program)
+                     if isinstance(node, _STATEMENTS) and node.line)
+
+
+def call_sites(program):
+    user = {f.name for f in program.functions}
+    return frozenset((node.line, node.col) for node in _nodes(program)
+                     if isinstance(node, Call) and node.name in user)
+
+
+def conditional_counts(program):
+    labels = [node.cond.label for node in _nodes(program)
+              if isinstance(node, (If, While))]
+    unlabeled = labels.count(None)
+    return len(labels) - unlabeled, unlabeled
+
+
+def assert_totals_match_the_walks(program):
+    assert program.lines == executable_lines(program)
+    assert program.call_sites == call_sites(program)
+    assert (program.num_conditionals, program.uninstrumentable) == \
+        conditional_counts(program)
+    assert all(isinstance(total, frozenset)
+               for total in (program.lines, program.call_sites))
+
+
+@st.composite
+def spread_sources(draw):
+    """A random program with a random share of its blanks made line
+    breaks, so that its statements and calls sit on many lines."""
+    source = _ProgramGen(draw).program()
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    share = draw(st.sampled_from((0.0, 0.3, 1.0)))
+    return "".join("\n" if c == " " and rng.random() < share else c
+                   for c in source)
+
+
+@settings(max_examples=200)
+@given(spread_sources())
+def test_the_gate_records_what_a_walk_of_the_ast_finds(source):
+    assert_totals_match_the_walks(parse(source))
+
+
+@pytest.mark.parametrize("source, lines, calls, counts", [
+    # a bare pointer on either side leaves a conditional unlabeled; a
+    # user call in its other side is still a call site
+    ("""real g(real a) { return a; }
+real f(real *p, real x) {
+    if (p == x) { x = 1; }
+    if (g(x) < p) { x = 2; }
+    while (*p > g(g(x))) { x = x - 1; }
+    if (x < 2) { g(x); }
+    return sqrt(x);
+}""", {1, 3, 4, 5, 6, 7}, {(4, 9), (5, 17), (5, 19), (6, 18)}, (2, 2)),
+    # a builtin is not a call site; an else and a nested block are not
+    # lines of their own
+    ("""real f(real x) {
+    if (x < 1)
+    {
+        x = sin(x);
+    }
+    else
+        x++;
+    { real y = x; }
+    return x;
+}""", {2, 4, 7, 8, 9}, set(), (1, 0)),
+])
+def test_the_gate_records_lines_calls_and_unlabeled_conditionals(
+        source, lines, calls, counts):
+    program = parse(source)
+    assert_totals_match_the_walks(program)
+    assert program.lines == lines
+    assert program.call_sites == calls
+    assert (program.num_conditionals, program.uninstrumentable) == counts
 
 
 @pytest.mark.parametrize("body, col", [
