@@ -24,7 +24,7 @@ from .interp import (
     CompiledProgram, bva_config, coverage_config, execute, path_config,
     plain_config,
 )
-from .optimize import MCMCConfig, Objective, basinhopping, checked_mcmc, clamp
+from .optimize import MCMCConfig, Objective, basinhopping, clamp
 
 # values worth probing regardless of the box: zero, units, and the
 # extremes of the normal double range
@@ -35,14 +35,14 @@ SPECIALS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchConfig:
-    """Search settings, checked by `checked` as a mode starts (a broken
-    rule raises MexecError naming the setting): `n_start` is an integer
-    >= 0; `epsilon` finite and > 0; `infeasible_after` and `step_budget`
+    """Search settings, checked as the config is made (a broken rule
+    raises MexecError naming the setting): `n_start` is an integer >= 0;
+    `epsilon` finite and > 0; `infeasible_after` and `step_budget`
     integers >= 1; `seed` None or an int, float, str, bytes or
-    bytearray, the seeds random.Random takes; `box` keeps the rule of
-    `resolved_box`, `mcmc` those of MCMCConfig."""
+    bytearray, the seeds random.Random takes.  `resolved_box` checks
+    `box`, whose rule needs the arity."""
     n_start: int = 500
     mcmc: MCMCConfig = field(default_factory=MCMCConfig)
     box: Optional[list] = None          # per-dimension (lo, hi)
@@ -50,6 +50,16 @@ class SearchConfig:
     seed: Optional[int] = None
     infeasible_after: int = 3
     step_budget: int = 1_000_000
+
+    def __post_init__(self):
+        check_count("n_start", self.n_start, 0)
+        check_number("epsilon", self.epsilon, positive=True)
+        check_count("infeasible_after", self.infeasible_after, 1)
+        check_count("step_budget", self.step_budget, 1)
+        if not isinstance(self.seed, (type(None), int, float, str, bytes,
+                                      bytearray)):
+            raise MexecError(f"bad seed {self.seed!r}, need None, an int, "
+                             "a float, a str, bytes or a bytearray")
 
     def resolved_box(self, arity):
         """One (lo, hi) bound per input, from one pair for every input
@@ -73,22 +83,6 @@ class SearchConfig:
                              f"{arity} inputs, need one pair or one per "
                              "input")
         return list(self.box)
-
-
-def checked(cfg):
-    """`cfg`, or the default for None, once it keeps SearchConfig's rules."""
-    if cfg is None:
-        return SearchConfig()
-    check_count("n_start", cfg.n_start, 0)
-    check_number("epsilon", cfg.epsilon, positive=True)
-    check_count("infeasible_after", cfg.infeasible_after, 1)
-    check_count("step_budget", cfg.step_budget, 1)
-    if not isinstance(cfg.seed, (type(None), int, float, str, bytes,
-                                 bytearray)):
-        raise MexecError(f"bad seed {cfg.seed!r}, need None, an int, a "
-                         "float, a str, bytes or a bytearray")
-    checked_mcmc(cfg.mcmc)
-    return cfg
 
 
 @dataclass
@@ -201,7 +195,8 @@ def search(cfg, arity, objective_at, admit):
 
 def run_coverage(program, entry, cfg=None):
     """Saturate as many branches as possible within the restart budget."""
-    cfg = checked(cfg)
+    if cfg is None:
+        cfg = SearchConfig()
     started = time.perf_counter()
     graph = build_cfg(program, entry)
     arity = len(program.function(entry).params)
@@ -278,7 +273,8 @@ def _validate_path(graph, target):
 def run_path(program, entry, target, cfg=None):
     """Search for an input whose execution follows the target branch
     sequence; the candidate is verified by replay before being reported."""
-    cfg = checked(cfg)
+    if cfg is None:
+        cfg = SearchConfig()
     started = time.perf_counter()
     graph = build_cfg(program, entry)
     target = tuple(target)
@@ -308,7 +304,8 @@ def run_path(program, entry, target, cfg=None):
 
 def run_bva(program, entry, cfg=None):
     """Collect inputs that sit exactly on some conditional's boundary."""
-    cfg = checked(cfg)
+    if cfg is None:
+        cfg = SearchConfig()
     started = time.perf_counter()
     graph = build_cfg(program, entry)
     result = TestSuiteResult(mode="bva", graph=graph)

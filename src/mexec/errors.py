@@ -71,10 +71,9 @@ class NonNumericExpression(MexecError):
     pass
 
 
-# a plain int or float skips the ABC check, most of the cost of a check
 def check_count(name, value, least):
     """Raise MexecError naming the setting unless it is an integer >= least."""
-    if type(value) is not int and not isinstance(value, numbers.Integral):
+    if not isinstance(value, numbers.Integral):
         raise MexecError(f"bad {name} {value!r}, need an integer")
     if value < least:
         raise MexecError(f"bad {name} {value!r}, need at least {least}")
@@ -83,7 +82,7 @@ def check_count(name, value, least):
 def check_number(name, value, positive=False, finite=True):
     """Raise MexecError naming the setting unless it is a real number,
     > 0 if `positive` and >= 0 if not, and finite if `finite`."""
-    if not ((type(value) in (int, float) or isinstance(value, numbers.Real))
+    if not (isinstance(value, numbers.Real)
             and (value > 0 if positive else value >= 0)
             and (value < math.inf or not finite)):
         need = ("positive" if positive else "nonnegative") + (

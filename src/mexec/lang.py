@@ -254,13 +254,23 @@ def children(node):
             yield value
 
 
-def walk(node):
-    """`node` and every node below it, in pre-order."""
-    stack = [node]
+def walk(node, limit=None):
+    """`node` and every node below it, in pre-order.  With a `limit`,
+    raises ParseError at the first unary minus, binary operator or call
+    nested more than `limit` deep: the parser builds operator chains
+    with a loop, so any length parses."""
+    stack = [(node, 0)]
     while stack:
-        node = stack.pop()
+        node, depth = stack.pop()
+        if limit is not None and isinstance(node, (Unary, Binary, Call)):
+            depth += 1
+            if depth > limit:
+                raise ParseError(
+                    f"expression nested more than {limit} operators deep",
+                    node.line, node.col)
         yield node
-        stack.extend(reversed(list(children(node))))
+        stack.extend((child, depth)
+                     for child in reversed(list(children(node))))
 
 
 # each unary minus, binary operator or call adds a level of parentheses
@@ -287,22 +297,6 @@ def max_expr_depth(level):
     """The most operators and calls an expression inside `level` ifs
     and whiles may nest; a while's own test counts as inside it."""
     return min(MAX_EXPR_DEPTH, (_RULE_BUDGET - 7 * level) // 29)
-
-
-def check_depth(expr, limit=MAX_EXPR_DEPTH):
-    """Reject an expression that nests more than `limit` operators and
-    calls; the parser builds operator chains with a loop, so any length
-    parses."""
-    stack = [(expr, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, (Unary, Binary, Call)):
-            depth += 1
-            if depth > limit:
-                raise ParseError(
-                    f"expression nested more than {limit} operators deep",
-                    node.line, node.col)
-        stack.extend((child, depth) for child in children(node))
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +614,7 @@ class _Gate:
         program.call_sites = frozenset(self.calls)
 
     def expr(self, expr, scope, level):
-        check_depth(expr, max_expr_depth(level))
-        for node in walk(expr):
+        for node in walk(expr, max_expr_depth(level)):
             if isinstance(node, (Var, Deref)) and node.name not in scope:
                 raise UndeclaredIdentifier(
                     f"undeclared identifier {node.name!r}",

@@ -105,46 +105,34 @@ class Objective:
         return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalMinConfig:
-    """Powell settings, checked by `checked_local`: `max_rounds` is an
-    integer >= 0; `xtol` and `ftol` finite and >= 0."""
+    """Powell settings, checked as the config is made: `max_rounds` is
+    an integer >= 0; `xtol` and `ftol` finite and >= 0."""
     xtol: float = 1e-8
     ftol: float = 1e-8
     max_rounds: int = 60
 
+    def __post_init__(self):
+        check_count("max_rounds", self.max_rounds, 0)
+        check_number("xtol", self.xtol)
+        check_number("ftol", self.ftol)
 
-@dataclass
+
+@dataclass(frozen=True)
 class MCMCConfig:
-    """Basinhopping settings, checked by `checked_mcmc`: `n_iter` is an
-    integer >= 0; `step_scale` finite and >= 0; `temperature` >= 0, +inf
-    included; `local` keeps LocalMinConfig's rules."""
+    """Basinhopping settings, checked as the config is made: `n_iter` is
+    an integer >= 0; `step_scale` finite and >= 0; `temperature` >= 0,
+    +inf included."""
     n_iter: int = 5
     step_scale: float = 50.0
     temperature: float = 1.0
     local: LocalMinConfig = field(default_factory=LocalMinConfig)
 
-
-def checked_local(cfg):
-    """`cfg`, or the default for None, once it keeps LocalMinConfig's
-    rules."""
-    if cfg is None:
-        return LocalMinConfig()
-    check_count("max_rounds", cfg.max_rounds, 0)
-    check_number("xtol", cfg.xtol)
-    check_number("ftol", cfg.ftol)
-    return cfg
-
-
-def checked_mcmc(cfg):
-    """`cfg`, or the default for None, once it keeps MCMCConfig's rules."""
-    if cfg is None:
-        return MCMCConfig()
-    check_count("n_iter", cfg.n_iter, 0)
-    checked_local(cfg.local)
-    check_number("step_scale", cfg.step_scale)
-    check_number("temperature", cfg.temperature, finite=False)
-    return cfg
+    def __post_init__(self):
+        check_count("n_iter", self.n_iter, 0)
+        check_number("step_scale", self.step_scale)
+        check_number("temperature", self.temperature, finite=False)
 
 
 def _bracket(g, a, fa, step, growth, max_expand):
@@ -304,10 +292,10 @@ def powell_minimize(f, x0, cfg=None):
     Directions start as the coordinate axes; after each sweep the axis of
     largest decrease may be replaced by the overall displacement, and the
     direction set is reset to the axes periodically to avoid degeneracy.
-    Raises MexecError, before any evaluation, unless `cfg` keeps the
-    rules LocalMinConfig states.
+    `cfg` None runs the LocalMinConfig defaults.
     """
-    cfg = checked_local(cfg)
+    if cfg is None:
+        cfg = LocalMinConfig()
     n = len(x0)
     x = [float(v) for v in x0]
     fx = f(x)
@@ -380,10 +368,10 @@ def basinhopping(f, x0, cfg=None, rng=None, callback=None, box=None):
     into `box` (per-dimension (lo, hi), or None for no bounds).  The
     callback, if given, runs once per iteration with (iteration,
     incumbent x, incumbent f) and may return True to stop early.
-    Raises MexecError, before any evaluation, unless `cfg` keeps the
-    rules MCMCConfig states.
+    `cfg` None runs the MCMCConfig defaults.
     """
-    cfg = checked_mcmc(cfg)
+    if cfg is None:
+        cfg = MCMCConfig()
     if rng is None:
         rng = random.Random()
     x_l, f_l = powell_minimize(f, clamp(x0, box), cfg.local)

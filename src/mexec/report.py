@@ -41,9 +41,10 @@ def _pct(num, den):
 
 
 def coverage_report(result, program, entry="", uninstrumentable=None):
-    """Aggregate a search result's traces into the four coverage metrics;
+    """Aggregate a search result's traces into the four coverage metrics,
+    each over the whole program, as gcov counts a file; the saturation
+    state adds which branches are saturated or deemed infeasible.
     `uninstrumentable` defaults to the program's own count."""
-    graph = result.graph
     lines = set()
     conditionals = set()
     branches = set()
@@ -55,18 +56,13 @@ def coverage_report(result, program, entry="", uninstrumentable=None):
         calls |= trace.covered_calls
 
     state = result.state
-    if state is not None:
-        branches = set(state.covered)
-        infeasible = set(state.infeasible)
-        saturated = set(state.explored)
-    else:
-        infeasible = set()
-        saturated = set()
+    infeasible = state.infeasible if state is not None else frozenset()
+    saturated = state.explored if state is not None else frozenset()
 
     total_calls = program.call_sites
     if uninstrumentable is None:
         uninstrumentable = program.uninstrumentable
-    labels = sorted(graph.labels) if graph is not None else []
+    labels = range(program.num_conditionals)
     total_branches = 2 * len(labels)
 
     status = {}

@@ -13,8 +13,8 @@ from typing import Optional
 from .errors import NonNumericExpression, ParseError, UnknownVariable
 from .interp import compile_comparisons
 from .lang import (
-    Call, Deref, Var, _Parser, check_call, check_depth, is_name, memoised,
-    tokenize, walk,
+    MAX_EXPR_DEPTH, Call, Deref, Var, _Parser, check_call, is_name,
+    memoised, tokenize, walk,
 )
 from .optimize import Objective
 from . import driver
@@ -34,8 +34,7 @@ def _collect_vars(cmp, names):
     """Add the variables of a conjunct to the dict `names` in order of
     first appearance, rejecting pointers, bad calls and operators nested
     too deeply."""
-    check_depth(cmp)
-    for node in walk(cmp):
+    for node in walk(cmp, MAX_EXPR_DEPTH):
         if isinstance(node, Deref):
             raise NonNumericExpression(
                 "pointers are not allowed in constraints")
@@ -109,7 +108,8 @@ def _holds(constraint, x):
 def check_sat(constraint, cfg=None):
     """Minimize the compiled objective over restarts; a replay-confirmed
     root yields verdict sat, anything else stays unknown."""
-    cfg = driver.checked(cfg)
+    if cfg is None:
+        cfg = driver.SearchConfig()
     started = time.perf_counter()
     distance = compile_constraint(constraint, cfg.epsilon).fn
     result = SatResult(verdict="unknown", residual=float("inf"),

@@ -184,6 +184,33 @@ def test_a_report_counts_the_programs_ignored_conditionals_by_default():
     assert coverage_report(result, program, "f", 0).uninstrumentable == 0
 
 
+# g's conditional is label 0, which the entry f never reaches
+TWO_FUNCTIONS = """real g(real a) { if (a > 3) { a = 1; } return a; }
+real f(real x) { if (x < 2) { x = x * 3; } return x; }"""
+
+
+def test_a_report_counts_every_total_over_the_whole_program(capsys,
+                                                           tmp_path):
+    source = tmp_path / "two.mx"
+    source.write_text(TWO_FUNCTIONS, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "cover", str(source), "--entry", "f",
+                           "--seed", "1", "--n-start", "20")
+    assert code == 0
+    rows = [" ".join(line.split()) for line in out.splitlines()]
+    assert "Conditions executed 50.00% (1 of 2)" in rows
+    assert "Branches taken 50.00% (2 of 4)" in rows
+    assert "not taken 0F, 0T" in rows
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in BENCH.glob("*.mx")))
+def test_a_cover_report_counts_the_branches_its_traces_cover(name):
+    program = parse((BENCH / name).read_text(encoding="utf-8"))
+    entry = program.functions[-1].name
+    result = run_coverage(program, entry, SearchConfig(seed=4, n_start=10))
+    report = coverage_report(result, program, entry)
+    assert report.covered_branches == len(result.state.covered)
+
+
 def test_from_json_rejects_what_is_not_a_report_with_value_error():
     text = to_json(CoverageReport(entry="f", inputs=[[1.0]]))
     assert from_json(text) == CoverageReport(entry="f", inputs=[[1.0]])
@@ -448,19 +475,25 @@ def test_negative_counts_and_bad_step_scale_are_usage_errors(capsys):
             assert err.startswith(f"mexec: bad {setting} {value}"), err
 
 
-@pytest.mark.parametrize("flag, value, cfg", [
-    ("--n-start", "-3", SearchConfig(n_start=-3)),
-    ("--n-iter", "-1", SearchConfig(mcmc=MCMCConfig(n_iter=-1))),
-    ("--epsilon", "nan", SearchConfig(epsilon=math.nan)),
-    ("--epsilon", "0", SearchConfig(epsilon=0.0)),
-    ("--step-scale", "inf", SearchConfig(mcmc=MCMCConfig(
+# each config is built in the test: a bad setting raises as it is built
+@pytest.mark.parametrize("flag, value, make", [
+    ("--n-start", "-3", lambda: SearchConfig(n_start=-3)),
+    ("--n-iter", "-1", lambda: SearchConfig(mcmc=MCMCConfig(n_iter=-1))),
+    ("--epsilon", "nan", lambda: SearchConfig(epsilon=math.nan)),
+    ("--epsilon", "0", lambda: SearchConfig(epsilon=0.0)),
+    ("--epsilon", "inf", lambda: SearchConfig(epsilon=math.inf)),
+    ("--step-scale", "inf", lambda: SearchConfig(mcmc=MCMCConfig(
         step_scale=math.inf))),
-    ("--infeasible-after", "0", SearchConfig(infeasible_after=0)),
-    ("--box", "3:1", SearchConfig(box=[(3.0, 1.0)])),
+    ("--step-scale", "-0.5", lambda: SearchConfig(mcmc=MCMCConfig(
+        step_scale=-0.5))),
+    ("--infeasible-after", "0", lambda: SearchConfig(infeasible_after=0)),
+    ("--infeasible-after", "-3", lambda: SearchConfig(infeasible_after=-3)),
+    ("--box", "3:1", lambda: SearchConfig(box=[(3.0, 1.0)])),
+    ("--box", "0:inf", lambda: SearchConfig(box=[(0.0, math.inf)])),
 ])
-def test_a_bad_flag_reports_the_library_message(capsys, flag, value, cfg):
+def test_a_bad_flag_reports_the_library_message(capsys, flag, value, make):
     with pytest.raises(MexecError) as library:
-        run_coverage(parse("real f(real x) { return x; }"), "f", cfg)
+        run_coverage(parse("real f(real x) { return x; }"), "f", make())
     commands = [["cover", FOO]]
     if flag != "--infeasible-after":
         commands.append(["sat", "x == 1"])
@@ -468,6 +501,14 @@ def test_a_bad_flag_reports_the_library_message(capsys, flag, value, cfg):
         code, out, err = run_cli(capsys, *argv, flag, value)
         assert (code, out) == (1, ""), argv
         assert err == f"mexec: {library.value}\n"
+
+
+def test_an_inner_bad_setting_is_reported_before_an_outer_one(capsys):
+    # the MCMCConfig is built before the SearchConfig that holds it
+    code, out, err = run_cli(capsys, "cover", FOO, "--n-start", "-3",
+                             "--n-iter", "-1")
+    assert (code, out) == (1, "")
+    assert err == "mexec: bad n_iter -1, need at least 0\n"
 
 
 def test_infeasible_after_below_one_is_a_usage_error(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -380,12 +381,9 @@ def test_a_search_at_zero_temperature_completes(foo):
     assert x * y == 12 and x + y == 7
 
 
-def test_a_search_at_a_negative_temperature_is_an_error(foo):
-    cfg = SearchConfig(seed=1, n_start=3, mcmc=MCMCConfig(temperature=-1.0))
+def test_a_negative_temperature_is_an_error_as_the_config_is_built():
     with pytest.raises(MexecError, match="bad temperature -1.0"):
-        run_bva(foo, "FOO", cfg)
-    with pytest.raises(MexecError, match="bad temperature -1.0"):
-        check_sat(parse_constraint("x*y == 12 && x + y == 7"), cfg)
+        MCMCConfig(temperature=-1.0)
 
 
 # one program per kind of mode call: x > 999 has one labeled conditional
@@ -406,13 +404,15 @@ MODE_CALLS = {
 def _setting(name, value):
     """A small SearchConfig with the setting `name`, of SearchConfig,
     MCMCConfig or LocalMinConfig, set to `value`."""
-    local = LocalMinConfig()
-    mcmc = MCMCConfig(local=local)
-    cfg = SearchConfig(seed=1, n_start=3, mcmc=mcmc)
-    for owner in (cfg, mcmc, local):
-        if hasattr(owner, name):
-            setattr(owner, name, value)
-    return cfg
+    def settings(kind, **given):
+        if name in {f.name for f in fields(kind)}:
+            given[name] = value
+        return given
+
+    local = LocalMinConfig(**settings(LocalMinConfig))
+    mcmc = MCMCConfig(**settings(MCMCConfig, local=local))
+    return SearchConfig(**settings(SearchConfig, seed=1, n_start=3,
+                                   mcmc=mcmc))
 
 
 def _never(*_args, **_kwargs):
@@ -433,16 +433,50 @@ def _never(*_args, **_kwargs):
     ("xtol", math.nan), ("xtol", -1e-8), ("xtol", math.inf),
     ("ftol", math.nan), ("ftol", -1e-8), ("ftol", math.inf),
     ("seed", [1]), ("seed", {}),
-    ("box", [(1,)]), ("box", [1, 2]), ("box", [(0, "1")]),
 ])
-def test_a_bad_setting_raises_naming_it_in_every_mode_before_any_evaluation(
-        name, value, monkeypatch):
+def test_a_bad_setting_raises_naming_it_as_its_config_is_built(name, value):
+    with pytest.raises(MexecError, match=rf"^bad {name}\b"):
+        _setting(name, value)
+    # dataclasses.replace builds a config, so it checks again
+    for kind in (SearchConfig, MCMCConfig, LocalMinConfig):
+        if name in {f.name for f in fields(kind)}:
+            with pytest.raises(MexecError, match=rf"^bad {name}\b"):
+                replace(kind(), **{name: value})
+
+
+@pytest.mark.parametrize("value", [[(1,)], [1, 2], [(0, "1")]])
+def test_a_bad_box_raises_in_every_mode_before_any_evaluation(
+        value, monkeypatch):
+    # the box rule needs the arity, so the mode checks the box
     monkeypatch.setattr(driver, "_minimize_once", _never)
     monkeypatch.setattr(driver, "execute", _never)
     for mode, call in MODE_CALLS.items():
-        with pytest.raises(MexecError, match=rf"^bad {name}\b"):
-            call(_setting(name, value))
+        with pytest.raises(MexecError, match=r"^bad box\b"):
+            call(_setting("box", value))
             pytest.fail(f"{mode} ran")
+
+
+@pytest.mark.parametrize("kind", [SearchConfig, MCMCConfig, LocalMinConfig])
+def test_a_config_is_frozen(kind):
+    cfg = kind()
+    for f in fields(kind):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
+    assert cfg == kind()
+
+
+def test_a_none_config_searches_with_the_defaults_in_every_mode(monkeypatch):
+    used = []
+
+    def search(cfg, _arity, _objective_at, _admit):
+        used.append(cfg)
+        return 0, 0, 0
+
+    monkeypatch.setattr(driver, "search", search)
+    for call in MODE_CALLS.values():
+        call(None)
+    # the one-input suite of a label-free entry runs no search
+    assert used == [SearchConfig()] * (len(MODE_CALLS) - 1)
 
 
 @pytest.mark.parametrize("name, value", [

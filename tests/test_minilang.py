@@ -328,6 +328,16 @@ def test_operators_nest_at_most_max_expr_depth(op):
         parse_constraint(f"x > 0 && 1 < {deeper}")
 
 
+def test_the_first_fault_of_an_expression_in_source_order_is_reported():
+    deeper = " + ".join(["x"] * (MAX_EXPR_DEPTH + 2))
+    # an undeclared name before an operand nested too deeply
+    with pytest.raises(UndeclaredIdentifier,
+                       match="undeclared identifier 'y'"):
+        parse(f"real f(real x) {{ return y * ({deeper}); }}")
+    with pytest.raises(ParseError, match="nested more than 199"):
+        parse(f"real f(real x) {{ return ({deeper}) * y; }}")
+
+
 # characters outside ASCII, among them ones Python reads as digits or
 # folds into ASCII letters in identifiers
 @pytest.mark.parametrize("source, char", [

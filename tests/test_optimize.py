@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import struct
@@ -428,34 +429,70 @@ def test_basinhopping_rejects_a_negative_or_nan_temperature():
 
 
 @pytest.mark.parametrize("local, name", [
-    (LocalMinConfig(max_rounds=1.5), "max_rounds"),
-    (LocalMinConfig(xtol=math.nan), "xtol"),
+    ({"max_rounds": 1.5}, "max_rounds"),
+    ({"xtol": math.nan}, "xtol"),
 ])
 def test_basinhopping_checks_its_local_settings_before_any_evaluation(
         local, name):
     f = Objective(lambda x: x[0] ** 2, 1)
     with pytest.raises(MexecError, match=f"^bad {name} "):
-        basinhopping(f, [3.0], MCMCConfig(local=local), random.Random(0))
+        basinhopping(f, [3.0], MCMCConfig(local=LocalMinConfig(**local)),
+                     random.Random(0))
     assert f.eval_count == 0
 
 
 @pytest.mark.parametrize("local, name", [
-    (LocalMinConfig(max_rounds=1.5), "max_rounds"),
-    (LocalMinConfig(max_rounds=-1), "max_rounds"),
-    (LocalMinConfig(xtol=math.nan), "xtol"),
-    (LocalMinConfig(xtol=math.inf), "xtol"),
-    (LocalMinConfig(ftol=-1e-8), "ftol"),
+    ({"max_rounds": 1.5}, "max_rounds"),
+    ({"max_rounds": -1}, "max_rounds"),
+    ({"xtol": math.nan}, "xtol"),
+    ({"xtol": math.inf}, "xtol"),
+    ({"ftol": -1e-8}, "ftol"),
 ])
 def test_powell_checks_its_settings_before_any_evaluation(local, name):
     f = Objective(lambda x: x[0] ** 2, 1)
     with pytest.raises(MexecError, match=f"^bad {name} "):
-        powell_minimize(f, [3.0], local)
+        powell_minimize(f, [3.0], LocalMinConfig(**local))
     assert f.eval_count == 0
     # the edges of each rule still run
     for edge in (LocalMinConfig(max_rounds=0), LocalMinConfig(xtol=0.0),
                  LocalMinConfig(ftol=0), None):
         assert powell_minimize(Objective(lambda x: x[0] ** 2, 1), [3.0],
                                edge)[1] <= 9.0
+
+
+@pytest.mark.parametrize("kind, name, value, message", [
+    (LocalMinConfig, "max_rounds", -1, "need at least 0"),
+    (LocalMinConfig, "max_rounds", 1.5, "need an integer"),
+    (LocalMinConfig, "xtol", -1e-8, "need a nonnegative finite number"),
+    (LocalMinConfig, "ftol", math.inf, "need a nonnegative finite number"),
+    (MCMCConfig, "n_iter", -1, "need at least 0"),
+    (MCMCConfig, "n_iter", "5", "need an integer"),
+    (MCMCConfig, "step_scale", math.nan, "need a nonnegative finite number"),
+    (MCMCConfig, "temperature", -1.0, "need a nonnegative number"),
+])
+def test_a_bad_setting_raises_as_its_config_is_built(kind, name, value,
+                                                     message):
+    expected = f"bad {name} {value!r}, {message}"
+    with pytest.raises(MexecError) as built:
+        kind(**{name: value})
+    assert str(built.value) == expected
+    with pytest.raises(MexecError) as replaced:
+        dataclasses.replace(kind(), **{name: value})
+    assert str(replaced.value) == expected
+
+
+def test_a_none_config_runs_the_defaults():
+    def f(x):
+        return (x[0] - 1.5) ** 2 + abs(x[1])
+
+    def run(minimize, *args):
+        objective = Objective(f, 2)
+        return minimize(objective, [4.0, -3.0], *args), objective.eval_count
+
+    assert (run(powell_minimize, None)
+            == run(powell_minimize, LocalMinConfig()))
+    assert (run(basinhopping, None, random.Random(3))
+            == run(basinhopping, MCMCConfig(), random.Random(3)))
 
 
 def test_metropolis_always_accepts_downhill():
