@@ -86,7 +86,13 @@ class SearchConfig:
 
 
 @dataclass
-class TestSuiteResult:
+class SearchResult:
+    """What a mode admitted and what its search spent.  Every mode fills
+    `mode`, `inputs` (the inputs it admitted), the counts and
+    `wall_time`; cover, path and bva fill `traces` (the replay of each
+    admitted input) and `graph`; cover fills `state`; path fills
+    `found`; sat fills `verdict`, `model`, `residual` and `variables`.
+    """
     mode: str
     inputs: list = field(default_factory=list)
     traces: list = field(default_factory=list)
@@ -95,8 +101,12 @@ class TestSuiteResult:
     eval_count: int = 0
     run_count: int = 0                  # of eval_count, those run
     starts_used: int = 0
-    wall_time: float = 0.0
+    wall_time: float = 0.0              # seconds the search ran
     found: Optional[list] = None        # path mode
+    verdict: Optional[str] = None       # sat mode: 'sat' or 'unknown'
+    model: Optional[list] = None
+    residual: Optional[float] = None    # sat mode: the least value seen
+    variables: list = field(default_factory=list)
 
 
 def sample_start(rng, box):
@@ -166,52 +176,57 @@ def _minimize_once(objective, cfg, box, rng):
     return x_star, f_star
 
 
-def search(cfg, arity, objective_at, admit):
+def search(result, cfg, arity, objective_at, admit):
     """The restart loop of every mode.
 
     Each restart asks `objective_at()` for this restart's function of
     the input vector, or None to stop; minimizes it within the box from
     a sampled start; and passes the clamped minimizer and its value to
     `admit(x, f)`, which returns True to stop.  With no inputs, one
-    restart decides.  Returns the number of restarts run, the objective
-    evaluations they requested and those of them they ran.
+    restart decides.  Writes onto `result` the restarts run, the
+    objective evaluations they requested and those of them they ran,
+    and the seconds it took, and returns it.
     """
+    started = time.perf_counter()
     box = cfg.resolved_box(arity)
     rng = random.Random(cfg.seed)
-    starts = evals = runs = 0
     for _start in range(cfg.n_start):
         evaluate = objective_at()
         if evaluate is None:
             break
-        starts += 1
+        result.starts_used += 1
         objective = Objective(evaluate, arity, box)
         x_star, f_star = _minimize_once(objective, cfg, box, rng)
-        evals += objective.eval_count
-        runs += objective.run_count
+        result.eval_count += objective.eval_count
+        result.run_count += objective.run_count
         if admit(clamp(x_star, box), f_star) or not arity:
             break
-    return starts, evals, runs
+    result.wall_time = time.perf_counter() - started
+    return result
 
 
 def run_coverage(program, entry, cfg=None):
     """Saturate as many branches as possible within the restart budget."""
     if cfg is None:
         cfg = SearchConfig()
-    started = time.perf_counter()
     graph = build_cfg(program, entry)
     arity = len(program.function(entry).params)
-    state = saturation.new_state(graph)
-    result = TestSuiteResult(mode="cover", state=state, graph=graph)
+    result = SearchResult(mode="cover", state=saturation.new_state(graph),
+                          graph=graph)
 
     if not graph.labels or arity == 0:
-        x = sample_start(random.Random(cfg.seed), cfg.resolved_box(arity))
-        trace = execute(CompiledProgram(program, plain_config(), entry,
-                                        cfg.step_budget), x)
-        result.inputs.append(x)
-        result.traces.append(trace)
-        result.state = saturation.update_saturation(
-            state, trace.covered_branches)
-        result.starts_used = 1
+        # nothing to search: one sampled input, if the budget allows
+        started = time.perf_counter()
+        box = cfg.resolved_box(arity)
+        if cfg.n_start:
+            x = sample_start(random.Random(cfg.seed), box)
+            trace = execute(CompiledProgram(program, plain_config(), entry,
+                                            cfg.step_budget), x)
+            result.inputs.append(x)
+            result.traces.append(trace)
+            result.state = saturation.update_saturation(
+                result.state, trace.covered_branches)
+            result.starts_used = 1
         result.wall_time = time.perf_counter() - started
         return result
 
@@ -220,33 +235,30 @@ def run_coverage(program, entry, cfg=None):
     failure_counts = {}
 
     def objective_at():
-        if saturation.goal_reached(state):
+        if saturation.goal_reached(result.state):
             return None
-        return repfun.objective(state)
+        return repfun.objective(result.state)
 
     def admit(x, f):
         # the state is still the one this restart's objective was built
         # from
-        nonlocal state
+        state = result.state
         trace = execute(repfun, x, sat_state=state)
         if f == 0.0 and trace.final_r == 0.0:
             result.inputs.append(x)
             result.traces.append(trace)
-            state = saturation.update_saturation(state, trace.covered_branches)
+            result.state = saturation.update_saturation(
+                state, trace.covered_branches)
             failure_counts.clear()
         elif trace.path:
             taken = trace.path[-1]
             failure_counts[taken] = failure_counts.get(taken, 0) + 1
             if failure_counts[taken] >= cfg.infeasible_after:
-                state = mark_infeasible(state, trace)
+                result.state = mark_infeasible(state, trace)
                 failure_counts[taken] = 0
         return False
 
-    result.starts_used, result.eval_count, result.run_count = search(
-        cfg, arity, objective_at, admit)
-    result.state = state
-    result.wall_time = time.perf_counter() - started
-    return result
+    return search(result, cfg, arity, objective_at, admit)
 
 
 def mark_infeasible(state, failed_trace):
@@ -275,14 +287,12 @@ def run_path(program, entry, target, cfg=None):
     sequence; the candidate is verified by replay before being reported."""
     if cfg is None:
         cfg = SearchConfig()
-    started = time.perf_counter()
     graph = build_cfg(program, entry)
     target = tuple(target)
     _validate_path(graph, target)
-    result = TestSuiteResult(mode="path", graph=graph)
+    result = SearchResult(mode="path", graph=graph)
     repfun = CompiledProgram(program, path_config(target, cfg.epsilon),
                              entry, cfg.step_budget)
-    evaluate = repfun.objective()
 
     def admit(x, f):
         if f != 0.0:
@@ -296,32 +306,27 @@ def run_path(program, entry, target, cfg=None):
         result.traces.append(trace)
         return True
 
-    result.starts_used, result.eval_count, result.run_count = search(
-        cfg, repfun.arity, lambda: evaluate, admit)
-    result.wall_time = time.perf_counter() - started
-    return result
+    return search(result, cfg, repfun.arity, repfun.objective, admit)
 
 
 def run_bva(program, entry, cfg=None):
-    """Collect inputs that sit exactly on some conditional's boundary."""
+    """Collect inputs that sit exactly on some conditional's boundary,
+    each confirmed by its replay."""
     if cfg is None:
         cfg = SearchConfig()
-    started = time.perf_counter()
     graph = build_cfg(program, entry)
-    result = TestSuiteResult(mode="bva", graph=graph)
+    result = SearchResult(mode="bva", graph=graph)
     repfun = CompiledProgram(program, bva_config(cfg.epsilon), entry,
                              cfg.step_budget)
-    evaluate = repfun.objective()
     seen = set()
 
     def admit(x, f):
         if f == 0.0 and tuple(x) not in seen:
-            seen.add(tuple(x))
-            result.inputs.append(x)
-            result.traces.append(execute(repfun, x))
+            trace = execute(repfun, x)
+            if trace.final_r == 0.0:
+                seen.add(tuple(x))
+                result.inputs.append(x)
+                result.traces.append(trace)
         return False
 
-    result.starts_used, result.eval_count, result.run_count = search(
-        cfg, repfun.arity, lambda: evaluate, admit)
-    result.wall_time = time.perf_counter() - started
-    return result
+    return search(result, cfg, repfun.arity, repfun.objective, admit)

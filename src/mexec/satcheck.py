@@ -6,9 +6,7 @@ check can answer "sat" with a verified model or "unknown", never
 "unsat": failing to find a root proves nothing.
 """
 
-import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import NonNumericExpression, ParseError, UnknownVariable
 from .interp import compile_comparisons
@@ -85,18 +83,6 @@ def compile_constraint(constraint, epsilon=1e-6):
     return Objective(distance, len(constraint.variables))
 
 
-@dataclass
-class SatResult:
-    verdict: str                        # 'sat' or 'unknown'
-    model: Optional[list] = None
-    residual: float = 0.0
-    eval_count: int = 0
-    run_count: int = 0                  # of eval_count, those run
-    starts_used: int = 0
-    wall_time: float = 0.0
-    variables: list = field(default_factory=list)
-
-
 def _holds(constraint, x):
     """Whether every conjunct holds at `x`; the check is set up once per
     constraint."""
@@ -110,21 +96,20 @@ def check_sat(constraint, cfg=None):
     root yields verdict sat, anything else stays unknown."""
     if cfg is None:
         cfg = driver.SearchConfig()
-    started = time.perf_counter()
     distance = compile_constraint(constraint, cfg.epsilon).fn
-    result = SatResult(verdict="unknown", residual=float("inf"),
-                       variables=list(constraint.variables))
+    result = driver.SearchResult(mode="sat", verdict="unknown",
+                                 residual=float("inf"),
+                                 variables=list(constraint.variables))
 
     def admit(x, f):
         result.residual = min(result.residual, f)
         if f == 0.0 and _holds(constraint, x):
             result.verdict = "sat"
             result.model = x
+            result.inputs.append(x)
             result.residual = 0.0
             return True
         return False
 
-    result.starts_used, result.eval_count, result.run_count = driver.search(
-        cfg, len(constraint.variables), lambda: distance, admit)
-    result.wall_time = time.perf_counter() - started
-    return result
+    return driver.search(result, cfg, len(constraint.variables),
+                         lambda: distance, admit)

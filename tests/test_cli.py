@@ -291,6 +291,24 @@ def test_sat_json_writes_the_result(capsys, tmp_path):
     assert out.startswith(f"sat: x = {payload['model'][0]!r}")
 
 
+def test_sat_json_writes_every_field_of_the_one_result_record(capsys,
+                                                              tmp_path):
+    out_path = tmp_path / "sat.json"
+    code, _, _ = run_cli(capsys, "sat", "x*x == 4", "--seed", "7",
+                         "--n-start", "20", "--json", str(out_path))
+    assert code == 0
+    payload = json.loads(out_path.read_text())
+    assert sorted(payload) == [
+        "eval_count", "found", "graph", "inputs", "mode", "model",
+        "residual", "run_count", "starts_used", "state", "traces",
+        "variables", "verdict", "wall_time",
+    ]
+    assert payload["inputs"] == [payload["model"]]
+    assert ((payload["mode"], payload["traces"], payload["state"],
+             payload["graph"], payload["found"])
+            == ("sat", [], None, None, None))
+
+
 def test_sat_nan_operand_scores_the_point_instead_of_failing(capsys):
     # sqrt and log of a negative sample give NaN operands, which score
     # the sentinel rather than end the run

@@ -343,11 +343,11 @@ def test_zero_variable_sat_is_one_replayed_evaluation(text, verdict,
     ("real h() { real x = 1; if (x > 2) { x = 0; } return x; }",
      (0, "F"), (0, "T")),
 ])
-@pytest.mark.parametrize("n_start", [0, 5])
+@pytest.mark.parametrize("n_start", [1, 5])
 def test_zero_input_cover_folds_the_branch_it_took(source, covered,
                                                    uncovered, n_start):
     # cover records its one input for an input-free entry by design,
-    # whatever the restart budget
+    # whatever the nonzero restart budget
     program, entry = _zero(source)
     result = run_coverage(program, entry, SearchConfig(seed=1,
                                                        n_start=n_start))
@@ -468,9 +468,9 @@ def test_a_config_is_frozen(kind):
 def test_a_none_config_searches_with_the_defaults_in_every_mode(monkeypatch):
     used = []
 
-    def search(cfg, _arity, _objective_at, _admit):
+    def search(result, cfg, _arity, _objective_at, _admit):
         used.append(cfg)
-        return 0, 0, 0
+        return result
 
     monkeypatch.setattr(driver, "search", search)
     for call in MODE_CALLS.values():
@@ -497,3 +497,86 @@ def test_a_wrong_pair_count_names_what_the_box_needs(arity):
                                          "inputs, need one pair or one per "
                                          "input$"):
         cfg.resolved_box(arity)
+
+
+# -- the one result record: every mode returns the record `search`
+# filled, and inputs are what the mode admitted
+
+RECORD_CALLS = {
+    **MODE_CALLS,
+    "cover without inputs": lambda cfg: run_coverage(*_zero(ZERO_TAKES_T),
+                                                     cfg),
+    "path without inputs": lambda cfg: run_path(*_zero(ZERO_TAKES_T),
+                                                [(0, "T")], cfg),
+    "bva without inputs": lambda cfg: run_bva(*_zero(ZERO_ON_BOUNDARY), cfg),
+}
+ONE_INPUT_SUITES = {"cover, one-input suite", "cover without inputs"}
+
+
+@pytest.mark.parametrize("mode", RECORD_CALLS)
+def test_every_mode_returns_the_record_search_filled(mode, monkeypatch):
+    made, searched = [], []
+    search = driver.search
+
+    class Recorded(Objective):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    def recorded_search(result, *args):
+        searched.append(result)
+        return search(result, *args)
+
+    monkeypatch.setattr(driver, "Objective", Recorded)
+    monkeypatch.setattr(driver, "search", recorded_search)
+    result = RECORD_CALLS[mode](SearchConfig(seed=5, n_start=6))
+    assert type(result) is driver.SearchResult
+    assert result.mode == mode.split(",")[0].split()[0]
+    if mode in ONE_INPUT_SUITES:
+        assert (searched, made, _counts(result)) == ([], [], (1, 0, 0))
+        return
+    assert len(searched) == 1 and searched[0] is result
+    assert _counts(result) == (len(made), sum(o.eval_count for o in made),
+                               sum(o.run_count for o in made))
+    assert result.starts_used > 0 and result.wall_time > 0.0
+
+
+@pytest.mark.parametrize("text, cfg", [
+    ("x*x == 4", SearchConfig(seed=7, n_start=20)),
+    ("1 < 2", SearchConfig(seed=1)),
+])
+def test_a_sat_model_is_the_one_admitted_input(text, cfg):
+    result = check_sat(parse_constraint(text), cfg)
+    assert result.verdict == "sat"
+    assert result.inputs == [result.model]
+    unknown = check_sat(parse_constraint("1 > 2"), cfg)
+    assert (unknown.verdict, unknown.inputs) == ("unknown", [])
+
+
+def test_bva_admits_a_root_only_when_its_replay_confirms_it(foo,
+                                                            monkeypatch):
+    def off_root(*_args, **_kwargs):
+        return ExecutionTrace(final_r=1.0)
+
+    found = run_bva(foo, "FOO", small_cfg(seed=3, n_start=8))
+    assert found.inputs
+    monkeypatch.setattr(driver, "execute", off_root)
+    result = run_bva(foo, "FOO", small_cfg(seed=3, n_start=8))
+    assert (result.inputs, result.traces) == ([], [])
+    assert _counts(result) == _counts(found)
+
+
+@pytest.mark.parametrize("source, target, constraint", [
+    (ABOVE, [(0, "T")], "x > 999"),
+    (LABEL_FREE, [], "x == x"),
+    (ZERO_TAKES_T, [(0, "T")], "1 < 2"),
+], ids=["ordinary", "label-free", "input-free"])
+def test_a_zero_budget_runs_nothing_in_every_mode(source, target,
+                                                  constraint):
+    cfg = SearchConfig(seed=1, n_start=0)
+    program = parse(source)
+    for result in (run_coverage(program, "f", cfg),
+                   run_path(program, "f", target, cfg),
+                   run_bva(program, "f", cfg),
+                   check_sat(parse_constraint(constraint), cfg)):
+        assert (_counts(result), result.inputs) == ((0, 0, 0), []), result.mode
