@@ -156,6 +156,8 @@ def main(argv=None):
                     f"{name} = {value!r}"
                     for name, value in zip(result.variables, result.model))
                 print(f"sat: {model}")
+            elif result.residual is None:
+                print("unknown (no restart ran)")
             else:
                 print(f"unknown (best residual {result.residual!r})")
             if args.json_path:

@@ -195,7 +195,9 @@ def search(result, cfg, arity, objective_at, admit):
         if evaluate is None:
             break
         result.starts_used += 1
-        objective = Objective(evaluate, arity, box)
+        # a representing function or a distance, never below 0; an
+        # abort or a non-finite value maps to the positive sentinel
+        objective = Objective(evaluate, arity, box, nonnegative=True)
         x_star, f_star = _minimize_once(objective, cfg, box, rng)
         result.eval_count += objective.eval_count
         result.run_count += objective.run_count

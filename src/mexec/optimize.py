@@ -19,6 +19,10 @@ Powell asks again in its next round, from that record.  The Objective
 still counts each request those answers stand for in `eval_count`, as
 an evaluation reused, so the count and the search path are those of a
 search that evaluates every request.
+
+Powell returns at a root: on an Objective marked `nonnegative`, as the
+modes mark theirs, it stops at the first exact 0 it holds; on anything
+else it runs its rounds until `ftol` or `max_rounds` stops it.
 """
 
 import math
@@ -63,12 +67,16 @@ class Objective:
     ran, by a line search for the values it passes on, and by
     `searches`, the record of the line searches run on this objective,
     for every request of a line search it answers.
+
+    `nonnegative` marks an `fn` that is never below 0, as a representing
+    function is, so that an exact 0 is its minimum.
     """
 
-    def __init__(self, fn, arity, box=None):
+    def __init__(self, fn, arity, box=None, nonnegative=False):
         self.fn = fn
         self.arity = arity
         self.box = box
+        self.nonnegative = nonnegative
         self.eval_count = 0
         self.reuse_count = 0
         # line search key -> (new x, new f, decrease, requests)
@@ -293,13 +301,18 @@ def powell_minimize(f, x0, cfg=None):
     largest decrease may be replaced by the overall displacement, and the
     direction set is reset to the axes periodically to avoid degeneracy.
     `cfg` None runs the LocalMinConfig defaults.
+
+    When `f` is marked `nonnegative`, Powell returns at the first exact 0
+    it holds, at f(x0) or after a line search: every later line search
+    would return its start, so the point is the one a full run returns.
     """
     if cfg is None:
         cfg = LocalMinConfig()
     n = len(x0)
     x = [float(v) for v in x0]
+    nonnegative = getattr(f, "nonnegative", False)
     fx = f(x)
-    if n == 0:
+    if n == 0 or (nonnegative and fx == 0.0):
         return x, fx
     directions = [[1.0 if i == j else 0.0 for j in range(n)]
                   for i in range(n)]
@@ -310,6 +323,8 @@ def powell_minimize(f, x0, cfg=None):
         biggest_idx = 0
         for i, direction in enumerate(directions):
             x, fx, decrease = _line_minimize(f, x, direction, cfg)
+            if nonnegative and fx == 0.0:
+                return x, fx
             if decrease > biggest:
                 biggest = decrease
                 biggest_idx = i
@@ -328,6 +343,8 @@ def powell_minimize(f, x0, cfg=None):
                     new_dir = [xi - si for xi, si in zip(x, x_start)]
                     if any(d != 0.0 for d in new_dir):
                         x, fx, _ = _line_minimize(f, x, new_dir, cfg)
+                        if nonnegative and fx == 0.0:
+                            return x, fx
                         directions[biggest_idx] = new_dir
         if (round_no + 1) % (2 * n) == 0:
             directions = [[1.0 if i == j else 0.0 for j in range(n)]

@@ -98,11 +98,11 @@ def check_sat(constraint, cfg=None):
         cfg = driver.SearchConfig()
     distance = compile_constraint(constraint, cfg.epsilon).fn
     result = driver.SearchResult(mode="sat", verdict="unknown",
-                                 residual=float("inf"),
                                  variables=list(constraint.variables))
 
     def admit(x, f):
-        result.residual = min(result.residual, f)
+        result.residual = (f if result.residual is None
+                           else min(result.residual, f))
         if f == 0.0 and _holds(constraint, x):
             result.verdict = "sat"
             result.model = x

@@ -543,12 +543,34 @@ def test_infeasible_after_below_one_is_a_usage_error(capsys):
 
 def test_zero_restarts_and_iterations_are_valid(capsys):
     code, out, _ = run_cli(capsys, "sat", "x == 1", "--n-start", "0")
-    assert (code, out) == (0, "unknown (best residual inf)\n")
+    assert (code, out) == (0, "unknown (no restart ran)\n")
     code, out, _ = run_cli(capsys, "cover", FOO, "--n-iter", "0",
                            "--step-scale", "0", "--seed", "1",
                            "--n-start", "5")
     assert code == 0
     assert "Branches taken" in out
+
+
+def _no_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@pytest.mark.parametrize("n_start, residual", [("0", None),
+                                               ("2", 2.000001)])
+def test_sat_json_is_strict_json_whatever_the_budget(capsys, tmp_path,
+                                                     n_start, residual):
+    """With no restart run the residual is null, not Infinity, which a
+    strict JSON reader rejects; after a restart it is the least value
+    seen, here at x = 0 in a box without a root: x*x is 2 short and
+    x < 0 holds at x <= -epsilon."""
+    out_path = tmp_path / "sat.json"
+    code, out, _ = run_cli(capsys, "sat", "x*x == 2 && x < 0", "--n-start",
+                           n_start, "--seed", "1", "--box", "0:1",
+                           "--json", str(out_path))
+    assert code == 0
+    payload = json.loads(out_path.read_text(), parse_constant=_no_constant)
+    assert (payload["verdict"], payload["residual"]) == ("unknown", residual)
+    assert out.startswith("unknown (")
 
 
 def test_zero_input_program_and_variable_free_constraint_in_every_mode(

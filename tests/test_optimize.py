@@ -216,6 +216,86 @@ def test_powell_counts_every_requested_evaluation_and_runs_fewer():
     assert objective.run_count == len(calls) == 308
 
 
+def _root_at_the_start(x):
+    return abs(x[0] - 1.0) + abs(x[1])
+
+
+def test_a_nonnegative_objective_returns_at_a_root_start():
+    """Marked nonnegative, an objective whose start is a root is
+    evaluated once; unmarked, Powell runs its rounds to the same
+    point."""
+    marked = Objective(_root_at_the_start, 2, nonnegative=True)
+    unmarked = Objective(_root_at_the_start, 2)
+    assert (powell_minimize(marked, [1.0, 0.0])
+            == powell_minimize(unmarked, [1.0, 0.0])
+            == ([1.0, 0.0], 0.0))
+    assert (marked.eval_count, marked.run_count) == (1, 1)
+    assert (unmarked.eval_count, unmarked.run_count) == (128, 120)
+
+
+def _flat_at_zero(x):
+    # 0 on x[0] <= 1 while |x[1]| <= 10: the first axis search reaches it
+    return max(0.0, x[0] - 1.0) ** 2 + max(0.0, abs(x[1]) - 10.0)
+
+
+def test_a_nonnegative_objective_returns_after_the_line_search_that_hits_0():
+    """The first line search reaches an exact 0, and the marked
+    objective returns there, without a second line search or round; the
+    unmarked one runs on to the same point."""
+    marked = Objective(_flat_at_zero, 2, nonnegative=True)
+    unmarked = Objective(_flat_at_zero, 2)
+    assert (repr(powell_minimize(marked, [5.0, 0.0]))
+            == repr(powell_minimize(unmarked, [5.0, 0.0]))
+            == "([-8.999999760373292, 0.0], 0.0)")
+    first = Objective(_flat_at_zero, 2)
+    _line_minimize(first, [5.0, 0.0], [1.0, 0.0], LocalMinConfig())
+    # f(x0), then the first line search alone
+    assert marked.eval_count == 1 + first.eval_count == 46
+    assert marked.run_count == 42
+    assert (unmarked.eval_count, unmarked.run_count) == (219, 121)
+
+
+def _signed_cube(x):
+    # 0 at the start, and lower on the negative side
+    return max(x[0] ** 3, -8.0)
+
+
+def test_a_signed_function_is_not_stopped_at_0():
+    """A plain function or an unmarked Objective with a zero crossing
+    runs past its 0 at the start, with the result and counts it always
+    had; only a mark would stop it there."""
+    calls = []
+
+    def plain(x):
+        calls.append(list(x))
+        return _signed_cube(x)
+
+    unmarked = Objective(_signed_cube, 1)
+    expected = "([-5.999999880186646], -8.0)"
+    assert repr(powell_minimize(plain, [0.0])) == expected
+    assert len(calls) == 120
+    assert repr(powell_minimize(unmarked, [0.0])) == expected
+    assert (unmarked.eval_count, unmarked.run_count) == (132, 81)
+    marked = Objective(_signed_cube, 1, nonnegative=True)
+    assert powell_minimize(marked, [0.0]) == ([0.0], 0.0)
+    assert marked.eval_count == 1
+
+
+def test_basinhopping_on_a_plain_function_keeps_the_rule_off():
+    calls = []
+
+    def plain(x):
+        calls.append(list(x))
+        return _root_at_the_start(x)
+
+    unmarked = Objective(_root_at_the_start, 2)
+    cfg = MCMCConfig(n_iter=0)
+    assert basinhopping(plain, [1.0, 0.0], cfg) == ([1.0, 0.0], 0.0)
+    assert basinhopping(unmarked, [1.0, 0.0], cfg) == ([1.0, 0.0], 0.0)
+    assert len(calls) == 120
+    assert unmarked.eval_count == 128
+
+
 def _nan(payload):
     bits = struct.pack("Q", 0x7FF8000000000000 | payload)
     return struct.unpack("d", bits)[0]

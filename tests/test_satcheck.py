@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import re
 
 import pytest
@@ -150,3 +152,43 @@ def test_a_conjunct_nested_as_deep_as_parsing_allows_compiles_and_runs():
     assert compile_constraint(constraint).fn([2.0]) == 0.0
     result = check_sat(constraint, SearchConfig(seed=0))
     assert result.verdict == "sat"
+
+
+# the constraints the benchmark, the README and the tests solve, and one
+# without a real root
+SHIPPED_CONSTRAINTS = (
+    "x*y == 12 && x + y == 7",
+    PI_TEXT,
+    "a*b - c == 1 && a + b + c == 10",
+    "x*x == 2",
+    "sin(x) > 0.5 && x < -2",
+    "x*y*z == 6 && x + y + z == 6 && x < y",
+    "x == x + 1",
+    "x >= 0.00000000000000000001 && x <= 0",
+    "x + y == 10 && x - y == 4",
+    "x*x == -1",
+)
+
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               -2.2250738585072014e-308, 1e308, -1e308, math.inf, -math.inf,
+               math.nan, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("text", SHIPPED_CONSTRAINTS)
+def test_a_constraint_objective_is_never_negative(text):
+    """The premise of returning at a root: the value the search sees is
+    never below 0, at float edge cases on every coordinate and at
+    sampled points; the distance itself is never negative either (a NaN
+    is mapped to the sentinel)."""
+    objective = compile_constraint(parse_constraint(text))
+    n = objective.arity
+    rng = random.Random(7)
+    points = [list(p) for p in itertools.product(EDGE_VALUES, repeat=n)]
+    for _ in range(300):
+        points.append([rng.uniform(-1e3, 1e3) if rng.random() < 0.7
+                       else rng.choice((-1.0, 1.0))
+                       * 10.0 ** rng.uniform(-300.0, 300.0)
+                       for _ in range(n)])
+    for point in points:
+        assert objective(point) >= 0.0, point
+        assert not objective.fn(point) < 0.0, point

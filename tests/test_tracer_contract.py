@@ -81,8 +81,8 @@ def test_the_line_span_counts_every_requested_line_search():
             (BENCH / "k_cos.mx").read_text(encoding="utf-8"))
         mx.driver.run_coverage(program, "kernel_cos",
                                mx.driver.SearchConfig(seed=0))
-    assert tracer.calls["optimize.line"] == 129
-    assert sum(len(o.searches) for o in made) == 101
+    assert tracer.calls["optimize.line"] == 117
+    assert sum(len(o.searches) for o in made) == 93
     for span in ("driver.objective", "optimize.basinhopping"):
         assert tracer.calls[span] > 0, span
 

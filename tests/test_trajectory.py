@@ -46,7 +46,7 @@ def _summary(result):
 RUNS = [
     ('cover', 'foo_infeasible', None, 5, 40,
      {'inputs': [['483.5739785214587'], ['-1000.0']],
-      'eval_count': 1983,
+      'eval_count': 1853,
       'starts_used': 5,
       'infeasible': [(1, 'T')],
       'covered': [(0, 'F'), (0, 'T'), (1, 'F')]}),
@@ -55,7 +55,7 @@ RUNS = [
                  ['0.03989791318497282', '674.9381641929199'],
                  ['0.7174103946809964', '-1.4391448684616207e-18'],
                  ['-1.48285565627241e-09', '269.721316570377']],
-      'eval_count': 7198,
+      'eval_count': 6498,
       'starts_used': 7,
       'infeasible': [(1, 'F')],
       'covered': [(0, 'F'),
@@ -65,20 +65,21 @@ RUNS = [
                   (2, 'T'),
                   (3, 'F'),
                   (3, 'T')]}),
+    # the sampled start is a root: Powell returns after evaluating it
     ('path', 'k_cos', ((0, 'F'), (2, 'F'), (3, 'T')), 11, 8,
      {'inputs': [['119.5447721609919', '-2.454946656957589e-21']],
-      'eval_count': 87,
+      'eval_count': 1,
       'starts_used': 1,
       'found': ['119.5447721609919', '-2.454946656957589e-21']}),
     ('path', 'foo_infeasible', ((1, 'T'),), 4, 4,
      {'inputs': [], 'eval_count': 2873, 'starts_used': 4, 'found': None}),
     ('bva', 'atan_like', None, 4, 4,
      {'inputs': [['-0.4375'], ['0.4375']],
-      'eval_count': 533,
+      'eval_count': 400,
       'starts_used': 4}),
     ('bva', 'foo', None, 2, 6,
      {'inputs': [['2.0'], ['1.0'], ['-3.0']],
-      'eval_count': 4787,
+      'eval_count': 4619,
       'starts_used': 6}),
 ]
 
@@ -114,7 +115,7 @@ def test_cover_trajectory_under_a_narrow_box():
                        ['-0.8689422815203738', '0.00067493816419292'],
                        ['-0.5313380779066073', '-1.4391448684616207e-18'],
                        ['5.1946771328914565e-09', '0.000269721316570377']],
-            'eval_count': 3222,
+            'eval_count': 2805,
             'starts_used': 7,
             'infeasible': [(1, 'F')],
             'covered': [(0, 'F'), (0, 'T'), (1, 'T'), (2, 'F'), (2, 'T'),
@@ -166,7 +167,7 @@ SATS = [
      {'verdict': 'sat',
       'model': ['3.9999999999999987', '3.000000000000001'],
       'residual': '0.0',
-      'eval_count': 3364,
+      'eval_count': 3227,
       'starts_used': 1}),
     ('x*x == 2', 3, 4, None,
      {'verdict': 'unknown',
@@ -180,7 +181,7 @@ SATS = [
                 '53.115745943301214',
                 '-42.33749286355198'],
       'residual': '0.0',
-      'eval_count': 1035,
+      'eval_count': 834,
       'starts_used': 1}),
     # narrow boxes, one pair per variable: every line search clamps
     ('x*y*z == 6 && x + y + z == 6 && x < y', 2, 8,
@@ -188,7 +189,7 @@ SATS = [
      {'verdict': 'sat',
       'model': ['2.0', '2.9999999999999996', '1.0000000000000002'],
       'residual': '0.0',
-      'eval_count': 2681,
+      'eval_count': 2504,
       'starts_used': 1}),
     # no root inside the box: a + b >= 7 forces a*b >= 6 > 1 + c
     ('p*q - r == 1 && p + q + r == 10', 7, 8,
