@@ -132,45 +132,40 @@ def sample_start(rng, box):
     return point
 
 
-def snap_to_zero(f, x, box):
+def snap_to_zero(f, x):
     """Polish a near-root: try rounding the point to coarse decimal grids
     and accept the first rounding where the objective is exactly zero.
 
     Local minimizer tolerances leave equality-rooted objectives at tiny
     positive residuals; admission requires an exact root, and the roots
-    of interest usually sit on round decimals.
+    of interest usually sit on round decimals.  The Objective `f` clamps
+    each rounding it evaluates; the rounding returned is not clamped.
     """
-    if f(clamp(x, box)) == 0.0:
-        return clamp(x, box)
+    if f(x) == 0.0:
+        return list(x)
     for nd in range(15):
-        candidate = clamp([round(xi, nd) for xi in x], box)
+        candidate = [round(xi, nd) for xi in x]
         if f(candidate) == 0.0:
             return candidate
     for i in range(len(x)):
         for nd in range(9):
             candidate = list(x)
             candidate[i] = round(x[i], nd)
-            candidate = clamp(candidate, box)
             if f(candidate) == 0.0:
                 return candidate
     return None
 
 
-def _minimize_once(objective, cfg, box, rng):
-    """One restart: sample, basinhop (stopping early at an exact root),
-    then polish.  Returns (x, f(x)).  A function of no inputs has one
-    value, which is evaluated once."""
-    if not box:
+def _minimize_once(objective, cfg, rng):
+    """One restart: sample in the objective's box, basinhop (which stops
+    at an exact root), then polish.  Returns (x, f(x)).  A function of
+    no inputs has one value, which is evaluated once."""
+    if not objective.box:
         return [], objective([])
-    x0 = sample_start(rng, box)
-
-    def stop_at_root(_iteration, _x, f_value):
-        return f_value == 0.0
-
-    x_star, f_star = basinhopping(objective, x0, cfg.mcmc, rng,
-                                  stop_at_root, box)
+    x0 = sample_start(rng, objective.box)
+    x_star, f_star = basinhopping(objective, x0, cfg.mcmc, rng)
     if f_star != 0.0:
-        snapped = snap_to_zero(objective, x_star, box)
+        snapped = snap_to_zero(objective, x_star)
         if snapped is not None:
             return snapped, 0.0
     return x_star, f_star
@@ -198,7 +193,7 @@ def search(result, cfg, arity, objective_at, admit):
         # a representing function or a distance, never below 0; an
         # abort or a non-finite value maps to the positive sentinel
         objective = Objective(evaluate, arity, box, nonnegative=True)
-        x_star, f_star = _minimize_once(objective, cfg, box, rng)
+        x_star, f_star = _minimize_once(objective, cfg, rng)
         result.eval_count += objective.eval_count
         result.run_count += objective.run_count
         if admit(clamp(x_star, box), f_star) or not arity:

@@ -42,7 +42,7 @@ from typing import Optional
 
 from .distance import negate_op
 from .errors import (
-    ArityMismatch, CallDepthExceeded, InvalidBox, MexecError, NaNOperand,
+    ArityMismatch, CallDepthExceeded, MexecError, NaNOperand,
     StepBudgetExceeded, UnknownFunction,
 )
 from .lang import (
@@ -537,10 +537,10 @@ def _compile(source, name):
 class RepresentingFunction:
     """A compiled representing function of the input vector.
 
-    `runner(objective, box)` gives the generated line runner of an
-    optimize.Objective: it clamps into `box` (per-input (lo, hi), or
-    None for no bounds), counts on `objective` and sanitises.  Called
-    on a point, it gives the value of an Objective without a box.
+    `runner(objective)` gives the generated line runner of an
+    optimize.Objective: it clamps into `objective.box`, counts on
+    `objective` and sanitises.  Called on a point, it gives the value of
+    an Objective without a box.
     """
 
     def __init__(self, ns, arity, table=None):
@@ -551,12 +551,8 @@ class RepresentingFunction:
     def __call__(self, x):
         return Objective(self, self.arity)(x)
 
-    def runner(self, objective, box):
-        if box is None:
-            box = [(-math.inf, math.inf)] * self.arity
-        elif len(box) != self.arity:
-            raise InvalidBox(f"bad box of {len(box)} pairs for "
-                             f"{self.arity} inputs")
+    def runner(self, objective):
+        box = objective.box or [(-math.inf, math.inf)] * self.arity
         # float bounds keep a clamped input a float; a float input
         # clamps to the same value as with the bounds given
         return self._bind(objective, self.table,
@@ -678,9 +674,10 @@ class CompiledProgram:
             trace.return_value = ns[f"f_{self.entry}"](
                 1, None, *(float(v) for v in inputs))
             trace.final_r = ns["_r"]
-            if math.isnan(trace.final_r) or math.isinf(trace.final_r):
-                trace.final_r = SENTINEL
+            if not math.isfinite(trace.final_r):
                 trace.aborted = "non-finite representing value"
+            if not -sys.float_info.max <= trace.final_r <= SENTINEL:
+                trace.final_r = SENTINEL        # as the runner maps it
         except tuple(_ABORTS) as exc:
             trace.final_r = SENTINEL
             trace.aborted = _ABORTS[type(exc)]

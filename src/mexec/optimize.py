@@ -20,9 +20,10 @@ still counts each request those answers stand for in `eval_count`, as
 an evaluation reused, so the count and the search path are those of a
 search that evaluates every request.
 
-Powell returns at a root: on an Objective marked `nonnegative`, as the
-modes mark theirs, it stops at the first exact 0 it holds; on anything
-else it runs its rounds until `ftol` or `max_rounds` stops it.
+Powell and basinhopping wrap a plain function once, in an Objective
+without a box.  They return at a root: on an Objective marked
+`nonnegative`, as the modes mark theirs, they stop at the first exact 0
+they hold; on anything else they run until their settings stop them.
 """
 
 import math
@@ -31,7 +32,9 @@ import struct
 from dataclasses import dataclass, field
 from functools import cache, partial
 
-from .errors import ArityMismatch, InvalidBracket, check_count, check_number
+from .errors import (
+    ArityMismatch, InvalidBox, InvalidBracket, check_count, check_number,
+)
 
 # the value of an aborted or non-finite evaluation
 SENTINEL = 1e300
@@ -43,11 +46,6 @@ _TINY = 1e-21
 BRACKET_GROWTH = 2.0
 
 
-def _on_line(f, x, direction, t):
-    """f at x + t*direction."""
-    return f([xi + t * di for xi, di in zip(x, direction)])
-
-
 class Objective:
     """The evaluator the optimizer sees: counts evaluations, clamps each
     point into `box` (per-dimension (lo, hi), or None for no bounds)
@@ -56,10 +54,10 @@ class Objective:
 
     Each evaluation is of the line x + t*d; a point x is t = -0.0 along
     zeros, which is x bit for bit; a point of another length than
-    `arity` raises ArityMismatch.  If `fn` has a `runner(objective,
-    box)` method, as interp's compiled representing functions do, the
-    generated runner it returns does all of this in one call;
-    otherwise each evaluation calls `fn` on the clamped point.
+    `arity` raises ArityMismatch, a box of another length InvalidBox.
+    If `fn` has a `runner(objective)` method, as interp's compiled
+    representing functions do, the generated runner it returns does all
+    of this in one call; otherwise each evaluation calls `fn`.
 
     `eval_count` counts the evaluations the search requests, and
     `reuse_count` those of them answered with a value already held:
@@ -73,6 +71,9 @@ class Objective:
     """
 
     def __init__(self, fn, arity, box=None, nonnegative=False):
+        if box is not None and len(box) != arity:
+            raise InvalidBox(f"bad box of {len(box)} pairs for {arity} "
+                             "inputs")
         self.fn = fn
         self.arity = arity
         self.box = box
@@ -83,10 +84,7 @@ class Objective:
         self.searches = {}
         self._zeros = (0.0,) * arity
         runner = getattr(fn, "runner", None)
-        if runner is None:
-            self._line = partial(_on_line, self._evaluate)
-        else:
-            self._line = runner(self, box)
+        self._line = self._evaluate if runner is None else runner(self)
 
     def __call__(self, x):
         if len(x) != self.arity:
@@ -105,9 +103,11 @@ class Objective:
         computing x[i] + t*direction[i] on every coordinate."""
         return partial(self._line, x, direction)
 
-    def _evaluate(self, x):
+    def _evaluate(self, x, direction, t):
+        """`fn` at x + t*direction clamped into the box, sanitised."""
+        point = [xi + t * di for xi, di in zip(x, direction)]
         self.eval_count += 1
-        value = self.fn(x if self.box is None else clamp(x, self.box))
+        value = self.fn(point if self.box is None else clamp(point, self.box))
         if math.isnan(value) or math.isinf(value) or value > SENTINEL:
             return SENTINEL
         return value
@@ -247,51 +247,38 @@ def _pack(n):
 
 
 def _line_minimize(f, x, direction, cfg):
-    """Minimize f along x + t*direction; returns (new x, new f, decrease).
-
-    An Objective answers a line search it has run before from its
-    `searches` record, counting the requests of that search again.
-    """
-    if not isinstance(f, Objective):
-        return _search_line(None, partial(_on_line, f, x, direction), x,
-                            direction, cfg)
+    """Minimize the Objective f along x + t*direction; returns (new x,
+    new f, decrease).  A line search run before is answered from f's
+    `searches` record, counting the requests of that search again."""
     key = _pack(len(x))(*x, *direction, cfg.xtol)
     known = f.searches.get(key)
-    if known is None:
-        requested = f.eval_count
-        new_x, f_new, decrease = _search_line(f, f.along(x, direction), x,
-                                              direction, cfg)
-        f.searches[key] = (tuple(new_x), f_new, decrease,
-                           f.eval_count - requested)
-        return new_x, f_new, decrease
-    new_x, f_new, decrease, requests = known
-    f.eval_count += requests
-    f.reuse_count += requests
-    return list(new_x), f_new, decrease
-
-
-def _search_line(objective, g, x, direction, cfg):
-    """Bracket and Brent along g(t) = f(x + t*direction); `objective`,
-    unless None, counts the requests answered from held values."""
+    if known is not None:
+        new_x, f_new, decrease, requests = known
+        f.eval_count += requests
+        f.reuse_count += requests
+        return list(new_x), f_new, decrease
+    requested = f.eval_count
+    g = f.along(x, direction)
     f0 = g(0.0)
     (lo, f_lo), (mid, f_mid), (hi, f_hi) = _bracket(
         g, 0.0, f0, 1.0, BRACKET_GROWTH, 80)
-    if objective is not None:
-        # the requests these values answer: the bracket's g(0) and Brent's
-        # check g(mid), g(lo) and, unless that already fails, g(hi)
-        known = 3 if f_mid > f_lo else 4
-        objective.eval_count += known
-        objective.reuse_count += known
+    # the requests these values answer: the bracket's g(0) and Brent's
+    # check g(mid), g(lo) and, unless that already fails, g(hi)
+    held = 3 if f_mid > f_lo else 4
+    f.eval_count += held
+    f.reuse_count += held
     try:
         t, ft = brent_line_min(g, (lo, mid, hi), cfg.xtol,
                                values=(f_lo, f_mid, f_hi))
     except InvalidBracket:
         # runaway bracketing (objective decreasing off to huge magnitudes)
-        return list(x), f0, 0.0
+        t, ft = 0.0, f0
     if ft >= f0:
-        return list(x), f0, 0.0
-    new_x = [xi + t * di for xi, di in zip(x, direction)]
-    return new_x, ft, f0 - ft
+        new_x, ft = tuple(x), f0
+    else:
+        new_x = tuple(xi + t * di for xi, di in zip(x, direction))
+    f.searches[key] = (new_x, ft, f0 - ft, f.eval_count - requested)
+    return list(new_x), ft, f0 - ft
 
 
 def powell_minimize(f, x0, cfg=None):
@@ -308,11 +295,12 @@ def powell_minimize(f, x0, cfg=None):
     """
     if cfg is None:
         cfg = LocalMinConfig()
+    if not isinstance(f, Objective):
+        f = Objective(f, len(x0))
     n = len(x0)
     x = [float(v) for v in x0]
-    nonnegative = getattr(f, "nonnegative", False)
     fx = f(x)
-    if n == 0 or (nonnegative and fx == 0.0):
+    if n == 0 or (f.nonnegative and fx == 0.0):
         return x, fx
     directions = [[1.0 if i == j else 0.0 for j in range(n)]
                   for i in range(n)]
@@ -323,7 +311,7 @@ def powell_minimize(f, x0, cfg=None):
         biggest_idx = 0
         for i, direction in enumerate(directions):
             x, fx, decrease = _line_minimize(f, x, direction, cfg)
-            if nonnegative and fx == 0.0:
+            if f.nonnegative and fx == 0.0:
                 return x, fx
             if decrease > biggest:
                 biggest = decrease
@@ -343,7 +331,7 @@ def powell_minimize(f, x0, cfg=None):
                     new_dir = [xi - si for xi, si in zip(x, x_start)]
                     if any(d != 0.0 for d in new_dir):
                         x, fx, _ = _line_minimize(f, x, new_dir, cfg)
-                        if nonnegative and fx == 0.0:
+                        if f.nonnegative and fx == 0.0:
                             return x, fx
                         directions[biggest_idx] = new_dir
         if (round_no + 1) % (2 * n) == 0:
@@ -377,33 +365,34 @@ def clamp(x, box):
     return [min(max(xi, lo), hi) for xi, (lo, hi) in zip(x, box)]
 
 
-def basinhopping(f, x0, cfg=None, rng=None, callback=None, box=None):
+def basinhopping(f, x0, cfg=None, rng=None):
     """Global minimization: local minimize, then repeatedly perturb the
     incumbent, re-minimize, and Metropolis-accept the proposal.
 
     Returns (best x, best f).  The start and each proposal are clamped
-    into `box` (per-dimension (lo, hi), or None for no bounds).  The
-    callback, if given, runs once per iteration with (iteration,
-    incumbent x, incumbent f) and may return True to stop early.
-    `cfg` None runs the MCMCConfig defaults.
+    into the box of the Objective `f`, which, marked `nonnegative`, stops
+    the search at the first incumbent that is an exact 0.  `cfg` None
+    runs the MCMCConfig defaults.
     """
     if cfg is None:
         cfg = MCMCConfig()
     if rng is None:
         rng = random.Random()
-    x_l, f_l = powell_minimize(f, clamp(x0, box), cfg.local)
+    if not isinstance(f, Objective):
+        f = Objective(f, len(x0))
+    x_l, f_l = powell_minimize(f, clamp(x0, f.box), cfg.local)
     best_x, best_f = list(x_l), f_l
-    if callback is not None and callback(0, x_l, f_l):
+    if f.nonnegative and f_l == 0.0:
         return best_x, best_f
-    for iteration in range(1, cfg.n_iter + 1):
+    for _ in range(cfg.n_iter):
         delta = [rng.uniform(-cfg.step_scale, cfg.step_scale)
                  for _ in range(len(x_l))]
-        proposal = clamp([xi + di for xi, di in zip(x_l, delta)], box)
+        proposal = clamp([xi + di for xi, di in zip(x_l, delta)], f.box)
         x_t, f_t = powell_minimize(f, proposal, cfg.local)
         if metropolis_accept(f_l, f_t, cfg.temperature, rng):
             x_l, f_l = x_t, f_t
         if f_l < best_f:
             best_x, best_f = list(x_l), f_l
-        if callback is not None and callback(iteration, x_l, f_l):
+        if f.nonnegative and f_l == 0.0:
             break
     return best_x, best_f

@@ -241,8 +241,9 @@ def execute(program, inputs, cfg, sat_state=None, entry=None,
         interp.trace.return_value = interp.call_function(fn, list(inputs))
         interp.trace.final_r = interp.r
         if math.isnan(interp.r) or math.isinf(interp.r):
-            interp.trace.final_r = SENTINEL
             interp.trace.aborted = "non-finite representing value"
+        if not -sys.float_info.max <= interp.r <= SENTINEL:
+            interp.trace.final_r = SENTINEL
     except NaNOperand:
         interp.trace.final_r = SENTINEL
         interp.trace.aborted = "nan operand"

@@ -20,7 +20,7 @@ import interp_oracle
 from conftest import BENCH, load
 from mexec.distance import branch_distance, compare
 from mexec.driver import SearchConfig, run_coverage, run_path
-from mexec.errors import MexecError, NaNOperand
+from mexec.errors import InvalidBox, MexecError, NaNOperand
 from mexec.interp import (
     MAX_CALL_DEPTH, CompiledProgram, _compile, bva_config, coverage_config,
     execute, path_config, plain_config, run_bounds,
@@ -600,6 +600,47 @@ def test_runners_keep_signed_zeros_float_bounds_and_the_sentinel():
             assert_runners_match_reference(evaluate, 2, box, calls)
 
 
+def test_a_box_of_another_length_is_invalid_for_every_objective():
+    """One check in the Objective serves a plain function and a
+    generated runner alike: neither is made with a box of another
+    length than its inputs, so neither drops or ignores an input."""
+    evaluate = CompiledProgram(parse(SIGNED), plain_config()).objective()
+    for fn in (sum, evaluate):
+        for box in ([(0.0, 1.0)], [(0.0, 1.0)] * 3, []):
+            with pytest.raises(InvalidBox, match=f"^bad box of {len(box)} "
+                                                 "pairs for 2 inputs$"):
+                Objective(fn, 2, box)
+
+
+# at huge inputs a path or boundary distance passes the sentinel
+HUGE = """
+real f(real x, real y) {
+    if (x == 0) { return 1; }
+    if (y * 2 >= 3) { return 2; }
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("cfg", [
+    coverage_config(), path_config(((0, "T"),)),
+    path_config(((0, "F"), (1, "T"))), bva_config(), plain_config(),
+], ids=lambda cfg: cfg.mode)
+def test_a_replay_gives_the_value_the_search_saw_at_huge_inputs(cfg):
+    """The tracing flavour maps a final value outside [-max, SENTINEL]
+    to the sentinel, as the runner does, in every mode; the two agree
+    by repr."""
+    compiled = CompiledProgram(parse(HUGE), cfg)
+    state = SaturationState(cfg=None, explored=frozenset({(0, "T")}))
+    evaluate = compiled.objective(state)
+    values = (3.2e150, -3.2e150, 1e154, 1e200, 1.7976931348623157e308,
+              math.inf, math.nan, 1e-300, 0.0, 1.5)
+    for x in values:
+        for y in values:
+            assert (repr(compiled.trace([x, y], state).final_r)
+                    == repr(evaluate([x, y]))), (x, y)
+
+
 def test_runners_run_a_point_again_only_when_it_is_not_the_one_they_hold():
     # x * y is NaN at (inf, 0), which aborts the evaluation
     program = parse("real f(real x, real y) { if (x * y < 1) { return 1; }"
@@ -753,7 +794,7 @@ def test_each_program_generates_one_runner_and_one_coverage_hook(path):
             assert "_pen" not in tracing
             state = SaturationState(cfg=None, explored=frozenset())
             counts_on = Objective(len, 0)   # any object with the two counts
-            assert callable(compiled.objective(state).runner(counts_on, None))
+            assert callable(compiled.objective(state).runner(counts_on))
 
 
 # -- the code cache

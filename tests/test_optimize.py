@@ -25,6 +25,20 @@ def test_objective_sanitizes_nan_and_inf():
     assert obj.eval_count == 1
 
 
+def test_powell_on_a_plain_nan_function_returns_the_start_at_the_sentinel():
+    """Wrapped in an Objective, a plain function that is NaN everywhere
+    is the sentinel everywhere: no line search decreases it, and Powell
+    stops after one round at its start."""
+    calls = []
+
+    def f(x):
+        calls.append(list(x))
+        return math.nan
+
+    assert powell_minimize(f, [1.0]) == ([1.0], SENTINEL)
+    assert len(calls) == 40
+
+
 def test_brent_quadratic():
     t, ft = brent_line_min(lambda t: (t - 1.0) ** 2, (-10.0, 0.0, 10.0))
     assert t == pytest.approx(1.0, abs=1e-6)
@@ -262,8 +276,9 @@ def _signed_cube(x):
 
 def test_a_signed_function_is_not_stopped_at_0():
     """A plain function or an unmarked Objective with a zero crossing
-    runs past its 0 at the start, with the result and counts it always
-    had; only a mark would stop it there."""
+    runs past its 0 at the start, with the result it always had; Powell
+    runs the plain function in an Objective of its own, so it runs the
+    unmarked one's evaluations.  Only a mark would stop it there."""
     calls = []
 
     def plain(x):
@@ -273,9 +288,9 @@ def test_a_signed_function_is_not_stopped_at_0():
     unmarked = Objective(_signed_cube, 1)
     expected = "([-5.999999880186646], -8.0)"
     assert repr(powell_minimize(plain, [0.0])) == expected
-    assert len(calls) == 120
     assert repr(powell_minimize(unmarked, [0.0])) == expected
     assert (unmarked.eval_count, unmarked.run_count) == (132, 81)
+    assert len(calls) == unmarked.run_count
     marked = Objective(_signed_cube, 1, nonnegative=True)
     assert powell_minimize(marked, [0.0]) == ([0.0], 0.0)
     assert marked.eval_count == 1
@@ -292,8 +307,8 @@ def test_basinhopping_on_a_plain_function_keeps_the_rule_off():
     cfg = MCMCConfig(n_iter=0)
     assert basinhopping(plain, [1.0, 0.0], cfg) == ([1.0, 0.0], 0.0)
     assert basinhopping(unmarked, [1.0, 0.0], cfg) == ([1.0, 0.0], 0.0)
-    assert len(calls) == 120
-    assert unmarked.eval_count == 128
+    assert (unmarked.eval_count, unmarked.run_count) == (128, 120)
+    assert len(calls) == unmarked.run_count
 
 
 def _nan(payload):
@@ -336,19 +351,6 @@ def test_the_record_answers_only_the_same_line_search():
     # the results differ where the settings do
     assert len({repr(_line_minimize(Objective(f, 2), x, d, cfg))
                 for x, d, cfg in DISTINCT_SEARCHES[-2:]}) == 2
-
-
-def test_a_plain_function_has_no_record():
-    calls = []
-
-    def f(p):
-        calls.append(p)
-        return (p[0] - 1.0) ** 2
-
-    first = _line_minimize(f, [4.0], [1.0], LocalMinConfig())
-    ran = len(calls)
-    assert _line_minimize(f, [4.0], [1.0], LocalMinConfig()) == first
-    assert len(calls) == 2 * ran
 
 
 def test_powell_answers_a_repeated_line_search_from_the_record():
@@ -438,9 +440,8 @@ def test_basinhopping_escapes_local_basin():
     for attempt in range(20):
         x0 = [rng.uniform(-500.0, 500.0)]
         x, fx = basinhopping(
-            Objective(f, 1), x0,
-            MCMCConfig(n_iter=5, step_scale=50.0), rng,
-            box=[(-1000.0, 1000.0)])
+            Objective(f, 1, [(-1000.0, 1000.0)]), x0,
+            MCMCConfig(n_iter=5, step_scale=50.0), rng)
         if fx < 1e-9:
             found = True
             break
@@ -472,17 +473,37 @@ def test_basinhopping_result_never_worse_than_start():
     assert fx <= f_at_start
 
 
-def test_basinhopping_callback_can_stop_early():
-    calls = []
+def _far_plateau(x):
+    # 0 on [99, 101]; near the start, a basin whose floor is 1
+    v = x[0]
+    return max(0.0, abs(v - 100.0) - 1.0) if v > 50.0 else 1.0 + v * v
 
-    def callback(iteration, x, fx):
-        calls.append(iteration)
-        return True
 
-    f = Objective(lambda x: x[0] ** 2, 1)
-    basinhopping(f, [3.0], MCMCConfig(n_iter=50), random.Random(0),
-                 callback)
-    assert calls == [0]
+def test_basinhopping_stops_at_the_first_exact_0_of_a_marked_objective(
+        monkeypatch):
+    """Marked, the search returns once its incumbent is an exact 0, here
+    after the first iteration's Powell; unmarked, it runs every
+    iteration on the same chain, and the first 0 stays its best."""
+    powell = optimize.powell_minimize
+    values = []
+
+    def recorded(*args):
+        result = powell(*args)
+        values.append(result[1])
+        return result
+
+    monkeypatch.setattr(optimize, "powell_minimize", recorded)
+    cfg = MCMCConfig(n_iter=20, step_scale=100.0, temperature=0.0)
+    runs = {}
+    for marked in (True, False):
+        values = []
+        f = Objective(_far_plateau, 1, nonnegative=marked)
+        runs[marked] = (basinhopping(f, [3.0], cfg, random.Random(5)),
+                        values)
+    (best, stopped), (best_unmarked, ran) = runs[True], runs[False]
+    assert stopped == [1.0, 1.0, 0.0]
+    assert len(ran) == 1 + cfg.n_iter and ran[:3] == stopped
+    assert best == best_unmarked and best[1] == 0.0
 
 
 def test_seed_determinism():
