@@ -62,9 +62,9 @@ class SearchConfig:
                              "a float, a str, bytes or a bytearray")
 
     def resolved_box(self, arity):
-        """One (lo, hi) bound per input, from one pair for every input
-        or one pair each; raises InvalidBox unless the box is a list of
-        (lo, hi) pairs of finite doubles with lo < hi."""
+        """One (lo, hi) pair of floats per input, from one pair for
+        every input or one pair each; raises InvalidBox unless the box is
+        a list of (lo, hi) pairs of finite doubles with lo < hi."""
         if self.box is None:
             return [(-1e3, 1e3)] * arity
         try:
@@ -76,13 +76,14 @@ class SearchConfig:
             # not (lo, hi) numbers, or an int too long to print
             raise InvalidBox("bad box, need (lo, hi) pairs of finite "
                              "doubles") from None
-        if len(self.box) == 1:
-            return list(self.box) * arity
-        if len(self.box) != arity:
-            raise InvalidBox(f"bad box of {len(self.box)} pairs for "
-                             f"{arity} inputs, need one pair or one per "
-                             "input")
-        return list(self.box)
+        # float bounds, so that an input clamped to one is a float
+        box = [(float(lo), float(hi)) for lo, hi in self.box]
+        if len(box) == 1:
+            return box * arity
+        if len(box) != arity:
+            raise InvalidBox(f"bad box of {len(box)} pairs for {arity} "
+                             "inputs, need one pair or one per input")
+        return box
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 The parsed program is translated to Python source, one Python function
 per .mx function, once per program, mode and flavour, and for the fast
-flavour once per entry: the source is kept on the Program, and its code
-is compiled once per distinct source.  Each mode call execs that code
+flavour once per entry: the source and its compiled code are kept on
+the Program, the one cache of both.  Each mode call execs that code
 into a namespace of its own.
 One generator emits two flavours of the same program:
 
@@ -20,7 +20,8 @@ One generator emits two flavours of the same program:
   replays and reports use it.
 
 A `sat` constraint compiles to the same runner, its r the sum of its
-comparisons' branch distances; its source is kept on the Constraint.
+comparisons' branch distances; its source and code are kept on the
+Constraint.
 
 At each labeled conditional the mode decides how r changes, by the same
 lines in both flavours: coverage takes the penalty (saturation.pen) from
@@ -37,7 +38,7 @@ import math
 import struct
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional
 
 from .distance import negate_op
@@ -215,23 +216,6 @@ def _distance(op, update):
 _KEEP, _RESET, _TOWARD_T, _TOWARD_F = range(4)
 
 
-def _saturation_table(state, n_labels):
-    explored = state.explored
-    table = []
-    for label in range(n_labels):
-        t_done = (label, "T") in explored
-        f_done = (label, "F") in explored
-        if t_done and f_done:
-            table.append(_KEEP)
-        elif t_done:
-            table.append(_TOWARD_F)
-        elif f_done:
-            table.append(_TOWARD_T)
-        else:
-            table.append(_RESET)
-    return tuple(table)
-
-
 def _flatten(stmt):
     """The statements of a block, nested blocks spliced in."""
     if isinstance(stmt, Block):
@@ -269,8 +253,10 @@ class _Source:
     def emit(self, line):
         self.lines.append("    " * self.indent + line)
 
-    def text(self):
-        return "\n".join(self.lines) + "\n"
+    def compiled(self, name):
+        """The source emitted and its code."""
+        source = "\n".join(self.lines) + "\n"
+        return source, _compile(source, name)
 
     # -- expressions
 
@@ -362,11 +348,11 @@ class _Source:
         self.indent -= 1
 
     def tick(self, count, line):
-        if self.tracing:
-            self.emit(f"_tick({line})")
-        elif self.guards:
+        if self.guards:
             self.emit(f"_n += {count}")
             self.emit("if _n > _B: raise _StepBudgetExceeded")
+        if self.tracing and line:
+            self.emit(f"_line({line})")
 
     def body(self, stmt):
         """Emit a statement sequence with its step counting.
@@ -499,16 +485,6 @@ class _Source:
         self.indent -= 1
 
 
-# the tracing flavour's per-statement count
-_TRACING_HELPERS = """
-def _tick(line):
-    global _n
-    _n += 1
-    if _n > _B: raise _StepBudgetExceeded
-    if line: _line(line)
-"""
-
-
 def _namespace():
     ns = {f"_b_{name}": fn for name, fn in BUILTIN_FUNCTIONS.items()}
     ns.update(_pow=_pow, _div=_div, _nan=_nan,
@@ -519,11 +495,9 @@ def _namespace():
     return ns
 
 
-# Every compile's code, kept per generated source (and name), so it
-# cannot go stale.  Sources hold nothing run-specific: budget, epsilon,
-# path target and saturation table live in each CompiledProgram's own
-# namespace.  A failed compile raises and is not cached.
-@lru_cache(maxsize=64)
+# A kept source holds nothing run-specific, so one code object serves
+# every run: budget, epsilon, path target, saturation table and box are
+# bound in each run's namespace or runner.
 def _compile(source, name):
     # `parse` bounds the source for CPython 3.11; this is the backstop
     try:
@@ -540,7 +514,7 @@ class RepresentingFunction:
     `runner(objective)` gives the generated line runner of an
     optimize.Objective: it clamps into `objective.box`, counts on
     `objective` and sanitises.  Called on a point, it gives the value of
-    an Objective without a box.
+    one Objective without a box, bound on the first call.
     """
 
     def __init__(self, ns, arity, table=None):
@@ -549,7 +523,11 @@ class RepresentingFunction:
         self.table = table
 
     def __call__(self, x):
-        return Objective(self, self.arity)(x)
+        return self._plain(x)
+
+    @cached_property
+    def _plain(self):
+        return Objective(self, self.arity)
 
     def runner(self, objective):
         box = objective.box or [(-math.inf, math.inf)] * self.arity
@@ -586,15 +564,13 @@ class CompiledProgram:
         if tracing in self._flavours:
             return self._flavours[tracing]
         cfg = self.cfg
-        name = (f"{cfg.mode} tracing" if tracing
-                else f"{self.entry} {cfg.mode} fast")
         ns = _namespace()
         ns.update(_B=self.step_budget, _eps=cfg.epsilon)
         if cfg.mode == PATH:
             target = cfg.target_path
             ns["_tl"] = tuple(label for label, _side in target) + (None,)
             ns["_tt"] = tuple(side == "T" for _label, side in target)
-        exec(_compile(self.source(tracing), name), ns)
+        exec(self._compiled(tracing)[1], ns)
         self._flavours[tracing] = ns
         return ns
 
@@ -610,24 +586,29 @@ class CompiledProgram:
     def source(self, tracing=False):
         """The Python text of a flavour, the text its runs execute: the
         fast flavour (the default) is the one a search minimizes."""
+        return self._compiled(tracing)[0]
+
+    def _compiled(self, tracing):
+        """(source, code) of a flavour, made on first use and kept on the
+        program."""
         # the tracing source holds the program's functions only, so the
         # entries of one program share it
         entry = None if tracing else self.entry
         guards = tracing or self.guarded()
         key = ("source", entry, self.cfg.mode, tracing, guards)
         return memoised(self.program, key,
-                        lambda: self._source(tracing, guards))
+                        lambda: self._generate(tracing, guards))
 
-    def _source(self, tracing, guards):
-        gen = _Source(self.cfg.mode, tracing, guards)
-        if tracing:
-            gen.lines.append(_TRACING_HELPERS)
+    def _generate(self, tracing, guards):
+        mode = self.cfg.mode
+        gen = _Source(mode, tracing, guards)
         for fn in self.program.functions:
             gen.function(fn)
-        if not tracing:
-            params = [f"v{i}" for i in range(self.arity)]
-            gen.runner(params, self._core(params, guards))
-        return gen.text()
+        if tracing:
+            return gen.compiled(f"{mode} tracing")
+        params = [f"v{i}" for i in range(self.arity)]
+        gen.runner(params, self._core(params, guards))
+        return gen.compiled(f"{self.entry} {mode} fast")
 
     def _core(self, params, guards):
         """Lines running the entry on `params` from a fresh `_r`, step
@@ -647,14 +628,32 @@ class CompiledProgram:
                    "except _ABORTS:",
                    "    return _SENTINEL"])
 
+    def _table(self, sat_state):
+        """In coverage mode, what the penalty does at each label under
+        `sat_state`, where None is nothing saturated, as at a search's
+        first restart; None in the other modes."""
+        if self.cfg.mode != COVERAGE:
+            return None
+        explored = () if sat_state is None else sat_state.explored
+        table = []
+        for label in range(self.program.num_conditionals):
+            t_done = (label, "T") in explored
+            f_done = (label, "F") in explored
+            if t_done and f_done:
+                table.append(_KEEP)
+            elif t_done:
+                table.append(_TOWARD_F)
+            elif f_done:
+                table.append(_TOWARD_T)
+            else:
+                table.append(_RESET)
+        return tuple(table)
+
     def objective(self, sat_state=None):
         """The fast flavour: inputs -> final representing value, with
         the coverage penalty of `sat_state`."""
-        table = None
-        if self.cfg.mode == COVERAGE:
-            table = _saturation_table(sat_state,
-                                      self.program.num_conditionals)
-        return RepresentingFunction(self._flavour(False), self.arity, table)
+        return RepresentingFunction(self._flavour(False), self.arity,
+                                    self._table(sat_state))
 
     def trace(self, inputs, sat_state=None):
         """Run the tracing flavour on `inputs`."""
@@ -666,10 +665,8 @@ class CompiledProgram:
         ns.update(_line=trace.covered_lines.add,
                   _cond=trace.covered_conditionals.add,
                   _path=trace.path.append, _call=trace.covered_calls.add,
-                  _r=_R0[self.cfg.mode], _n=0, _c=0)
-        if self.cfg.mode == COVERAGE:
-            ns["_sat"] = _saturation_table(sat_state,
-                                           self.program.num_conditionals)
+                  _r=_R0[self.cfg.mode], _n=0, _c=0,
+                  _sat=self._table(sat_state))
         try:
             trace.return_value = ns[f"f_{self.entry}"](
                 1, None, *(float(v) for v in inputs))
@@ -709,17 +706,16 @@ def compile_comparisons(constraint, epsilon=1e-6):
     the variables `constraint.variables` into a RepresentingFunction,
     the sum of the comparisons' branch distances or the sentinel if an
     operand is NaN, and a function of an input vector telling whether
-    every comparison holds.  The source is generated once per
+    every comparison holds.  The code is generated and compiled once per
     constraint."""
-    source = memoised(constraint, "source",
-                      lambda: _comparisons_source(constraint))
     ns = _namespace()
     ns["_eps"] = epsilon
-    exec(_compile(source, "constraint"), ns)
+    exec(memoised(constraint, "source",
+                  lambda: _generate_comparisons(constraint))[1], ns)
     return RepresentingFunction(ns, len(constraint.variables)), ns["_holds"]
 
 
-def _comparisons_source(constraint):
+def _generate_comparisons(constraint):
     comparisons, names = constraint.conjuncts, constraint.variables
     gen = _Source()
     core = ["_r = 0.0", "try:"]
@@ -738,7 +734,7 @@ def _comparisons_source(constraint):
     gen.define("_holds(x)",
                [f"{v} = _float(x[{i}])" for i, v in enumerate(params)]
                + [f"return {' and '.join(tests) or 'True'}"])
-    return gen.text()
+    return gen.compiled("constraint")
 
 
 # ---------------------------------------------------------------------------

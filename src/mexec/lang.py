@@ -205,8 +205,8 @@ class Program:
     (`uninstrumentable`) conditionals, the `lines` of every statement and
     the (line, col) `call_sites` of every call to a user function.  From
     then on the AST is read-only; what depends only on it (generated
-    source, descendant relation) is computed on first use and kept in
-    `_memo` (see `memoised`)."""
+    source and its code, descendant relation) is computed on first use
+    and kept in `_memo` (see `memoised`)."""
     functions: list
     num_conditionals: int = 0
     uninstrumentable: int = 0

@@ -21,7 +21,8 @@ from . import driver
 @dataclass
 class Constraint:
     """A parsed constraint, read-only once `parse_constraint` returns it;
-    its generated source and its replay check are kept in `_memo`."""
+    its generated source and code and its replay check are kept in
+    `_memo`."""
     conjuncts: list                     # list of Compare nodes
     variables: list                     # ordered names
     text: str = ""

@@ -5,6 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import settings
 
+from mexec import interp
 from mexec.lang import parse
 from mexec.optimize import Objective
 from mexec.transforms import prepare
@@ -47,6 +48,12 @@ def no_search_record():
 
     with mock.patch.object(Objective, "__init__", forgetful_init):
         yield
+
+
+def counting_compiles():
+    """Within the block, the mock it gives counts each unit of code
+    `interp` compiles."""
+    return mock.patch.object(interp, "_compile", wraps=interp._compile)
 
 
 def load(name):

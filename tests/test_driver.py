@@ -203,6 +203,21 @@ def test_non_finite_or_empty_box_raises(box, foo):
         check_sat(parse_constraint("x == 1"), cfg)
 
 
+def test_an_int_box_admits_what_the_same_float_box_admits(foo):
+    """An int box is read as the doubles it names, so an input clamped
+    to one of its bounds is admitted as a float."""
+    assert all(type(bound) is float
+               for pair in SearchConfig(box=[(0, 1), (-2, 3.5)])
+               .resolved_box(2) for bound in pair)
+    for call, lo, hi in ((run_bva, 2, 3), (run_coverage, 0, 1)):
+        got, expected = (
+            call(foo, "FOO", SearchConfig(seed=1, n_start=20, box=[pair]))
+            for pair in ((lo, hi), (float(lo), float(hi))))
+        assert repr(got.inputs) == repr(expected.inputs)
+        assert got.eval_count == expected.eval_count
+        assert all(type(v) is float for x in got.inputs for v in x)
+
+
 @pytest.mark.parametrize("pairs", [2, 4])
 def test_box_needs_one_pair_or_one_pair_per_input(pairs):
     program = parse("real f(real a, real b, real c) "

@@ -5,32 +5,34 @@ pointer parameters), edge-case inputs, tiny step budgets and random
 saturation states run through both the compiled representing function,
 in its fast and its tracing flavour, and `interp_oracle`; every trace
 field and the final value must agree exactly.  Code compiled once and
-shared through the code cache must give what a fresh compile gives.
+kept on its program must give what a fresh compile gives.
 """
 
 import math
 import random
 import sys
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import interp_oracle
-from conftest import BENCH, load
+from conftest import BENCH, counting_compiles, load
+from mexec.cfg import build_cfg
 from mexec.distance import branch_distance, compare
 from mexec.driver import SearchConfig, run_coverage, run_path
 from mexec.errors import InvalidBox, MexecError, NaNOperand
 from mexec.interp import (
-    MAX_CALL_DEPTH, CompiledProgram, _compile, bva_config, coverage_config,
-    execute, path_config, plain_config, run_bounds,
+    MAX_CALL_DEPTH, CompiledProgram, bva_config, coverage_config, execute,
+    path_config, plain_config, run_bounds,
 )
 from mexec.lang import BUILTIN_ARITY, Program, parse
 from mexec.optimize import SENTINEL, Objective, clamp
 from mexec.satcheck import (
     _holds, check_sat, compile_constraint, parse_constraint,
 )
-from mexec.saturation import SaturationState
+from mexec.saturation import SaturationState, new_state
 from mexec.transforms import prepare
 
 SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308,
@@ -641,6 +643,35 @@ def test_a_replay_gives_the_value_the_search_saw_at_huge_inputs(cfg):
                     == repr(evaluate([x, y]))), (x, y)
 
 
+def test_no_saturation_state_reads_as_nothing_saturated(foo):
+    """Coverage mode without a state reads as the state of a search's
+    first restart, saturation.new_state, in both flavours."""
+    state = new_state(build_cfg(foo, "FOO"))
+    compiled = CompiledProgram(foo, coverage_config(), "FOO")
+    for x in ([1.0], [2.0], [-3.0], [1e300], [math.nan]):
+        assert (_run(lambda: execute(foo, x, coverage_config(), entry="FOO"))
+                == _run(lambda: execute(foo, x, coverage_config(), state,
+                                        entry="FOO")))
+        assert (repr(compiled.objective()(x))
+                == repr(compiled.objective(state)(x)))
+
+
+def test_plain_calls_bind_one_runner():
+    """Called on points, a representing function is one Objective
+    without a box, bound on the first call and run by the later ones."""
+    constraint = parse_constraint("x*y == 12 && x + y == 7")
+    for make in (lambda: compile_constraint(constraint).fn,
+                 lambda: CompiledProgram(load("k_cos.mx"),
+                                         coverage_config()).objective()):
+        evaluate, fresh = make(), make()
+        points = ([3.0, 4.0], [1.0, 2.0], [1.0, 2.0], [math.nan, 0.5])
+        with mock.patch.object(evaluate, "_bind",
+                               wraps=evaluate._bind) as bind:
+            got = [repr(evaluate(x)) for x in points]
+        assert bind.call_count == 1
+        assert got == [repr(Objective(fresh, 2)(x)) for x in points]
+
+
 def test_runners_run_a_point_again_only_when_it_is_not_the_one_they_hold():
     # x * y is NaN at (inf, 0), which aborts the evaluation
     program = parse("real f(real x, real y) { if (x * y < 1) { return 1; }"
@@ -830,58 +861,52 @@ def test_compiled_programs_sharing_code_keep_their_run_state_apart():
         [(bva_config(), 1_000_000), (bva_config(), 1)],
     ]
     for group in groups:
-        expected = []
-        for cfg, budget in group:
-            _compile.cache_clear()
-            compiled = CompiledProgram(program, cfg, None, budget)
-            expected.append(_calls(compiled, points, states))
+        # each expected run on a program of its own, compiled anew
+        expected = [_calls(CompiledProgram(load("k_cos.mx"), cfg, None,
+                                           budget), points, states)
+                    for cfg, budget in group]
         assert len(set(map(repr, expected))) == len(group)
-        _compile.cache_clear()
-        shared = [CompiledProgram(program, cfg, None, budget)
-                  for cfg, budget in group]
-        got = [[] for _ in group]
-        for x in points:
-            for state in states:
-                for i, compiled in enumerate(shared):
-                    got[i] += _calls(compiled, [x], [state])
+        with counting_compiles() as compile_:
+            shared = [CompiledProgram(program, cfg, None, budget)
+                      for cfg, budget in group]
+            got = [[] for _ in group]
+            for x in points:
+                for state in states:
+                    for i, compiled in enumerate(shared):
+                        got[i] += _calls(compiled, [x], [state])
         assert got == expected
-        assert _compile.cache_info().misses == 3
+        assert compile_.call_count == 3
 
 
-def _misses(call):
-    before = _compile.cache_info().misses
-    call()
-    return _compile.cache_info().misses - before
+def _compiles(call):
+    with counting_compiles() as compile_:
+        call()
+    return compile_.call_count
 
 
 def test_mode_calls_replays_and_constraints_reuse_compiled_code():
-    text = (BENCH / "k_cos.mx").read_text(encoding="utf-8")
-    program = parse(text)
+    program = load("k_cos.mx")
     cfg = SearchConfig(seed=3, n_start=4)
-    _compile.cache_clear()
-    assert _misses(lambda: run_coverage(program, "kernel_cos", cfg)) == 2
-    assert _misses(lambda: run_coverage(program, "kernel_cos", cfg)) == 0
-    assert _misses(
-        lambda: run_coverage(parse(text), "kernel_cos", cfg)) == 0
+    assert _compiles(lambda: run_coverage(program, "kernel_cos", cfg)) == 2
+    assert _compiles(lambda: run_coverage(program, "kernel_cos", cfg)) == 0
 
     # the three path targets of a deep-calls run on one dispatcher
     deep = BENCH.parent / "perfbench" / "programs" / "deep"
     dispatcher = parse((deep / "dispatch10.mx").read_text(encoding="utf-8"))
     top = 13
     targets = (((top, "T"),), ((top, "F"),), ((top, "T"), (top - 1, "F")))
-    assert [_misses(lambda: run_path(dispatcher, "lvl0", target,
-                                     SearchConfig(seed=7, n_start=2)))
+    assert [_compiles(lambda: run_path(dispatcher, "lvl0", target,
+                                       SearchConfig(seed=7, n_start=2)))
             for target in targets] == [2, 0, 0]
 
     # check_sat compiles its constraint once; the replay of `_holds` at
     # the admitted root reuses that code
     constraint = parse_constraint("x*y == 12 && x + y == 7")
-    before = _compile.cache_info()
-    result = check_sat(constraint, SearchConfig(seed=1, n_start=8))
-    after = _compile.cache_info()
+    with counting_compiles() as compile_:
+        result = check_sat(constraint, SearchConfig(seed=1, n_start=8))
     assert result.verdict == "sat"
-    assert after.misses - before.misses == 1
-    assert after.hits > before.hits
+    assert "holds" in constraint._memo
+    assert compile_.call_count == 1
 
 
 def test_a_compile_that_overflows_the_parser_names_why_and_is_not_cached():
@@ -890,9 +915,13 @@ def test_a_compile_that_overflows_the_parser_names_why_and_is_not_cached():
     expr = "-(" * 199 + "x" + ")" * 199
     source = "".join("    " * depth + "if x:\n" for depth in range(70))
     source += "    " * 70 + f"y = {expr}\n"
-    _compile.cache_clear()
-    for _ in range(2):
-        with pytest.raises(MexecError,
-                           match=r"^cannot compile f coverage fast: \S"):
-            _compile(source, "f coverage fast")
-    assert _compile.cache_info().currsize == 0
+    program = parse("real f(real x) { return x; }")
+    compiled = CompiledProgram(program, coverage_config())
+    # `f` generates as `source`
+    with mock.patch("mexec.interp._Source.function",
+                    lambda gen, _fn: gen.lines.append(source)):
+        for _ in range(2):
+            with pytest.raises(MexecError,
+                               match=r"^cannot compile f coverage fast: \S"):
+                compiled.objective()
+    assert not [key for key in program._memo if key[0] == "source"]

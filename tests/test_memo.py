@@ -1,9 +1,9 @@
 """What a parsed program or constraint computes once and keeps: the
-generated source per entry, mode and flavour and the descendant relation
-per entry; `parse` itself records the report totals.  A second mode
-call on the same Program generates nothing, and keeping these changes
-no result: every evaluation on a shared Program equals the same
-evaluation on a freshly parsed copy."""
+generated source and its code per entry, mode and flavour and the
+descendant relation per entry; `parse` itself records the report totals.
+A second mode call on the same Program generates and compiles nothing,
+and keeping these changes no result: every evaluation on a shared
+Program equals the same evaluation on a freshly parsed copy."""
 
 import math
 from contextlib import contextmanager
@@ -23,6 +23,8 @@ from mexec.interp import (
 from mexec.lang import parse
 from mexec.satcheck import _holds, check_sat, parse_constraint
 from mexec.saturation import new_state, update_saturation
+
+from conftest import counting_compiles
 
 DEEP = Path(__file__).resolve().parent.parent / "perfbench/programs/deep"
 
@@ -61,10 +63,11 @@ def test_a_second_mode_call_on_a_program_generates_nothing(mode, foo):
     call = MODE_CALLS[mode]
     with generations() as first:
         call(foo)
-    with generations() as second:
+    with generations() as second, counting_compiles() as compile_:
         call(foo)
     assert first
     assert second == []
+    assert not compile_.called
 
 
 def test_the_deep_calls_targets_of_one_dispatcher_generate_two_sources():
@@ -82,13 +85,14 @@ def test_a_second_sat_check_on_a_constraint_generates_nothing():
     constraint = parse_constraint("x + 1 == 3 && y <= x")
     with generations() as first:
         result = check_sat(constraint, small_cfg())
-    with generations() as second:
+    with generations() as second, counting_compiles() as compile_:
         again = check_sat(constraint, small_cfg())
     assert (again.model, again.eval_count) == (result.model, result.eval_count)
     # the replays of candidate models reuse the one source too
     assert result.verdict == "sat"
     assert len(first) == 1
     assert second == []
+    assert not compile_.called
 
 
 def test_replays_of_a_constraint_exec_one_namespace():
@@ -190,12 +194,12 @@ def test_one_program_in_every_mode_and_flavour_matches_a_fresh_parse():
 
 def test_the_entries_of_a_program_share_one_tracing_code_object():
     program = parse(TWO_ENTRIES)
-    interp._compile.cache_clear()
     f, g = (CompiledProgram(program, plain_config(), entry)
             for entry in ("f", "g"))
-    assert f.trace([2.0, 1.0]).covered_calls
-    assert g.trace([0.5]).path == [(0, "T")]
-    assert interp._compile.cache_info().misses == 1
+    with counting_compiles() as compile_:
+        assert f.trace([2.0, 1.0]).covered_calls
+        assert g.trace([0.5]).path == [(0, "T")]
+    assert compile_.call_count == 1
     assert (f._flavour(True)["f_g"].__code__
             is g._flavour(True)["f_g"].__code__)
 

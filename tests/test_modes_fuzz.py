@@ -23,8 +23,8 @@ from mexec.cfg import build_cfg
 from mexec.driver import SearchConfig, run_bva, run_coverage, run_path
 from mexec.errors import MexecError, ParseError
 from mexec.interp import (
-    CompiledProgram, _compile, bva_config, coverage_config, execute,
-    path_config, plain_config,
+    CompiledProgram, bva_config, coverage_config, execute, path_config,
+    plain_config,
 )
 from mexec.lang import (
     BUILTIN_ARITY, MAX_LOOP_DEPTH, MAX_STMT_DEPTH, max_expr_depth, parse,
@@ -71,8 +71,7 @@ def programs_and_targets(draw):
 
 
 def replay_program(source):
-    """`source` parsed again, its code compiled again."""
-    _compile.cache_clear()
+    """`source` parsed again, so its code is compiled again."""
     return parse(source)
 
 
@@ -134,7 +133,6 @@ def test_sat_models_satisfy_the_constraint(case, seed):
     constraint, _point = case
     result = documented(lambda: check_sat(constraint, tiny_config(seed)))
     if result is not None and result.verdict == "sat":
-        _compile.cache_clear()
         again = parse_constraint(constraint.text, constraint.variables)
         assert compile_constraint(again).fn(result.model) == 0.0
         assert _oracle_holds(constraint, result.model)

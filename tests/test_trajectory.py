@@ -6,27 +6,30 @@ branches infeasible and give the same verdict and residual.  Floats are
 compared through `repr`, so a change in the last bit of any admitted
 input fails here.  A pure refactor or speed-up of the search must keep
 every value below; a deliberate change to the search records new ones
-and says why.  Each case runs twice in one process, first on an empty
-code cache and then on the code that run left there.
+and says why.  Each case runs twice in one process, first on a freshly
+parsed program or constraint, whose code that run compiles, and then on
+the code it kept there.
 """
 
 import pytest
 
 from mexec.driver import SearchConfig, run_bva, run_coverage, run_path
-from mexec.interp import _compile
 from mexec.lang import parse
 from mexec.satcheck import check_sat, parse_constraint
 from mexec.transforms import prepare
 
-from conftest import load
+from conftest import counting_compiles, load
 
 
 def cold_then_warm(run):
-    """`run` on an empty code cache, then again on a warm one."""
-    _compile.cache_clear()
-    yield run()
-    assert _compile.cache_info().currsize > 0
-    yield run()
+    """`run` on a freshly parsed program or constraint, then again on
+    the code the first run compiled and kept on it."""
+    with counting_compiles() as compile_:
+        yield run()
+        assert compile_.called
+        compile_.reset_mock()
+        yield run()
+        assert not compile_.called
 
 
 def _summary(result):
