@@ -134,16 +134,14 @@ def sample_start(rng, box):
 
 
 def snap_to_zero(f, x):
-    """Polish a near-root: try rounding the point to coarse decimal grids
-    and accept the first rounding where the objective is exactly zero.
+    """Polish a near-root, not a root itself: try rounding it to coarse
+    decimal grids and accept the first where the objective is exactly 0.
 
     Local minimizer tolerances leave equality-rooted objectives at tiny
     positive residuals; admission requires an exact root, and the roots
     of interest usually sit on round decimals.  The Objective `f` clamps
     each rounding it evaluates; the rounding returned is not clamped.
     """
-    if f(x) == 0.0:
-        return list(x)
     for nd in range(15):
         candidate = [round(xi, nd) for xi in x]
         if f(candidate) == 0.0:
@@ -237,12 +235,12 @@ def run_coverage(program, entry, cfg=None):
             return None
         return repfun.objective(result.state)
 
-    def admit(x, f):
+    def admit(x, _f):
         # the state is still the one this restart's objective was built
-        # from
+        # from; its replay alone decides
         state = result.state
         trace = execute(repfun, x, sat_state=state)
-        if f == 0.0 and trace.final_r == 0.0:
+        if trace.final_r == 0.0:
             result.inputs.append(x)
             result.traces.append(trace)
             result.state = saturation.update_saturation(
@@ -253,7 +251,6 @@ def run_coverage(program, entry, cfg=None):
             failure_counts[taken] = failure_counts.get(taken, 0) + 1
             if failure_counts[taken] >= cfg.infeasible_after:
                 result.state = mark_infeasible(state, trace)
-                failure_counts[taken] = 0
         return False
 
     return search(result, cfg, arity, objective_at, admit)
@@ -266,10 +263,8 @@ def mark_infeasible(state, failed_trace):
     if failed_trace.final_r == 0.0 or not failed_trace.path:
         return state
     label, side = failed_trace.path[-1]
-    opposite = (label, "F" if side == "T" else "T")
-    if opposite in state.covered or opposite in state.explored:
-        return state
-    return saturation.add_infeasible(state, opposite)
+    return saturation.add_infeasible(state,
+                                     (label, "F" if side == "T" else "T"))
 
 
 def _validate_path(graph, target):

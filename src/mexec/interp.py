@@ -321,8 +321,6 @@ class _Source:
         if label is None:
             return f"{a} {cond.op} {b}", [], []
         hook = self.hook(cond)
-        if not hook and not self.tracing:
-            return f"{a} {cond.op} {b}", [], []
         self.emit(f"_a = {a}")
         self.emit(f"_b = {b}")
         if self.tracing:

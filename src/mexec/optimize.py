@@ -348,8 +348,6 @@ def metropolis_accept(f_current, f_proposal, temperature, rng):
     gap = f_proposal - f_current
     try:
         threshold = math.exp(-gap / temperature)
-    except OverflowError:
-        threshold = 0.0
     except ZeroDivisionError:
         # the limit T -> 0: an equal value stays acceptable, a higher
         # one does not

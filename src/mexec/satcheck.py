@@ -79,8 +79,10 @@ def parse_constraint(text, variables=None):
 
 
 def compile_constraint(constraint, epsilon=1e-6):
-    """Objective summing the distance of every conjunct from holding."""
-    distance, _ = compile_comparisons(constraint, epsilon)
+    """Objective summing the distance of every conjunct from holding;
+    its namespace gives the constraint its `_holds` check."""
+    distance, holds = compile_comparisons(constraint, epsilon)
+    constraint._memo.setdefault("holds", holds)
     return Objective(distance, len(constraint.variables))
 
 

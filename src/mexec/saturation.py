@@ -42,8 +42,9 @@ def update_saturation(state, covered_branches):
 
 
 def add_infeasible(state, branch):
-    """Deem a branch infeasible; it counts as explored from now on."""
-    if branch in state.covered:
+    """Deem a branch infeasible; it counts as explored from now on.  A
+    branch already covered or deemed infeasible leaves `state` itself."""
+    if branch in state.covered or branch in state.infeasible:
         return state
     infeasible = state.infeasible | {branch}
     explored = _recompute_explored(state.cfg, state.covered, infeasible)

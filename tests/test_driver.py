@@ -13,7 +13,7 @@ from mexec.driver import (
 )
 from mexec.errors import InvalidBox, MalformedPath, MexecError
 from mexec.interp import (
-    ExecutionTrace, bva_config, coverage_config, execute,
+    CompiledProgram, ExecutionTrace, bva_config, coverage_config, execute,
 )
 from mexec.lang import parse
 from mexec.optimize import LocalMinConfig, MCMCConfig, Objective
@@ -147,6 +147,57 @@ def test_bva_underflow_residual_is_not_a_root():
         assert x[0] == 1e-20
 
 
+# every run starts 4 statements, one more than the budget, and takes
+# branch 0T for x > 0
+OVER_BUDGET = ("real f(real x) { if (x > 0) { y = 1; } y = 2; y = 3; "
+               "return 0; }")
+OBJECTIVE_ZERO_MODES = {
+    "cover": lambda p, cfg: run_coverage(p, "f", cfg),
+    "path": lambda p, cfg: run_path(p, "f", [(0, "T")], cfg),
+    "bva": lambda p, cfg: run_bva(p, "f", cfg),
+    "sat": lambda _p, cfg: check_sat(parse_constraint("x*x == 2"), cfg),
+}
+
+
+@pytest.mark.parametrize("mode", OBJECTIVE_ZERO_MODES)
+def test_a_mode_admits_only_a_root_its_replay_confirms(mode, monkeypatch):
+    """An objective that reports 0 where the replay does not admits
+    nothing: every program replay exceeds the step budget, the path one
+    after following the target, and `x*x == 2` has no double root."""
+    program = parse(OVER_BUDGET)
+    monkeypatch.setattr(CompiledProgram, "objective",
+                        lambda self, sat_state=None: lambda x: 0.0)
+    monkeypatch.setattr(satcheck, "compile_constraint",
+                        lambda c, epsilon: Objective(lambda x: 0.0, 1))
+    cfg = SearchConfig(n_start=5, seed=1, step_budget=3)
+    result = OBJECTIVE_ZERO_MODES[mode](program, cfg)
+    assert result.starts_used == 5
+    assert result.inputs == []
+    assert result.verdict in (None, "unknown")
+    trace = execute(program, [2.0], coverage_config(), entry="f",
+                    step_budget=3)
+    assert (trace.path, trace.aborted) == ([(0, "T")],
+                                           "step budget exceeded")
+
+
+@pytest.mark.parametrize("n_start, infeasible", [(5, set()),
+                                                   (6, {(1, "T")})])
+def test_cover_deems_infeasible_after_failures_since_the_last_admission(
+        foo, monkeypatch, n_start, infeasible):
+    """Two replays end on 1F, one is admitted, then each ends on 1F
+    again: the third failure after the admission deems 1T infeasible."""
+    failed = ExecutionTrace(path=[(0, "T"), (1, "F")], final_r=1.0)
+    admitted = ExecutionTrace(path=[(0, "F")], final_r=0.0,
+                              covered_branches={(0, "F")})
+    replays = iter([failed, failed, admitted] + [failed] * 3)
+    monkeypatch.setattr(CompiledProgram, "objective",
+                        lambda self, sat_state=None: lambda x: 1.0)
+    monkeypatch.setattr(driver, "execute", lambda *a, **k: next(replays))
+    result = run_coverage(foo, "FOO", small_cfg(n_start=n_start))
+    assert len(result.inputs) == 1
+    assert result.state.infeasible == infeasible
+
+
 def test_mark_infeasible_requires_failed_trace(foo):
     graph = build_cfg(foo, "FOO")
     state = new_state(graph)
@@ -242,6 +293,18 @@ def test_snap_to_zero_polishes_near_roots():
     assert snapped == [2.0]
 
 
+def test_snap_grids_reach_fourteen_decimals_and_eight_on_one_input():
+    x = 0.12345678901234567
+    root = round(x, 14)
+    assert snap_to_zero(lambda p: (p[0] - root) ** 2, [x]) == [root]
+    # the second input is not round at any grid, so only rounding the
+    # first alone finds the root
+    other = 0.9876543210987654
+    root = round(x, 8)
+    assert snap_to_zero(lambda p: (p[0] - root) ** 2 + (p[1] - other) ** 2,
+                        [x, other]) == [root, other]
+
+
 def test_snap_to_zero_returns_none_without_root():
     def f(x):
         return x[0] ** 2 + 1.0
@@ -295,13 +358,14 @@ def test_kernel_cos_counts_every_request_and_runs_two_thirds(k_cos):
     line searches leave about two thirds of them to run.  Returning at
     a root dropped mostly requests answered from held values, so the
     share run rose (0.671 to 0.686) while the total run fell; the total
-    is pinned, so the share bound cannot hide more work."""
+    is pinned, so the share bound cannot hide more work.  Snap no longer
+    evaluates the point it polishes, one run request per snap."""
     results = [run_coverage(k_cos, "kernel_cos", SearchConfig(seed=seed))
                for seed in range(6)]
     assert ([r.eval_count for r in results]
-            == [6561, 5947, 6735, 6498, 6074, 5994])
+            == [6558, 5944, 6732, 6495, 6071, 5991])
     ran = sum(r.run_count for r in results)
-    assert ran == 25952
+    assert ran == 25934
     # 0.865 without the record of line searches
     assert ran / sum(r.eval_count for r in results) <= 0.687
 

@@ -15,7 +15,7 @@ from itertools import accumulate
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import interp_oracle
 from conftest import BENCH, counting_compiles, load
@@ -393,6 +393,8 @@ def _oracle_holds(constraint, x):
 
 @settings(max_examples=200)
 @given(constraints())
+# holds at infinite operands, where a - b is NaN
+@example((parse_constraint("x <= y"), [math.inf, math.inf]))
 def test_compiled_constraint_matches_oracle(case):
     constraint, x = case
     expected = _run_value(
@@ -752,13 +754,14 @@ def test_objectives_sharing_code_keep_their_box_and_state_apart():
 def test_a_point_request_is_the_line_request_at_minus_zero():
     """A point request runs the line runner at t = -0.0 along zeros: the
     point is x bit for bit, and an int or bool input converts as
-    float() does; an int past the double range raises OverflowError,
-    counted on neither side."""
+    float() does, so a product of ints overflows as doubles do; an int
+    past the double range raises OverflowError, counted on neither
+    side."""
     program = parse(SIGNED)
     state = SaturationState(cfg=None, explored=frozenset(
         {(0, "F"), (1, "T"), (1, "F"), (2, "T"), (2, "F")}))
     points = [[3, True], [False, -0.0], [0, 0.5], [-0.0, 0.5], [0.0, 0.5],
-              [math.nan, 1], [-7, 10**6], [-0.0, math.inf]]
+              [math.nan, 1], [-7, 10**6], [-0.0, math.inf], [3, 10**200]]
     for cfg in (coverage_config(), path_config(((0, "T"), (1, "T"))),
                 bva_config(), plain_config()):
         compiled = CompiledProgram(program, cfg)

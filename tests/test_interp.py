@@ -8,8 +8,9 @@ from mexec.cfg import build_cfg
 from mexec.driver import SearchConfig, run_coverage
 from mexec.errors import ArityMismatch
 from mexec.interp import (
-    MAX_CALL_DEPTH, SENTINEL, CompiledProgram, bva_config,
-    conditional_counts, coverage_config, execute, path_config, plain_config,
+    BUILTIN_FUNCTIONS, MAX_CALL_DEPTH, SENTINEL, CompiledProgram, _pow,
+    bva_config, conditional_counts, coverage_config, execute, path_config,
+    plain_config,
 )
 from mexec.lang import parse
 from mexec.saturation import new_state, update_saturation
@@ -169,6 +170,22 @@ def test_power_operator_matches_pow():
     program = prepare(parse("real f(real x) { return 2 ^ x; }"))
     trace = execute(program, [10.0], plain_config(), entry="f")
     assert trace.return_value == 1024.0
+
+
+def test_an_overflowed_power_takes_the_sign_of_the_exact_one():
+    program = parse("real f(real x, real y) { return x ^ y; }")
+    for x, y, expected in ((-10.0, 309.0, -math.inf), (-10.0, 310.0, math.inf),
+                           (10.0, 309.0, math.inf)):
+        assert _pow(x, y) == expected
+        assert execute(program, [x, y], plain_config(),
+                       entry="f").return_value == expected
+
+
+def test_an_overflowed_builtin_is_infinity():
+    program = parse("real f(real x) { return exp(x); }")
+    assert BUILTIN_FUNCTIONS["exp"](1000.0) == math.inf
+    assert execute(program, [1000.0], plain_config(),
+                   entry="f").return_value == math.inf
 
 
 def test_while_loop_executes():

@@ -104,6 +104,17 @@ def test_replays_of_a_constraint_exec_one_namespace():
     assert namespaces.call_count == 1
 
 
+def test_a_sat_check_execs_one_constraint_namespace():
+    """The search's objective and the replay of its root run in the
+    namespace the constraint's code is exec'd into once per check."""
+    constraint = parse_constraint("x*y == 12 && x + y == 7")
+    with mock.patch.object(interp, "_namespace",
+                           wraps=interp._namespace) as namespaces:
+        result = check_sat(constraint, SearchConfig(seed=1, n_start=8))
+    assert result.verdict == "sat"
+    assert namespaces.call_count == 1
+
+
 def test_path_runs_on_one_program_share_one_cfg(foo):
     first = run_path(foo, "FOO", [(0, "T")], small_cfg())
     second = run_path(foo, "FOO", [(1, "F")], small_cfg(seed=4))

@@ -23,6 +23,8 @@ def test_objective_sanitizes_nan_and_inf():
     obj = Objective(lambda x: math.inf, 1)
     assert obj([0.0]) == SENTINEL
     assert obj.eval_count == 1
+    for value in (-math.inf, 1e305):
+        assert Objective(lambda x: value, 1)([0.0]) == SENTINEL
 
 
 def test_powell_on_a_plain_nan_function_returns_the_start_at_the_sentinel():
@@ -634,6 +636,17 @@ def test_metropolis_at_zero_temperature_takes_the_limit():
         metropolis_accept(1.0, 1.0, 1.0, warm)
         metropolis_accept(0.0, 5e-324, 1.0, warm)
     assert cold.random() == warm.random()
+
+
+def test_metropolis_accepts_only_a_draw_below_the_threshold():
+    """At T = 0 a higher value has threshold 0, and a draw of exactly
+    0.0 is not below it."""
+    class Zero:
+        def random(self):
+            return 0.0
+
+    assert not metropolis_accept(0.0, 1.0, 0.0, Zero())
+    assert metropolis_accept(0.0, 0.0, 0.0, Zero())
 
 
 def test_objective_point_of_another_length_is_an_arity_mismatch():

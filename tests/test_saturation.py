@@ -55,6 +55,12 @@ def test_infeasible_of_covered_branch_is_ignored():
     assert state.infeasible == frozenset()
 
 
+def test_a_branch_deemed_infeasible_again_leaves_the_state_itself():
+    # the benchmark counts a mark as a state that is not the one given
+    state = nested_state(infeasible=[(1, "F")])
+    assert add_infeasible(state, (1, "F")) is state
+
+
 def test_goal_not_reached_with_missing_branch():
     state = nested_state([(0, "T"), (0, "F"), (1, "T")])
     assert not goal_reached(state)

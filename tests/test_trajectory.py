@@ -49,7 +49,7 @@ def _summary(result):
 RUNS = [
     ('cover', 'foo_infeasible', None, 5, 40,
      {'inputs': [['483.5739785214587'], ['-1000.0']],
-      'eval_count': 1853,
+      'eval_count': 1850,
       'starts_used': 5,
       'infeasible': [(1, 'T')],
       'covered': [(0, 'F'), (0, 'T'), (1, 'F')]}),
@@ -58,7 +58,7 @@ RUNS = [
                  ['0.03989791318497282', '674.9381641929199'],
                  ['0.7174103946809964', '-1.4391448684616207e-18'],
                  ['-1.48285565627241e-09', '269.721316570377']],
-      'eval_count': 6498,
+      'eval_count': 6495,
       'starts_used': 7,
       'infeasible': [(1, 'F')],
       'covered': [(0, 'F'),
@@ -75,14 +75,14 @@ RUNS = [
       'starts_used': 1,
       'found': ['119.5447721609919', '-2.454946656957589e-21']}),
     ('path', 'foo_infeasible', ((1, 'T'),), 4, 4,
-     {'inputs': [], 'eval_count': 2873, 'starts_used': 4, 'found': None}),
+     {'inputs': [], 'eval_count': 2869, 'starts_used': 4, 'found': None}),
     ('bva', 'atan_like', None, 4, 4,
      {'inputs': [['-0.4375'], ['0.4375']],
       'eval_count': 400,
       'starts_used': 4}),
     ('bva', 'foo', None, 2, 6,
      {'inputs': [['2.0'], ['1.0'], ['-3.0']],
-      'eval_count': 4619,
+      'eval_count': 4618,
       'starts_used': 6}),
 ]
 
@@ -118,7 +118,7 @@ def test_cover_trajectory_under_a_narrow_box():
                        ['-0.8689422815203738', '0.00067493816419292'],
                        ['-0.5313380779066073', '-1.4391448684616207e-18'],
                        ['5.1946771328914565e-09', '0.000269721316570377']],
-            'eval_count': 2805,
+            'eval_count': 2802,
             'starts_used': 7,
             'infeasible': [(1, 'F')],
             'covered': [(0, 'F'), (0, 'T'), (1, 'T'), (2, 'F'), (2, 'T'),
@@ -176,7 +176,7 @@ SATS = [
      {'verdict': 'unknown',
       'model': None,
       'residual': '1.9721522630525295e-31',
-      'eval_count': 2854,
+      'eval_count': 2850,
       'starts_used': 4}),
     ('a*b - c == 1 && a + b + c == 10', 7, 8, None,
      {'verdict': 'sat',
@@ -200,7 +200,7 @@ SATS = [
      {'verdict': 'unknown',
       'model': None,
       'residual': '2.0',
-      'eval_count': 12754,
+      'eval_count': 12746,
       'starts_used': 8}),
 ]
 
