@@ -31,7 +31,7 @@ leaves r alone.  An evaluation aborts, and reports the sentinel, on a
 NaN operand of a comparison whose distance is computed, on more
 statements than the step budget, or on user calls nested deeper than
 MAX_CALL_DEPTH.  The fast flavour leaves out the step count and the
-call depth where `run_bounds` shows that neither abort can happen.
+call depth where `run_bound` shows that neither abort can happen.
 """
 
 import math
@@ -574,12 +574,11 @@ class CompiledProgram:
 
     def guarded(self):
         """Whether the fast flavour keeps its step and depth guards:
-        unless `run_bounds` shows that no run of the entry starts more
+        unless `run_bound` shows that no run of the entry starts more
         statements than the step budget or nests user calls deeper than
         MAX_CALL_DEPTH, so that neither guard can fire."""
-        bound = run_bounds(self.program)[self.entry]
-        return (bound is None or bound[0] > self.step_budget
-                or bound[1] > MAX_CALL_DEPTH)
+        bound = run_bound(self.program, self.entry)
+        return bound is None or bound[0] > self.step_budget
 
     def source(self, tracing=False):
         """The Python text of a flavour, the text its runs execute: the
@@ -738,60 +737,40 @@ def _generate_comparisons(constraint):
 # ---------------------------------------------------------------------------
 # Static queries
 
-_OPEN = object()    # a function whose callees are still being walked
+def run_bound(program, entry):
+    """(statements, call depth) that no run of `entry` exceeds, itself
+    at depth 1; None when its call tree has a while loop or nests user
+    calls deeper than MAX_CALL_DEPTH, as any recursion does.  Each
+    statement the fast flavour counts adds one, both sides of an if
+    included, and each user call its callee's count.  Found once per
+    program and entry."""
+    functions = {fn.name: fn for fn in program.functions}
+    bounds = {}     # function -> (steps, depth), reused at any depth
 
-
-def run_bounds(program):
-    """Per function name, (the most statements a run of it starts, the
-    longest chain of user calls it makes, itself at depth 1), found once
-    per program; None for a function that has a while loop, recurses, or
-    calls one that does.  A call chain of any length is walked without
-    recursion."""
-    def make():
-        functions = {fn.name: fn for fn in program.functions}
-        callees = {name: [node.name for node in walk(fn.body)
-                          if isinstance(node, Call) and node.name in functions]
-                   for name, fn in functions.items()}
-        bounds = {}
-        for root in functions:
-            stack = [root]
-            while stack:
-                name = stack[-1]
-                if name not in bounds:
-                    # an _OPEN callee is one this walk is inside of
-                    bounds[name] = _OPEN
-                    stack += [c for c in callees[name] if c not in bounds]
-                    continue
-                stack.pop()
-                if bounds[name] is _OPEN:
-                    inner = [bounds[c] for c in callees[name]]
-                    steps = None
-                    if all(b is not None and b is not _OPEN for b in inner):
-                        steps = _steps(functions[name].body, bounds)
-                    bounds[name] = None if steps is None else (steps, 1 + max(
-                        (depth for _, depth in inner), default=0))
-        return bounds
-    return memoised(program, "bounds", make)
-
-
-def _steps(stmt, bounds):
-    """The most statements a run of `stmt` starts: one per statement,
-    the callee's bound per user call in its expressions, and the larger
-    side of each if; None on a while."""
-    total = 0
-    for s in _flatten(stmt):
-        if isinstance(s, While):
+    def bound(name, above):
+        # `above`: the calls nested above this one; the walk stops at
+        # the limit, so a recursion ends there
+        if above >= MAX_CALL_DEPTH:
             return None
-        total += 1 + sum(bounds[node.name][0]
-                         for node in walk(s.cond if isinstance(s, If) else s)
-                         if isinstance(node, Call) and node.name in bounds)
-        if isinstance(s, If):
-            sides = [_steps(side, bounds) for side in (s.then, s.els)
-                     if side is not None]
-            if None in sides:
-                return None
-            total += max(sides, default=0)
-    return total
+        if name not in bounds:
+            steps, depth = 0, 1
+            for node in walk(functions[name].body):
+                if isinstance(node, While):
+                    return None
+                if isinstance(node, (Assign, ExprStmt, Return, If)):
+                    steps += 1
+                elif isinstance(node, Call) and node.name in functions:
+                    inner = bound(node.name, above + 1)
+                    if inner is None:
+                        return None
+                    steps += inner[0]
+                    depth = max(depth, 1 + inner[1])
+            bounds[name] = steps, depth
+        if above + bounds[name][1] > MAX_CALL_DEPTH:
+            return None
+        return bounds[name]
+
+    return memoised(program, ("bound", entry), lambda: bound(entry, 0))
 
 
 def conditional_counts(program):

@@ -307,14 +307,13 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
 
+    # no caller reads past the closing 'eof' token
     def peek(self, ahead=0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self):
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
     def expect(self, kind, what=None):
         tok = self.peek()

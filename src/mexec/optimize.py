@@ -259,10 +259,11 @@ def _line_minimize(f, x, direction, cfg):
         return list(new_x), f_new, decrease
     requested = f.eval_count
     g = f.along(x, direction)
-    f0 = g(0.0)
+    # x itself, not g(0.0): x + 0.0 * d would turn a -0.0 into 0.0
+    f0 = f(x)
     (lo, f_lo), (mid, f_mid), (hi, f_hi) = _bracket(
         g, 0.0, f0, 1.0, BRACKET_GROWTH, 80)
-    # the requests these values answer: the bracket's g(0) and Brent's
+    # the requests these values answer: the bracket's f(x) and Brent's
     # check g(mid), g(lo) and, unless that already fails, g(hi)
     held = 3 if f_mid > f_lo else 4
     f.eval_count += held

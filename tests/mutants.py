@@ -40,9 +40,13 @@ JOBS = 2
 # a mutant that makes a test loop for ever is killed by this timeout
 TIMEOUT_S = 600
 
+CFG = "src/mexec/cfg.py"
+CLI = "src/mexec/cli.py"
 DRIVER = "src/mexec/driver.py"
 INTERP = "src/mexec/interp.py"
+LANG = "src/mexec/lang.py"
 OPTIMIZE = "src/mexec/optimize.py"
+REPORT = "src/mexec/report.py"
 SATCHECK = "src/mexec/satcheck.py"
 SATURATION = "src/mexec/saturation.py"
 
@@ -172,7 +176,8 @@ MUTANTS = [
     ("explored ignores descendants", SATURATION,
      "if cfg.descendant.get(b, frozenset()) <= done", "if True", KILLED),
     # -- speed tricks: the runner's last point, held line-search values,
-    # the record of line searches, the return at a root, guard elision
+    # the record of line searches, the return at a root, guard elision,
+    # and the line search's start at x itself
     ("runner reuses no point", INTERP,
      "reuse = [f\"if {' and '.join(same)}:\",",
      "reuse = [f\"if False and {' and '.join(same)}:\",", KILLED),
@@ -208,18 +213,26 @@ MUTANTS = [
     ("start sampled across an overflowing width", DRIVER,
      "if hi - lo < math.inf:", "if True:", KILLED),
     ("guards always kept", INTERP,
-     "        return (bound is None or bound[0] > self.step_budget",
-     "        return True or (bound is None or bound[0] > self.step_budget",
+     "        return bound is None or bound[0] > self.step_budget",
+     "        return True", KILLED),
+    ("run bound counts no call", INTERP,
+     "                    steps += inner[0]", "                    steps += 0",
      KILLED),
-    ("run bounds count the shorter side", INTERP,
-     "total += max(sides, default=0)", "total += min(sides, default=0)",
-     KILLED),
-    ("run bounds count no call", INTERP,
-     "total += 1 + sum(bounds[node.name][0]",
-     "total += 1 + 0 * sum(bounds[node.name][0]", KILLED),
-    ("run bounds count one level short", INTERP,
-     "bounds[name] = None if steps is None else (steps, 1 + max(",
-     "bounds[name] = None if steps is None else (steps, 0 + max(", KILLED),
+    ("run bound counts no if", INTERP,
+     "isinstance(node, (Assign, ExprStmt, Return, If)):",
+     "isinstance(node, (Assign, ExprStmt, Return)):", KILLED),
+    ("run bound misses a while", INTERP,
+     "                if isinstance(node, While):\n"
+     "                    return None",
+     "                if False:\n                    return None", KILLED),
+    ("run bound checks the depth on a first visit only", INTERP,
+     "        if above + bounds[name][1] > MAX_CALL_DEPTH:",
+     "        if False:", KILLED),
+    ("run bound walks a recursion without end", INTERP,
+     "        if above >= MAX_CALL_DEPTH:\n            return None",
+     "        if False:\n            return None", KILLED),
+    ("line search starts from g(0)", OPTIMIZE,
+     "    f0 = f(x)\n", "    f0 = g(0.0)\n", KILLED),
     # -- the distance templates of the generated code
     ("== distance not squared", INTERP,
      '"==": "(({a} - {b}) * ({a} - {b}))",',
@@ -247,6 +260,55 @@ MUTANTS = [
     ("snap skips the per-input grid", DRIVER,
      "    for i in range(len(x)):\n        for nd in range(9):",
      "    for i in range(0):\n        for nd in range(9):", KILLED),
+    # -- the front end: lexer, parser and gate
+    ("unary plus negates", LANG,
+     '            if tok.kind == "+":\n                return operand',
+     "            if False:\n                return operand", KILLED),
+    ("a nested body shares its scope", LANG,
+     "self.stmt(body, set(scope), depth + 1, loops + loop)",
+     "self.stmt(body, scope, depth + 1, loops + loop)", KILLED),
+    ("a call through a star", LANG,
+     'if nxt.kind == "(" and isinstance(target, Var):',
+     'if nxt.kind == "(":', KILLED),
+    ("hex prefix known in lower case only", LANG,
+     "_BAD.get(text.lower(), ", "_BAD.get(text, ", KILLED),
+    ("hex literal past the double range raises", LANG,
+     "        except OverflowError:\n            return math.inf",
+     "        except ZeroDivisionError:\n            return math.inf",
+     KILLED),
+    ("a name need not be a str", LANG,
+     "return (isinstance(text, str) and _NAME.fullmatch(text)",
+     "return (_NAME.fullmatch(text)", KILLED),
+    # -- the descendant relation
+    ("CFG of an unknown entry", CFG,
+     "    if program.function(entry) is None:\n        raise UnknownFunction",
+     "    if False:\n        raise UnknownFunction", KILLED),
+    ("CFG follows a recursive call", CFG,
+     "                and expr.name not in open_):", "):", KILLED),
+    ("CFG gives an unlabeled conditional branches", CFG,
+     "        if cond.label is None:\n            return reached",
+     "        if False:\n            return reached", KILLED),
+    ("CFG lets a RecursionError out", CFG,
+     "    except RecursionError:\n        raise MexecError",
+     "    except ZeroDivisionError:\n        raise MexecError", KILLED),
+    # -- the report and the command line
+    ("from_json reads a non-object", REPORT,
+     "if (not isinstance(payload, dict) or payload.pop(",
+     "if (payload.pop(", KILLED),
+    ("from_json reads unknown keys", REPORT,
+     "            or payload.keys() - {f.name for f in fields(CoverageReport)}):",
+     "            ):", KILLED),
+    ("percentage of nothing divides by 0", REPORT,
+     "return 100.0 * num / den if den else 0.0", "return 100.0 * num / den",
+     KILLED),
+    ("a bad flag exits through argparse", CLI,
+     "    def error(self, message):\n        raise MexecError(message)",
+     "    def error(self, message):\n        super().error(message)", KILLED),
+    ("a box of non-numbers raises ValueError", CLI,
+     "    except ValueError:\n        raise MexecError(f\"bad box",
+     "    except TypeError:\n        raise MexecError(f\"bad box", KILLED),
+    ("branch ids read in upper case only", CLI,
+     "item = item.strip().upper()", "item = item.strip()", KILLED),
 ]
 
 

@@ -67,6 +67,30 @@ def test_parse_error_exits_two(capsys, tmp_path):
 def test_bad_box_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "cover", FOO, "--box", "oops")
     assert code == 1
+    code, _, err = run_cli(capsys, "cover", FOO, "--box", "a:b")
+    assert (code, err) == (1, "mexec: bad box 'a:b', expected numbers\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", FOO, "--no-such-flag"], ["cover", FOO, "--seed", "one"],
+    ["lint", FOO],
+])
+def test_a_bad_flag_is_a_usage_error_not_an_argparse_exit(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("mexec: ")
+
+
+def test_path_branch_ids_read_in_either_case(capsys):
+    found = []
+    for target in ("0T,1F", "0t, 1f"):
+        code, out, err = run_cli(capsys, "path", FOO, "--entry", "FOO",
+                                 "--path", target, "--seed", "1",
+                                 "--n-start", "20")
+        assert code == 0, err
+        found.append(out.splitlines()[0])
+    assert found[0].startswith("found: ")
+    assert found[0] == found[1]
 
 
 def test_path_mode_prints_found_input(capsys):
@@ -209,6 +233,16 @@ def test_a_cover_report_counts_the_branches_its_traces_cover(name):
     result = run_coverage(program, entry, SearchConfig(seed=4, n_start=10))
     report = coverage_report(result, program, entry)
     assert report.covered_branches == len(result.state.covered)
+
+
+def test_a_report_of_a_program_without_labels_reads_zero_percent():
+    program = parse("void f(real x) { }")
+    report = coverage_report(
+        run_coverage(program, "f", SearchConfig(seed=1, n_start=2)),
+        program, "f")
+    assert (report.line_pct, report.condition_pct, report.branch_pct,
+            report.call_pct) == (0.0, 0.0, 0.0, None)
+    assert (report.total_lines, report.total_branches) == (0, 0)
 
 
 def test_from_json_rejects_what_is_not_a_report_with_value_error():

@@ -25,7 +25,7 @@ from mexec.driver import SearchConfig, run_coverage, run_path
 from mexec.errors import InvalidBox, MexecError, NaNOperand
 from mexec.interp import (
     MAX_CALL_DEPTH, CompiledProgram, bva_config, coverage_config, execute,
-    path_config, plain_config, run_bounds,
+    path_config, plain_config, run_bound,
 )
 from mexec.lang import BUILTIN_ARITY, Program, parse
 from mexec.optimize import SENTINEL, Objective, clamp
@@ -241,14 +241,6 @@ def assert_engines_agree(compiled, x, state):
     return expected[-1]
 
 
-@settings(max_examples=200)
-@given(cases())
-def test_compiled_engine_matches_oracle_on_random_programs(case):
-    program, x, budget, cfg, state = case
-    assert_engines_agree(CompiledProgram(program, cfg, None, budget), x,
-                         state)
-
-
 # -- the static bounds that let the fast flavour drop its guards
 
 @settings(max_examples=200)
@@ -259,7 +251,7 @@ def test_the_step_bound_holds_and_the_guards_it_drops_are_dead(case):
     flavour leaves out its guards, one below it keeps them, and at both
     the flavours agree with the oracle."""
     program, x, _budget, cfg, state = case
-    steps, depth = run_bounds(program)[program.functions[-1].name]
+    steps, depth = run_bound(program, program.functions[-1].name)
     assert depth <= len(program.functions)
     trace = CompiledProgram(program, cfg, None, steps + 1).trace(x, state)
     assert trace.steps <= steps
@@ -272,9 +264,7 @@ def test_the_step_bound_holds_and_the_guards_it_drops_are_dead(case):
 
 
 def _chain(length):
-    """A program whose function c<length> nests `length` user calls,
-    defined from the outermost in, so that its bound walks the whole
-    chain at once."""
+    """A program whose function c<length> nests `length` user calls."""
     return parse("\n".join(
         [f"real c{i}(real x) {{ return c{i - 1}(x) + 1; }}"
          for i in range(length, 1, -1)]
@@ -285,14 +275,15 @@ def test_the_bounds_keep_the_guards_past_the_depth_or_on_a_loop():
     for length in (MAX_CALL_DEPTH, MAX_CALL_DEPTH + 1):
         program = _chain(length)
         entry = f"c{length}"
-        assert run_bounds(program)[entry] == (length, length)
+        assert run_bound(program, entry) == (
+            (length, length) if length == MAX_CALL_DEPTH else None)
         compiled = CompiledProgram(program, plain_config(), entry)
         assert compiled.guarded() is (length > MAX_CALL_DEPTH)
         aborted = assert_engines_agree(compiled, [1.0], None)
         assert aborted == (None if length == MAX_CALL_DEPTH
                            else "recursion depth")
-    # a chain far deeper than Python's recursion limit is walked
-    assert run_bounds(_chain(5_000))["c5000"] == (5_000, 5_000)
+    # the walk stops at the depth limit, far short of Python's own
+    assert run_bound(_chain(5_000), "c5000") is None
     program = parse("""
         real down(real x) { return up(x - 1); }
         real up(real x) { if (x > 0) { return down(x); } return x; }
@@ -301,8 +292,42 @@ def test_the_bounds_keep_the_guards_past_the_depth_or_on_a_loop():
         real lone(real x) { real y = x; if (x > 1) { y = y * 2; y++; }
                             else { y = 0; } return y; }
     """)
-    assert run_bounds(program) == {"down": None, "up": None, "spin": None,
-                                   "calls_spin": None, "lone": (5, 1)}
+    assert {fn.name: run_bound(program, fn.name)
+            for fn in program.functions} == {
+        "down": None, "up": None, "spin": None, "calls_spin": None,
+        "lone": (6, 1)}
+
+
+def test_the_bound_checks_a_callee_again_at_each_depth():
+    """A callee first reached near the entry and again at the end of a
+    long chain counts against the depth limit where it is deepest."""
+    chain = "\n".join(
+        f"real c{i}(real x) {{ return c{i - 1}(x) + 1; }}"
+        for i in range(2, MAX_CALL_DEPTH - 1))
+    program = parse(f"""
+        real leaf(real x) {{ return x; }}
+        real mid(real x) {{ return leaf(x); }}
+        real c1(real x) {{ return mid(x); }}
+        {chain}
+        real top(real x) {{ return mid(x) + c{MAX_CALL_DEPTH - 2}(x); }}
+    """)
+    # top, then c98 down to c1, then mid and leaf: 101 deep
+    assert run_bound(program, "top") is None
+    compiled = CompiledProgram(program, plain_config(), "top")
+    assert compiled.guarded()
+    assert assert_engines_agree(compiled, [1.0], None) == "recursion depth"
+    assert run_bound(program, f"c{MAX_CALL_DEPTH - 2}") == (
+        MAX_CALL_DEPTH, MAX_CALL_DEPTH)
+
+
+# -- random programs, guarded or not
+
+@settings(max_examples=200)
+@given(cases())
+def test_compiled_engine_matches_oracle_on_random_programs(case):
+    program, x, budget, cfg, state = case
+    assert_engines_agree(CompiledProgram(program, cfg, None, budget), x,
+                         state)
 
 
 # -- the shipped programs

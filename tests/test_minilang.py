@@ -161,6 +161,35 @@ def test_real_cast_is_dropped_by_the_parser():
     assert cast == plain
 
 
+def test_unary_plus_is_dropped_by_the_parser():
+    assert (parse("real f(real x) { return +x * +(2 - +x); }")
+            == parse("real f(real x) { return x * (2 - x); }"))
+
+
+@pytest.mark.parametrize("block", [
+    "if (x > 0) { real y = 1; }",
+    "if (x > 0) { x = 1; } else { real y = 2; }",
+    "while (x > 0) { real y = x; x = x - 1; }",
+])
+def test_a_name_first_assigned_in_a_nested_body_is_undeclared_after_it(
+        block):
+    with pytest.raises(UndeclaredIdentifier, match="'y'"):
+        parse(f"real f(real x) {{ {block} return y; }}")
+
+
+@pytest.mark.parametrize("callee", ["f", "sin"])
+def test_a_call_through_a_star_is_a_parse_error(callee):
+    with pytest.raises(ParseError, match="expected assignment or call"):
+        parse("real f(real x) { return x; } "
+              f"real g(real *p) {{ *{callee}(1); return 0; }}")
+
+
+@pytest.mark.parametrize("prefix", ["0x", "0X"])
+def test_a_hex_prefix_without_digits_is_a_malformed_literal(prefix):
+    with pytest.raises(ParseError, match="malformed hex literal"):
+        parse(f"real f(real x) {{ return {prefix}; }}")
+
+
 def test_declarations_and_increments_are_parsed_as_assignments():
     def run(body, x=5.0):
         program = parse(f"real f(real* p, real x) {{ {body} }}")

@@ -168,12 +168,12 @@ def test_brent_with_values_raises_the_same_invalid_bracket():
 
 def _line_minimize_of_every_request(f, x, direction, cfg, growth):
     """The line search that asks again for every value it needs: f at
-    t = 0, then the bracketing from f at t = 0 again and Brent's own
-    bracket check."""
+    x, then the bracketing from f at x again and Brent's own bracket
+    check."""
     def g(t):
         return f([xi + t * di for xi, di in zip(x, direction)])
-    f0 = g(0.0)
-    (lo, _), (mid, _), (hi, _) = _bracket(g, 0.0, g(0.0), 1.0, growth, 80)
+    f0 = f(x)
+    (lo, _), (mid, _), (hi, _) = _bracket(g, 0.0, f(x), 1.0, growth, 80)
     try:
         t, ft = brent_line_min(g, (lo, mid, hi), cfg.xtol)
     except InvalidBracket:
@@ -210,7 +210,7 @@ def test_line_search_counts_every_request_and_runs_only_new_ones(
                 assert (objective.run_count == len(calls)
                         < objective.eval_count)
                 answered.add(objective.reuse_count)
-    # the requests answered from the values held: the bracket's g(0)
+    # the requests answered from the values held: the bracket's f(x)
     # and Brent's check of the bracket, which a positive growth keeps
     # ordered: 3 requests, or 2 when g(mid) > g(lo) already fails it (a
     # falling line on a negative direction stops at the expansion limit
@@ -296,6 +296,21 @@ def test_a_signed_function_is_not_stopped_at_0():
     marked = Objective(_signed_cube, 1, nonnegative=True)
     assert powell_minimize(marked, [0.0]) == ([0.0], 0.0)
     assert marked.eval_count == 1
+
+
+def _zero_on_the_plus_side(x):
+    return 0.0 if math.copysign(1.0, x[0]) > 0 else 1.0
+
+
+def test_a_line_search_from_minus_zero_returns_the_value_of_its_point():
+    """A line search starts from f at x itself: x + 0.0 * d would turn
+    the start's -0.0 into 0.0, whose value it would then return with
+    the unmoved -0.0."""
+    objective = Objective(_zero_on_the_plus_side, 1, nonnegative=True)
+    x, fx = powell_minimize(objective, [-0.0])
+    assert repr(fx) == repr(_zero_on_the_plus_side(x)) == "0.0"
+    assert math.copysign(1.0, x[0]) == 1.0
+    assert (objective.eval_count, objective.run_count) == (44, 40)
 
 
 def test_basinhopping_on_a_plain_function_keeps_the_rule_off():
