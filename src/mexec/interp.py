@@ -13,7 +13,10 @@ One generator emits two flavours of the same program:
   t = -0.0 along zeros), counts one evaluation, clamps the point into
   the objective's box, runs the entry and maps a non-finite or
   above-sentinel r to the sentinel; at the last clamped point it ran it
-  returns the value kept;
+  returns the value kept.  Beside it `_bind` emits the objective's line
+  search, the bracketing and Brent of optimize with that evaluation
+  inlined at their two sites, so a line search runs in generated code
+  too;
 * the tracing flavour also records coverage facts (lines, conditionals,
   call sites, the branch path, steps) in an ExecutionTrace, whose
   covered branches are the set of its path; `execute`, admission
@@ -50,7 +53,7 @@ from .lang import (
     Assign, Binary, Block, Call, Deref, ExprStmt, If, Num, Return, Unary,
     Var, While, memoised, walk,
 )
-from .optimize import SENTINEL, Objective
+from .optimize import _CGOLD, _TINY, SENTINEL, Objective
 # unused: bound only because the benchmark tracer patches `interp.pen`
 from .saturation import pen  # noqa: F401
 
@@ -214,6 +217,95 @@ def _distance(op, update):
 # two sides: keep r (both), reset it to 0 (neither), or take the
 # distance toward the unsaturated side
 _KEEP, _RESET, _TOWARD_T, _TOWARD_F = range(4)
+
+
+# The body of the generated `_search(x, d, f0, xtol, growth)`, after x
+# and d are read into `_x0, _d0, ...`: optimize's line search from f0,
+# the value at x, as `Objective._python_search` runs it, in the names
+# of `_bracket` and `brent_line_min`, with the evaluation at c and at u
+# inlined at {at_c} and {at_u}.  First the bracketing `_bracket(g, 0.0,
+# f0, 1.0, growth, 80)`, its first step and its expansions in one loop;
+# then `brent_line_min(g, bracket, xtol, 100, values)` on the values
+# held, where an InvalidBracket, that of a runaway bracketing, gives
+# (0.0, f0) and no iteration.  It returns (t, value at t, whether the
+# bracket's mid is above its lo).
+_SEARCH = """\
+ne = nr = 0
+a, fa, c, k = 0.0, f0, 1.0, -1
+while True:
+{at_c}
+    if k < 0:
+        if fc > fa:
+            a, fa, b, fb = c, fc, a, fa
+        else:
+            b, fb = c, fc
+    elif fc < fb and k < 80:
+        a, fa, b, fb = b, fb, c, fc
+    else:
+        break
+    k += 1
+    c = b + growth * (b - a)
+if a < c:
+    lo, flo, hi, fhi = a, fa, c, fc
+else:
+    lo, flo, hi, fhi = c, fc, a, fa
+above = fb > flo
+x = w = v = b
+fx = fw = fv = fb
+rounds = 100
+if not (lo <= b <= hi) or not (lo < hi) or above or fb > fhi:
+    x, fx, rounds = 0.0, f0, 0
+a, b = lo, hi
+d = e = 0.0
+for _ in range(rounds):
+    xm = 0.5 * (a + b)
+    tol1 = xtol * abs(x) + {tiny!r}
+    tol2 = 2.0 * tol1
+    if abs(x - xm) <= tol2 - 0.5 * (b - a):
+        break
+    golden = True
+    if abs(e) > tol1:
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        if q > 0.0:
+            p = -p
+        q = abs(q)
+        e_prev = e
+        e = d
+        if (abs(p) < abs(0.5 * q * e_prev) and p > q * (a - x)
+                and p < q * (b - x)):
+            d = p / q
+            u = x + d
+            if u - a < tol2 or b - u < tol2:
+                d = _cs(tol1, xm - x)
+            golden = False
+    if golden:
+        e = (b - x) if x < xm else (a - x)
+        d = {cgold!r} * e
+    u = x + d if abs(d) >= tol1 else x + _cs(tol1, d)
+{at_u}
+    if fu <= fx:
+        if u >= x:
+            a = x
+        else:
+            b = x
+        v, w, x = w, x, u
+        fv, fw, fx = fw, fx, fu
+    else:
+        if u < x:
+            a = u
+        else:
+            b = u
+        if fu <= fw or w == x:
+            v, w = w, u
+            fv, fw = fw, fu
+        elif fu <= fv or v == x or v == w:
+            v, fv = u, fu
+_obj.eval_count += ne
+_obj.reuse_count += nr
+return x, fx, above"""
 
 
 def _flatten(stmt):
@@ -433,53 +525,88 @@ class _Source:
         self.emit(f"def {signature}:")
         self.suite(lines)
 
-    def runner(self, params, core):
+    def runner(self, params, core, shared=()):
         """Emit `_bind(_obj, _s, _lo0, _hi0, _lo1, ...)`, which returns
         the line runner `_line(x, d, t)` of the objective `_obj` for a
-        representing function of the inputs `params`, local names;
-        `core` computes `_r` from them and returns the sentinel on an
-        abort.  The runner builds the point x[i] + t * d[i], counts one
-        evaluation on `_obj`, clamps each input into its (lo, hi) as
-        min(max(v, lo), hi) does, NaN and signed zeros included, and
-        maps a non-finite or above-sentinel `_r` to the sentinel.  The
-        saturation table `_s` and the bounds are the runner's own.
+        representing function of the inputs `params`, local names, and
+        its line search `_search(x, d, f0, xtol, growth)`, None when
+        there are no inputs.  `core` computes `_r` from the inputs,
+        assigning the module globals `shared`, and raises one of
+        `_ABORTS` on an abort.
 
-        The runner keeps the last clamped point `_m0, _m1, ...` it ran
-        to a normal return, and its value `_mr`.  A request at exactly
-        that point, each input equal and of the same sign if zero,
-        returns `_mr` and counts a reuse on `_obj` instead of running
-        the entry again; a NaN input never matches.
+        One evaluation builds the point x[i] + t * d[i], counts one
+        evaluation on `_obj`, clamps each input into its (lo, hi) as
+        min(max(v, lo), hi) does, NaN and signed zeros included, runs
+        `core`, and maps an abort, or a non-finite or above-sentinel
+        `_r`, to the sentinel.  The saturation table `_s` and the bounds
+        are the runner's own.  It keeps the last clamped point `_m0,
+        _m1, ...` it ran to a normal return, and its value `_mr`.  A
+        request at exactly that point, each input equal and of the same
+        sign if zero, gets `_mr` and counts a reuse on `_obj` instead of
+        running the entry again; a NaN input never matches.
+
+        `_line` runs one evaluation.  `_search` runs optimize's line
+        search from f0, the value at x (see `_SEARCH`), with one
+        evaluation inlined in the bracketing and one in Brent; it reads
+        x and d once, shares the runner's last point and adds its counts
+        to `_obj` as it returns.
         """
         n = len(params)
+        last = [f"_m{i}" for i in range(n)]
         clamp = [line for i, v in enumerate(params)
                  for line in (f"if {v} < _lo{i}: {v} = _lo{i}",
                               f"if {v} > _hi{i}: {v} = _hi{i}")]
-        sanitise = [f"if {-sys.float_info.max!r} <= _r <= {SENTINEL!r}:",
-                    "    _mr = _r",
-                    "else:",
-                    "    _mr = _SENTINEL",
-                    "return _mr"]
+        same = ([f"{v} == {m}" for v, m in zip(params, last)]
+                + [f"({v} or _cs(1.0, {v}) == _cs(1.0, {m}))"
+                   for v, m in zip(params, last)])
+        kept = [f"{', '.join(last)} = {', '.join(params)}"] if n else []
+
+        def evaluation(x, d, t, evals, reuses, done):
+            """Lines of one evaluation at x + t*d, the coordinates of x
+            and d read as `x.format(i)` and `d.format(i)`, counted on
+            `evals` and `reuses`; they end in `done` formatted with the
+            value."""
+            ran = (["try:"] + ["    " + s for s in core]
+                   + ["except _ABORTS:",
+                      "    " + done.format("_SENTINEL"),
+                      "else:"]
+                   + ["    " + s for s in kept + [
+                       f"if {-sys.float_info.max!r} <= _r <= {SENTINEL!r}:",
+                       "    _mr = _r",
+                       "else:",
+                       "    _mr = _SENTINEL",
+                       done.format("_mr")]])
+            point = ([f"{v} = {x.format(i)} + {t} * {d.format(i)}"
+                      for i, v in enumerate(params)]
+                     + [f"{evals} += 1"] + clamp)
+            if not n:
+                return point + ran
+            reuse = [f"if {' and '.join(same)}:",
+                     f"    {reuses} += 1",
+                     "    " + done.format("_mr"),
+                     "else:"]
+            return point + reuse + ["    " + s for s in ran]
+
+        head = [f"global {', '.join(shared)}"] if shared else []
         bounds = "".join(f", _lo{i}, _hi{i}" for i in range(n))
         self.emit(f"def _bind(_obj, _s{bounds}):")
         self.indent += 1
-        head, reuse = [], []
         if n:
-            last = [f"_m{i}" for i in range(n)]
             self.emit(f"_mr = {' = '.join(last)} = _float('nan')")
-            head.append(f"nonlocal {', '.join(last)}, _mr")
-            same = ([f"{v} == {m}" for v, m in zip(params, last)]
-                    + [f"({v} or _cs(1.0, {v}) == _cs(1.0, {m}))"
-                       for v, m in zip(params, last)])
-            reuse = [f"if {' and '.join(same)}:",
-                     "    _obj.reuse_count += 1",
-                     "    return _mr"]
-            sanitise.insert(0, f"{', '.join(last)} = {', '.join(params)}")
+            head.insert(0, f"nonlocal {', '.join(last)}, _mr")
         self.define("_line(x, d, t)",
-                    head + [f"{v} = x[{i}] + t * d[{i}]"
-                            for i, v in enumerate(params)]
-                    + ["_obj.eval_count += 1"] + clamp + reuse + core
-                    + sanitise)
-        self.emit("return _line")
+                    head + evaluation("x[{}]", "d[{}]", "t",
+                                      "_obj.eval_count", "_obj.reuse_count",
+                                      "return {}"))
+        if n:
+            at_c, at_u = ("\n".join("    " + s for s in evaluation(
+                "_x{}", "_d{}", t, "ne", "nr", f"f{t} = {{}}"))
+                for t in "cu")
+            self.define("_search(x, d, f0, xtol, growth)", head + [
+                f"_x{i}, _d{i} = x[{i}], d[{i}]" for i in range(n)]
+                + _SEARCH.format(at_c=at_c, at_u=at_u, cgold=_CGOLD,
+                                 tiny=_TINY).splitlines())
+        self.emit(f"return _line, {'_search' if n else 'None'}")
         self.indent -= 1
 
 
@@ -510,9 +637,10 @@ class RepresentingFunction:
     """A compiled representing function of the input vector.
 
     `runner(objective)` gives the generated line runner of an
-    optimize.Objective: it clamps into `objective.box`, counts on
-    `objective` and sanitises.  Called on a point, it gives the value of
-    one Objective without a box, bound on the first call.
+    optimize.Objective, which clamps into `objective.box`, counts on
+    `objective` and sanitises, and its generated line search (None
+    without inputs).  Called on a point, it gives the value of one
+    Objective without a box, bound on the first call.
     """
 
     def __init__(self, ns, arity, table=None):
@@ -604,26 +732,20 @@ class CompiledProgram:
         if tracing:
             return gen.compiled(f"{mode} tracing")
         params = [f"v{i}" for i in range(self.arity)]
-        gen.runner(params, self._core(params, guards))
-        return gen.compiled(f"{self.entry} {mode} fast")
-
-    def _core(self, params, guards):
-        """Lines running the entry on `params` from a fresh `_r`, step
-        count (with `guards`), path cursor and saturation table."""
-        fresh = {"_r": repr(_R0[self.cfg.mode])}
+        fresh = {"_r": repr(_R0[mode])}
         if guards:
             fresh["_n"] = "0"
-        if self.cfg.mode == PATH:
+        if mode == PATH:
             fresh["_c"] = "0"
-        if self.cfg.mode == COVERAGE:
+        if mode == COVERAGE:
             fresh["_sat"] = "_s"
+        # the entry on `params` from a fresh `_r`, step count (with
+        # guards), path cursor and saturation table, all globals
         args = (["1"] if guards else []) + params
-        return ([f"global {', '.join(fresh)}"]
-                + [f"{name} = {value}" for name, value in fresh.items()]
-                + ["try:",
-                   f"    f_{self.entry}({', '.join(args)})",
-                   "except _ABORTS:",
-                   "    return _SENTINEL"])
+        gen.runner(params,
+                   [f"{name} = {value}" for name, value in fresh.items()]
+                   + [f"f_{self.entry}({', '.join(args)})"], fresh)
+        return gen.compiled(f"{self.entry} {mode} fast")
 
     def _table(self, sat_state):
         """In coverage mode, what the penalty does at each label under
@@ -715,13 +837,10 @@ def compile_comparisons(constraint, epsilon=1e-6):
 def _generate_comparisons(constraint):
     comparisons, names = constraint.conjuncts, constraint.variables
     gen = _Source()
-    core = ["_r = 0.0", "try:"]
+    core = ["_r = 0.0"]
     for cmp in comparisons:
-        core += [f"    _a = {gen.expr(cmp.lhs)}",
-                 f"    _b = {gen.expr(cmp.rhs)}"]
-        core += ["    " + line
-                 for line in _distance(cmp.op, "_r = _r + {}")]
-    core += ["    pass", "except _ABORTS:", "    return _SENTINEL"]
+        core += [f"_a = {gen.expr(cmp.lhs)}", f"_b = {gen.expr(cmp.rhs)}"]
+        core += _distance(cmp.op, "_r = _r + {}")
     params = [f"v_{name}" for name in names]
     gen.runner(params, core)
     # unparenthesized, so that a comparison adds no nesting level beyond

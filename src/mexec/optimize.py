@@ -12,13 +12,17 @@ line at t = -0.0 along zeros.
 
 A line search asks for no value it already holds: the bracket starts
 from the value at t = 0, and Brent checks the bracket with the values
-the bracketing found.  Nor does it run again: an Objective records each
-line search it has run, keyed by the exact bits of the point, the
-direction and xtol, and answers a repeat, such as the same failed search
-Powell asks again in its next round, from that record.  The Objective
-still counts each request those answers stand for in `eval_count`, as
-an evaluation reused, so the count and the search path are those of a
-search that evaluates every request.
+the bracketing found.  `_bracket` and `brent_line_min` run it for a
+plain function and are the specification: an Objective of a compiled
+function runs the copy that interp generates next to its runner, which
+inlines the evaluation and gives the same results and counts.  Nor does
+a line search run again: an Objective records each line search it has
+run, keyed by the exact bits of the point, the direction and xtol, and
+answers a repeat, such as the same failed search Powell asks again in
+its next round, from that record.  The Objective still counts each
+request those answers stand for in `eval_count`, as an evaluation
+reused, so the count and the search path are those of a search that
+evaluates every request.
 
 Powell and basinhopping wrap a plain function once, in an Objective
 without a box.  They return at a root: on an Objective marked
@@ -57,7 +61,9 @@ class Objective:
     `arity` raises ArityMismatch, a box of another length InvalidBox.
     If `fn` has a `runner(objective)` method, as interp's compiled
     representing functions do, the generated runner it returns does all
-    of this in one call; otherwise each evaluation calls `fn`.
+    of this in one call, and the generated line search it returns, None
+    without inputs, runs each line search; otherwise each evaluation
+    calls `fn`, and line searches run `_python_search`.
 
     `eval_count` counts the evaluations the search requests, and
     `reuse_count` those of them answered with a value already held:
@@ -84,7 +90,9 @@ class Objective:
         self.searches = {}
         self._zeros = (0.0,) * arity
         runner = getattr(fn, "runner", None)
-        self._line = self._evaluate if runner is None else runner(self)
+        line, search = (None, None) if runner is None else runner(self)
+        self._line = line or self._evaluate
+        self._search = search or self._python_search
 
     def __call__(self, x):
         if len(x) != self.arity:
@@ -111,6 +119,23 @@ class Objective:
         if math.isnan(value) or math.isinf(value) or value > SENTINEL:
             return SENTINEL
         return value
+
+    def _python_search(self, x, direction, f0, xtol, growth):
+        """The line search along x + t*direction from f0, the value at x:
+        `_bracket` and then `brent_line_min` on the values it found.
+        Returns (t, value at t, whether the bracket's mid is above its
+        lo); a runaway bracketing, which Brent rejects, gives (0.0, f0).
+        This is the specification of the generated search."""
+        g = self.along(x, direction)
+        (lo, f_lo), (mid, f_mid), (hi, f_hi) = _bracket(
+            g, 0.0, f0, 1.0, growth, 80)
+        try:
+            t, ft = brent_line_min(g, (lo, mid, hi), xtol,
+                                   values=(f_lo, f_mid, f_hi))
+        except InvalidBracket:
+            # runaway bracketing (objective decreasing off to huge magnitudes)
+            t, ft = 0.0, f0
+        return t, ft, f_mid > f_lo
 
 
 @dataclass(frozen=True)
@@ -258,22 +283,15 @@ def _line_minimize(f, x, direction, cfg):
         f.reuse_count += requests
         return list(new_x), f_new, decrease
     requested = f.eval_count
-    g = f.along(x, direction)
-    # x itself, not g(0.0): x + 0.0 * d would turn a -0.0 into 0.0
+    # x itself, not x + 0.0 * d: that would turn a -0.0 into 0.0
     f0 = f(x)
-    (lo, f_lo), (mid, f_mid), (hi, f_hi) = _bracket(
-        g, 0.0, f0, 1.0, BRACKET_GROWTH, 80)
+    t, ft, mid_above_lo = f._search(x, direction, f0, cfg.xtol,
+                                    BRACKET_GROWTH)
     # the requests these values answer: the bracket's f(x) and Brent's
     # check g(mid), g(lo) and, unless that already fails, g(hi)
-    held = 3 if f_mid > f_lo else 4
+    held = 3 if mid_above_lo else 4
     f.eval_count += held
     f.reuse_count += held
-    try:
-        t, ft = brent_line_min(g, (lo, mid, hi), cfg.xtol,
-                               values=(f_lo, f_mid, f_hi))
-    except InvalidBracket:
-        # runaway bracketing (objective decreasing off to huge magnitudes)
-        t, ft = 0.0, f0
     if ft >= f0:
         new_x, ft = tuple(x), f0
     else:

@@ -65,17 +65,14 @@ MUTANTS = [
      'self.emit(f"if _dp >= {MAX_CALL_DEPTH}: raise _CallDepthExceeded")',
      KILLED),
     ("runner abort reports 0", INTERP,
-     '"except _ABORTS:",\n                   "    return _SENTINEL"])',
-     '"except _ABORTS:",\n                   "    return 0.0"])', KILLED),
-    ("constraint abort reports 0", INTERP,
-     'core += ["    pass", "except _ABORTS:", "    return _SENTINEL"]',
-     'core += ["    pass", "except _ABORTS:", "    return 0.0"]', KILLED),
+     '"    " + done.format("_SENTINEL"),', '"    " + done.format("0.0"),',
+     KILLED),
     ("runner keeps any value", INTERP,
-     'sanitise = [f"if {-sys.float_info.max!r} <= _r <= {SENTINEL!r}:",',
-     'sanitise = ["if True:",', KILLED),
+     'f"if {-sys.float_info.max!r} <= _r <= {SENTINEL!r}:",',
+     '"if True:",', KILLED),
     ("runner keeps values above the sentinel", INTERP,
-     'sanitise = [f"if {-sys.float_info.max!r} <= _r <= {SENTINEL!r}:",',
-     'sanitise = [f"if {-sys.float_info.max!r} <= _r:",', KILLED),
+     'f"if {-sys.float_info.max!r} <= _r <= {SENTINEL!r}:",',
+     'f"if {-sys.float_info.max!r} <= _r:",', KILLED),
     ("generic objective keeps NaN", OPTIMIZE,
      "if math.isnan(value) or math.isinf(value) or value > SENTINEL:",
      "if math.isinf(value) or value > SENTINEL:", KILLED),
@@ -184,7 +181,7 @@ MUTANTS = [
     ("runner reuse ignores the sign of zero", INTERP,
      'f"({v} or _cs(1.0, {v}) == _cs(1.0, {m}))"', '"True"', KILLED),
     ("line search counts every held value", OPTIMIZE,
-     "held = 3 if f_mid > f_lo else 4", "held = 4", KILLED),
+     "held = 3 if mid_above_lo else 4", "held = 4", KILLED),
     ("Brent evaluates its bracket again", OPTIMIZE,
      "values=(f_lo, f_mid, f_hi))", "values=None)", KILLED),
     ("line searches are not recorded", OPTIMIZE,
@@ -232,7 +229,26 @@ MUTANTS = [
      "        if above >= MAX_CALL_DEPTH:\n            return None",
      "        if False:\n            return None", KILLED),
     ("line search starts from g(0)", OPTIMIZE,
-     "    f0 = f(x)\n", "    f0 = g(0.0)\n", KILLED),
+     "    f0 = f(x)\n", "    f0 = f.along(x, direction)(0.0)\n", KILLED),
+    # -- the generated line search: its bracketing, its Brent and its
+    # two inlined evaluations
+    ("generated search counts every held value", INTERP,
+     "above = fb > flo", "above = False", KILLED),
+    ("generated bracket expands once more", INTERP,
+     "elif fc < fb and k < 80:", "elif fc < fb and k < 81:", KILLED),
+    ("generated bracket grows by 3", INTERP,
+     "c = b + growth * (b - a)", "c = b + 3.0 * (b - a)", KILLED),
+    ("generated Brent runs on an invalid bracket", INTERP,
+     "if not (lo <= b <= hi) or not (lo < hi) or above or fb > fhi:",
+     "if False:", KILLED),
+    ("generated search adds no counts", INTERP,
+     "_obj.eval_count += ne\n_obj.reuse_count += nr\n", "", KILLED),
+    ("generated Brent keeps no last point", INTERP,
+     '["    " + s for s in kept + [',
+     '["    " + s for s in (kept if t != "u" else []) + [', KILLED),
+    ("generated search reads x at the wrong index", INTERP,
+     'f"_x{i}, _d{i} = x[{i}], d[{i}]"',
+     'f"_x{i}, _d{i} = x[{i - 1}], d[{i}]"', KILLED),
     # -- the distance templates of the generated code
     ("== distance not squared", INTERP,
      '"==": "(({a} - {b}) * ({a} - {b}))",',

@@ -10,6 +10,7 @@ kept on its program must give what a fresh compile gives.
 
 import math
 import random
+import struct
 import sys
 from itertools import accumulate
 from unittest import mock
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import interp_oracle
 from conftest import BENCH, counting_compiles, load
+from mexec import optimize
 from mexec.cfg import build_cfg
 from mexec.distance import branch_distance, compare
 from mexec.driver import SearchConfig, run_coverage, run_path
@@ -28,7 +30,10 @@ from mexec.interp import (
     path_config, plain_config, run_bound,
 )
 from mexec.lang import BUILTIN_ARITY, Program, parse
-from mexec.optimize import SENTINEL, Objective, clamp
+from mexec.optimize import (
+    SENTINEL, LocalMinConfig, Objective, _line_minimize, clamp,
+    powell_minimize,
+)
 from mexec.satcheck import (
     _holds, check_sat, compile_constraint, parse_constraint,
 )
@@ -825,35 +830,226 @@ LOOPING = {"fact_rec", "fanout", "halve_rec", "loop_guard"}
 @pytest.mark.parametrize("path", _shipped_programs(),
                          ids=lambda path: path.stem)
 def test_each_program_generates_one_runner_and_one_coverage_hook(path):
-    """The fast source's only evaluation is the runner `_bind` returns,
-    which calls the entry once, with a depth argument where the step
-    budget leaves the guards in; the tracing source takes the coverage
-    penalty from the saturation table, as the fast one does."""
-    program = parse(path.read_text(encoding="utf-8"))
+    """The fast source's evaluations are those of what `_bind` returns:
+    the runner, which calls the entry once, and, for an entry with
+    inputs, the line search, which calls it at its two evaluation sites,
+    each with a depth argument where the step budget leaves the guards
+    in; the tracing source takes the coverage penalty from the
+    saturation table, as the fast one does."""
+    assert_one_runner_and_one_coverage_hook(
+        parse(path.read_text(encoding="utf-8")), path.stem in LOOPING)
+
+
+def test_an_entry_without_inputs_generates_no_search():
+    assert_one_runner_and_one_coverage_hook(
+        parse("real f() { if (1 < 2) { return 1; } return 0; }"), False)
+
+
+def assert_one_runner_and_one_coverage_hook(program, looping):
     entry = program.functions[-1].name
     inputs = [f"v{i}" for i in range(len(program.functions[-1].params))]
+    calls = 3 if inputs else 1
     for cfg in (coverage_config(), path_config(()), bva_config(),
                 plain_config()):
         # at the default budget, only a loop or recursion keeps the
         # guards in; a budget of 1 keeps them in every program
-        for budget, guarded in ((1_000_000, path.stem in LOOPING),
-                                (1, True)):
+        for budget, guarded in ((1_000_000, looping), (1, True)):
             args = ["1"] + inputs if guarded else inputs
             compiled = CompiledProgram(program, cfg, entry, budget)
             assert compiled.guarded() is guarded
             fast, tracing = compiled.source(), compiled.source(True)
             assert "\ndef _bind(" in fast
-            assert fast.count("return _line\n") == 1
+            assert fast.count("return _line") == 1
+            assert ("def _search(" in fast) is bool(inputs)
             for name in ("_value", "_point", "_ArityMismatch"):
                 assert name not in fast, name
             assert fast.count(f"f_{entry}(") - fast.count(
-                f"def f_{entry}(") == 1
-            assert fast.count(f"f_{entry}({', '.join(args)})") == 1
+                f"def f_{entry}(") == calls
+            assert fast.count(f"f_{entry}({', '.join(args)})\n") == calls
             assert ("_StepBudgetExceeded" in fast) is guarded
             assert "_pen" not in tracing
             state = SaturationState(cfg=None, explored=frozenset())
             counts_on = Objective(len, 0)   # any object with the two counts
-            assert callable(compiled.objective(state).runner(counts_on))
+            line, search = compiled.objective(state).runner(counts_on)
+            assert callable(line)
+            assert callable(search) is bool(inputs)
+
+
+# -- the generated line search against its specification
+
+def _nan_with(payload):
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000
+                                           | payload))[0]
+
+
+# coordinates a line search may start from or move along: the edge
+# floats, NaN payloads, and zeros and units of either sign
+line_floats = st.one_of(
+    edge_floats, st.integers(1, 2 ** 51 - 1).map(_nan_with),
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 1e-30, 1e150)))
+XTOLS = (1e-8, 1e-3, 0.0)   # at 0.0, Brent often runs out its 100 rounds
+SHIPPED = {path.stem: prepare(parse(path.read_text(encoding="utf-8")))
+           for path in _shipped_programs()}
+
+
+def _python_searching(fn, arity, box):
+    """An Objective of `fn` whose line searches run the Python `_bracket`
+    and `brent_line_min`, the specification, through its generated
+    runner."""
+    objective = Objective(fn, arity, box)
+    objective._search = objective._python_search
+    return objective
+
+
+def _line_searches(objective, lines, cfg):
+    """Run the line searches `lines` on `objective` in turn, each (x, d)
+    with x None going on from the last one's new x: per search, the
+    repr of its (new x, f, decrease), the counts after it and whether a
+    point request at its new x then is a reuse; last, the record."""
+    out, x = [], None
+    for start, d in lines:
+        result = _line_minimize(objective, x if start is None else start,
+                                d, cfg)
+        counts = objective.eval_count, objective.reuse_count
+        x = result[0]
+        objective(x)
+        out.append((repr(result), counts,
+                    objective.reuse_count - counts[1]))
+    return out, repr(objective.searches)
+
+
+def assert_searches_match_the_specification(fn, arity, box, lines, cfg):
+    """The generated search gives what the Python one gives through the
+    same runner: results, counts, record and memo; and through a plain
+    function of the clamped point, the results and requests."""
+    generated = Objective(fn, arity, box)
+    assert generated._search is not generated._python_search
+    expected = _line_searches(_python_searching(fn, arity, box), lines, cfg)
+    assert _line_searches(generated, lines, cfg) == expected
+    plain = Objective(lambda p: fn(clamp(p, box)), arity)
+    results, record = _line_searches(plain, lines, cfg)
+    assert ([(result, evals) for result, (evals, _), _ in results]
+            == [(result, evals) for result, (evals, _), _ in expected[0]])
+    assert record == expected[1]
+
+
+@st.composite
+def searched_lines(draw, arity):
+    """A box or None, and one to three lines, each from a drawn start or
+    from the last search's new x."""
+    box = None
+    if draw(st.integers(0, 2)):
+        box = [(draw(bounds), draw(bounds)) for _ in range(arity)]
+    vector = st.lists(line_floats, min_size=arity, max_size=arity)
+    lines = [(draw(vector), draw(vector))]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.append((draw(st.one_of(st.none(), vector)), draw(vector)))
+    return box, lines, LocalMinConfig(xtol=draw(st.sampled_from(XTOLS)))
+
+
+@st.composite
+def program_runners(draw):
+    """The coverage, path or bva runner of a shipped program."""
+    program = SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))]
+    branches = [(label, side) for label in range(program.num_conditionals)
+                for side in "TF"]
+    mode = draw(st.sampled_from(("coverage", "path", "bva")))
+    state = None
+    if mode == "coverage":
+        state = SaturationState(cfg=None, explored=frozenset(
+            draw(st.sets(st.sampled_from(branches)))))
+        cfg = coverage_config()
+    elif mode == "path":
+        cfg = path_config(draw(st.lists(st.sampled_from(branches),
+                                        min_size=1, max_size=3)))
+    else:
+        cfg = bva_config()
+    compiled = CompiledProgram(program, cfg)
+    return compiled.objective(state), compiled.arity
+
+
+@settings(max_examples=150)
+@given(program_runners(), st.data())
+def test_generated_searches_match_the_specification_on_programs(runner,
+                                                                 data):
+    fn, arity = runner
+    box, lines, cfg = data.draw(searched_lines(arity))
+    assert_searches_match_the_specification(fn, arity, box, lines, cfg)
+
+
+@settings(max_examples=150)
+@given(constraints(), st.data())
+def test_generated_searches_match_the_specification_on_constraints(case,
+                                                                   data):
+    constraint, _x = case
+    arity = len(constraint.variables)
+    box, lines, cfg = data.draw(searched_lines(arity))
+    assert_searches_match_the_specification(
+        compile_constraint(constraint).fn, arity, box, lines, cfg)
+
+
+# (constraint, box, lines, xtol, the requests of the first search): the
+# requests are f(x), the bracketing's, the 3 or 4 held and Brent's
+EDGE_SEARCHES = [
+    # falling to huge magnitudes: 80 expansions, then an InvalidBracket;
+    # on the side of negative t, its mid is above its lo already
+    ("1 / x == 0", None, [([1.0], [1.0])], 1e-8, 1 + 82 + 4),
+    ("1 / x == 0", None, [([1.0], [-1.0])], 1e-8, 1 + 82 + 3),
+    # Brent's 100 rounds, on a line through +0.0 and along -0.0
+    ("x < 0", None, [([0.5], [1.0]), (None, [-0.0])], 0.0, 1 + 3 + 4 + 100),
+    ("x < y", None, [([0.0, -0.0], [1.0, -1.0]), (None, [-0.0, 0.0])],
+     0.0, 1 + 3 + 4 + 100),
+    # clamped onto the box's edge: the sentinel plateau past it
+    ("1 / x < -1", [(-1e300, 1e-300)], [([-0.5], [1.0]), (None, [-1.0])],
+     1e-8, None),
+    ("x + y == 3", [(0.0, 1.0), (-0.0, 0.0)],
+     [([0.5, 0.0], [1e300, -1.0]), (None, [-1.0, 1.0])], 1e-8, None),
+    # NaN payloads and infinities, which every request aborts on
+    ("x < y", None, [([_nan_with(7), 1.0], [1.0, 0.0]),
+                     ([math.inf, 0.0], [-math.inf, 1.0])], 1e-8, None),
+]
+
+
+@pytest.mark.parametrize("growth", [2.0, 1.618])
+@pytest.mark.parametrize("text, box, lines, xtol, requests", EDGE_SEARCHES)
+def test_generated_searches_match_the_specification_at_the_edges(
+        monkeypatch, growth, text, box, lines, xtol, requests):
+    """Runaway bracketings, Brent's round limit, signed zeros, box edges
+    and NaN payloads; the growth the bracketing takes from
+    `optimize.BRACKET_GROWTH` governs both searches."""
+    monkeypatch.setattr(optimize, "BRACKET_GROWTH", growth)
+    constraint = parse_constraint(text)
+    fn = compile_constraint(constraint).fn
+    arity = len(constraint.variables)
+    cfg = LocalMinConfig(xtol=xtol)
+    assert_searches_match_the_specification(fn, arity, box, lines, cfg)
+    if requests is not None and growth == 2.0:
+        objective = Objective(fn, arity, box)
+        _line_minimize(objective, *lines[0], cfg)
+        assert objective.eval_count == requests
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_powell_through_the_generated_search_matches_the_specification(
+        name):
+    """Powell's rounds on a shipped program's coverage runner, in the
+    default box, go the same way through either search."""
+    program = SHIPPED[name]
+    compiled = CompiledProgram(program, coverage_config())
+    fn, arity = compiled.objective(), compiled.arity
+    box = SearchConfig().resolved_box(arity)
+    rng = random.Random(name)
+    for _ in range(3):
+        x0 = [rng.uniform(-10.0, 10.0) for _ in range(arity)]
+        outcomes = []
+        for objective in (Objective(fn, arity, box),
+                          _python_searching(fn, arity, box)):
+            objective.nonnegative = True    # as the modes mark theirs
+            outcomes.append((repr(powell_minimize(
+                objective, x0, LocalMinConfig(max_rounds=4))),
+                objective.eval_count, objective.reuse_count,
+                repr(objective.searches)))
+        assert outcomes[0] == outcomes[1]
 
 
 # -- the code cache
