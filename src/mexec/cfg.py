@@ -20,7 +20,7 @@ entry of a parsed program is walked once.
 from dataclasses import dataclass
 
 from .errors import MexecError, UnknownFunction
-from .lang import Block, Call, If, Return, While, children, memoised
+from .lang import Call, If, Return, While, children, memoised
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class _Walk:
     def call(self, name, after, open_):
         key = (name, after, open_)
         if key not in self.bodies:
-            self.bodies[key] = self.stmt(self.user_fns[name].body, after,
-                                         after, open_ | {name})
+            self.bodies[key] = self.stmts(self.user_fns[name].body, after,
+                                          after, open_ | {name})
         return self.bodies[key]
 
     def expr(self, expr, after, open_):
@@ -69,34 +69,29 @@ class _Walk:
         self.reach.setdefault((cond.label, "F"), set()).update(on_false)
         return reached | {cond.label}
 
-    def stmt(self, stmt, after, ret, open_):
-        """The labels reachable before `stmt`."""
-        if isinstance(stmt, Block):
-            for inner in reversed(stmt.stmts):
-                after = self.stmt(inner, after, ret, open_)
-            return after
-        if isinstance(stmt, If):
-            on_true = self.stmt(stmt.then, after, ret, open_)
-            on_false = (self.stmt(stmt.els, after, ret, open_)
-                        if stmt.els is not None else after)
-            return self.expr(stmt.cond,
-                             self.branch(stmt.cond, on_true, on_false), open_)
-        if isinstance(stmt, While):
-            # the body continues at the loop test; iterate from below to
-            # the least set that is stable around the loop
-            before = after
-            while True:
-                on_true = self.stmt(stmt.body, before, ret, open_)
-                head = self.expr(stmt.cond,
-                                 self.branch(stmt.cond, on_true, after), open_)
-                if head == before:
-                    return head
-                before = head
-        if isinstance(stmt, Return):
-            after = ret
-        # an assignment, call or return: its calls
-        for child in reversed(list(children(stmt))):
-            after = self.expr(child, after, open_)
+    def stmts(self, stmts, after, ret, open_):
+        """The labels reachable before the statement list `stmts`."""
+        for stmt in reversed(stmts):
+            if isinstance(stmt, If):
+                on_true = self.stmts(stmt.then, after, ret, open_)
+                on_false = self.stmts(stmt.els, after, ret, open_)
+                after = self.expr(stmt.cond, self.branch(
+                    stmt.cond, on_true, on_false), open_)
+            elif isinstance(stmt, While):
+                # the body continues at the loop test; iterate from below
+                # to the least set that is stable around the loop
+                exit_, before = after, None
+                while before != after:
+                    before = after
+                    on_true = self.stmts(stmt.body, before, ret, open_)
+                    after = self.expr(stmt.cond, self.branch(
+                        stmt.cond, on_true, exit_), open_)
+            else:
+                # an assignment, call or return: its calls
+                if isinstance(stmt, Return):
+                    after = ret
+                for child in reversed(list(children(stmt))):
+                    after = self.expr(child, after, open_)
         return after
 
 

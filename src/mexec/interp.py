@@ -4,7 +4,9 @@ The parsed program is translated to Python source, one Python function
 per .mx function, once per program, mode and flavour, and for the fast
 flavour once per entry: the source and its compiled code are kept on
 the Program, the one cache of both.  Each mode call execs that code
-into a namespace of its own.
+into a namespace of its own.  A function body and each arm of an if
+or while is a plain statement list, emitted in order; a function that
+runs off its end returns 0.0, as `return;` does.
 One generator emits two flavours of the same program:
 
 * the fast flavour computes only the final representing value r.  Its
@@ -50,8 +52,8 @@ from .errors import (
     StepBudgetExceeded, UnknownFunction,
 )
 from .lang import (
-    Assign, Binary, Block, Call, Deref, ExprStmt, If, Num, Return, Unary,
-    Var, While, memoised, walk,
+    Assign, Binary, Call, Deref, ExprStmt, If, Num, Return, Unary, Var,
+    While, memoised, walk,
 )
 from .optimize import _CGOLD, _TINY, SENTINEL, Objective
 # unused: bound only because the benchmark tracer patches `interp.pen`
@@ -308,13 +310,6 @@ _obj.reuse_count += nr
 return x, fx, above"""
 
 
-def _flatten(stmt):
-    """The statements of a block, nested blocks spliced in."""
-    if isinstance(stmt, Block):
-        return [s for inner in stmt.stmts for s in _flatten(inner)]
-    return [stmt]
-
-
 def _returns(stmt):
     """True if the statement contains a return."""
     return any(isinstance(node, Return) for node in walk(stmt))
@@ -426,13 +421,12 @@ class _Source:
 
     # -- statements
 
-    def suite(self, lines, stmt=None):
+    def suite(self, lines, stmts=()):
         self.indent += 1
         start = len(self.lines)
         for line in lines:
             self.emit(line)
-        if stmt is not None:
-            self.body(stmt)
+        self.body(stmts)
         if len(self.lines) == start:
             self.emit("pass")
         self.indent -= 1
@@ -444,8 +438,8 @@ class _Source:
         if self.tracing and line:
             self.emit(f"_line({line})")
 
-    def body(self, stmt):
-        """Emit a statement sequence with its step counting.
+    def body(self, stmts):
+        """Emit a statement list with its step counting.
 
         The tracing flavour counts each statement as it starts.  The
         fast flavour counts a run of statements at once, up to the
@@ -454,7 +448,6 @@ class _Source:
         aborts first, so it exceeds the budget on the same evaluations,
         and those report the sentinel whichever abort comes first.
         """
-        stmts = _flatten(stmt)
         if self.tracing:
             for s in stmts:
                 if not isinstance(s, While):
@@ -475,7 +468,7 @@ class _Source:
                 self.stmt(s)
 
     def stmt(self, s):
-        """Emit one statement, other than a block, without its count."""
+        """Emit one statement without its count."""
         if isinstance(s, While):
             self.emit("while True:")
             self.indent += 1
@@ -492,13 +485,12 @@ class _Source:
         elif isinstance(s, ExprStmt):
             self.emit(self.expr(s.expr))
         elif isinstance(s, Return):
-            value = self.expr(s.expr) if s.expr is not None else "0.0"
-            self.emit(f"return {value}")
+            self.emit(f"return {self.expr(s.expr)}")
         elif isinstance(s, If):
             test, on_true, on_false = self.test(s.cond)
             self.emit(f"if {test}:")
             self.suite(on_true, s.then)
-            if on_false or s.els is not None:
+            if on_false or s.els:
                 self.emit("else:")
                 self.suite(on_false, s.els)
         else:
@@ -516,8 +508,7 @@ class _Source:
         if self.guards:
             self.emit(f"if _dp > {MAX_CALL_DEPTH}: raise _CallDepthExceeded")
         self.body(fn.body)
-        stmts = _flatten(fn.body)
-        if not stmts or not isinstance(stmts[-1], Return):
+        if not fn.body or not isinstance(fn.body[-1], Return):
             self.emit("return 0.0")
         self.indent -= 1
 
@@ -657,10 +648,8 @@ class RepresentingFunction:
 
     def runner(self, objective):
         box = objective.box or [(-math.inf, math.inf)] * self.arity
-        # float bounds keep a clamped input a float; a float input
-        # clamps to the same value as with the bounds given
         return self._bind(objective, self.table,
-                          *(float(b) for pair in box for b in pair))
+                          *(b for pair in box for b in pair))
 
 
 class CompiledProgram:
@@ -873,7 +862,7 @@ def run_bound(program, entry):
             return None
         if name not in bounds:
             steps, depth = 0, 1
-            for node in walk(functions[name].body):
+            for node in walk(functions[name]):
                 if isinstance(node, While):
                     return None
                 if isinstance(node, (Assign, ExprStmt, Return, If)):

@@ -5,7 +5,10 @@ definitions, declarations, assignments, if/else, while, return, calls,
 and arithmetic expressions with `^` for exponentiation.  Pointer-to-real
 parameters are accepted so that library-style signatures can be written
 down; the engine reads `*p` like a scalar `p`.  The parser drops a
-`(real)` cast and reads declarations and increments as assignments.
+`(real)` cast, reads declarations and increments as assignments and
+`return;` as `return 0;`, and hands on each body as a list of
+statements: a nested `{...}` is spliced into its enclosing list, as a
+block has no scope of its own; only the arms of an if or while do.
 
 `parse` is the one gate: every program it returns compiles.  Every
 conditional whose two operands are numeric receives a dense label
@@ -166,14 +169,14 @@ class Assign(Node):
 @dataclass
 class If(Node):
     cond: Optional[Compare] = None
-    then: Optional[Node] = None
-    els: Optional[Node] = None
+    then: list = field(default_factory=list)
+    els: list = field(default_factory=list)     # empty without an else
 
 
 @dataclass
 class While(Node):
     cond: Optional[Compare] = None
-    body: Optional[Node] = None
+    body: list = field(default_factory=list)
 
 
 @dataclass
@@ -187,15 +190,10 @@ class ExprStmt(Node):
 
 
 @dataclass
-class Block(Node):
-    stmts: list = field(default_factory=list)
-
-
-@dataclass
 class FunctionDef(Node):
     name: str = ""
     params: list = field(default_factory=list)   # (name, 'real' | 'ptr')
-    body: Optional[Block] = None
+    body: list = field(default_factory=list)
 
 
 @dataclass
@@ -238,7 +236,6 @@ _CHILD_FIELDS = {
     While: ("cond", "body"),
     Return: ("expr",),
     ExprStmt: ("expr",),
-    Block: ("stmts",),
     FunctionDef: ("body",),
 }
 
@@ -369,37 +366,39 @@ class _Parser:
     # -- statements
 
     def parse_block(self):
+        """The statements of a `{...}` block, nested blocks spliced in."""
         tok = self.expect("{")
         stmts = []
         while self.peek().kind != "}":
             if self.peek().kind == "eof":
                 raise ParseError("unterminated block", tok.line, tok.col)
-            stmts.append(self.parse_stmt())
+            stmts += self.parse_stmt()
         self.expect("}")
-        return Block(line=tok.line, col=tok.col, stmts=stmts)
+        return stmts
 
     def parse_stmt(self):
+        """A statement as a list: a block's statements, or the one."""
         tok = self.peek()
         if tok.kind == "{":
             return self.parse_block()
         if tok.kind == "if":
-            return self.parse_if()
+            return [self.parse_if()]
         if tok.kind == "while":
-            return self.parse_while()
+            return [self.parse_while()]
+        # `return;` is `return 0;`, `real x = e;` is `x = e;`, `real x;`
+        # is `x = 0;`, and `t++;` and `t--;` are `t = t + 1;` and
+        # `t = t + -1;`
+        expr = Num(line=tok.line, col=tok.col, value=0.0)
         if tok.kind == "return":
             self.next()
-            expr = None
             if self.peek().kind != ";":
                 expr = self.parse_expr()
             self.expect(";")
-            return Return(line=tok.line, col=tok.col, expr=expr)
-        # `real x = e;` is `x = e;`, `real x;` is `x = 0;`, and `t++;` and
-        # `t--;` are `t = t + 1;` and `t = t + -1;`
+            return [Return(line=tok.line, col=tok.col, expr=expr)]
         if tok.kind == "real":
             self.next()
             name = self.expect("ident", "variable name")
             target = Var(line=name.line, col=name.col, name=name.text)
-            expr = Num(line=tok.line, col=tok.col, value=0.0)
             if self.peek().kind == "=":
                 self.next()
                 expr = self.parse_expr()
@@ -409,7 +408,7 @@ class _Parser:
             if nxt.kind == "(" and isinstance(target, Var):
                 call = self.finish_call(target.name, tok)
                 self.expect(";")
-                return ExprStmt(line=tok.line, col=tok.col, expr=call)
+                return [ExprStmt(line=tok.line, col=tok.col, expr=call)]
             if nxt.kind not in ("=", "++", "--"):
                 raise ParseError(
                     f"expected assignment or call, found {nxt.text!r}",
@@ -427,7 +426,7 @@ class _Parser:
                 f"unexpected token {tok.text or 'end of input'!r}",
                 tok.line, tok.col)
         self.expect(";")
-        return Assign(line=tok.line, col=tok.col, target=target, expr=expr)
+        return [Assign(line=tok.line, col=tok.col, target=target, expr=expr)]
 
     def parse_lvalue(self):
         tok = self.peek()
@@ -441,8 +440,7 @@ class _Parser:
         self.expect("(")
         cond = self.parse_compare()
         self.expect(")")
-        then = self.parse_stmt()
-        els = None
+        then, els = self.parse_stmt(), []
         if self.peek().kind == "else":
             self.next()
             els = self.parse_stmt()
@@ -606,7 +604,7 @@ class _Gate:
         for f in program.functions:
             self.pointers = {name for name, kind in f.params
                              if kind == "ptr"}
-            self.stmt(f.body, {name for name, _kind in f.params}, 0, 0)
+            self.stmts(f.body, {name for name, _kind in f.params}, 0, 0)
         program.num_conditionals = self.labels
         program.uninstrumentable = self.unlabeled
         program.lines = frozenset(self.lines)
@@ -641,31 +639,32 @@ class _Gate:
         self.labels += cond.label is not None
         self.unlabeled += cond.label is None
 
-    def stmt(self, stmt, scope, depth, loops):
-        """Check `stmt`, inside `depth` ifs and whiles of which `loops`
-        are whiles."""
-        if isinstance(stmt, Block):
-            for s in stmt.stmts:
-                self.stmt(s, scope, depth, loops)
-            return
-        self.lines.add(stmt.line)
-        if isinstance(stmt, (If, While)):
-            loop = isinstance(stmt, While)
-            if loops + loop > MAX_LOOP_DEPTH:
-                raise ParseError(f"loops nested more than {MAX_LOOP_DEPTH} "
-                                 "deep", stmt.line, stmt.col)
-            if depth + 1 + loop > MAX_STMT_DEPTH:
-                raise ParseError(f"statements nested more than "
-                                 f"{MAX_STMT_DEPTH} deep", stmt.line, stmt.col)
-            self.cond(stmt.cond, scope, depth + loop)
-            for body in list(children(stmt))[1:]:
-                self.stmt(body, set(scope), depth + 1, loops + loop)
-        elif (isinstance(stmt, Assign) and isinstance(stmt.target, Var)
-              and stmt.target.name not in self.pointers):
-            # an assignment (a declaration among them) may bind a new name
-            self.expr(stmt.expr, scope, depth)
-            scope.add(stmt.target.name)
-        else:
-            # a write through a pointer or to a bare one, a return or a call
-            for child in children(stmt):
-                self.expr(child, scope, depth)
+    def stmts(self, stmts, scope, depth, loops):
+        """Check the statement list `stmts`, inside `depth` ifs and
+        whiles of which `loops` are whiles; each arm of an if or while
+        checks in a scope of its own."""
+        for stmt in stmts:
+            self.lines.add(stmt.line)
+            if isinstance(stmt, (If, While)):
+                loop = isinstance(stmt, While)
+                if loops + loop > MAX_LOOP_DEPTH:
+                    raise ParseError(f"loops nested more than "
+                                     f"{MAX_LOOP_DEPTH} deep",
+                                     stmt.line, stmt.col)
+                if depth + 1 + loop > MAX_STMT_DEPTH:
+                    raise ParseError(f"statements nested more than "
+                                     f"{MAX_STMT_DEPTH} deep",
+                                     stmt.line, stmt.col)
+                self.cond(stmt.cond, scope, depth + loop)
+                for arm in ((stmt.body,) if loop else (stmt.then, stmt.els)):
+                    self.stmts(arm, set(scope), depth + 1, loops + loop)
+            elif (isinstance(stmt, Assign) and isinstance(stmt.target, Var)
+                  and stmt.target.name not in self.pointers):
+                # an assignment (a declaration among them) may bind a name
+                self.expr(stmt.expr, scope, depth)
+                scope.add(stmt.target.name)
+            else:
+                # a write through a pointer or to a bare one, a return or
+                # a call
+                for child in children(stmt):
+                    self.expr(child, scope, depth)

@@ -33,6 +33,7 @@ they hold; on anything else they run until their settings stop them.
 import math
 import random
 import struct
+import sys
 from dataclasses import dataclass, field
 from functools import cache, partial
 
@@ -52,9 +53,10 @@ BRACKET_GROWTH = 2.0
 
 class Objective:
     """The evaluator the optimizer sees: counts evaluations, clamps each
-    point into `box` (per-dimension (lo, hi), or None for no bounds)
-    and maps NaN, infinite or above-sentinel values to a large finite
-    sentinel, so acceptance arithmetic stays well defined.
+    point into `box` (per-dimension (lo, hi), kept as floats so that a
+    clamped input is a float, or None for no bounds) and maps NaN,
+    infinite or above-sentinel values to a large finite sentinel, so
+    acceptance arithmetic stays well defined.
 
     Each evaluation is of the line x + t*d; a point x is t = -0.0 along
     zeros, which is x bit for bit; a point of another length than
@@ -82,7 +84,8 @@ class Objective:
                              "inputs")
         self.fn = fn
         self.arity = arity
-        self.box = box
+        self.box = None if box is None else [
+            (float(lo), float(hi)) for lo, hi in box]
         self.nonnegative = nonnegative
         self.eval_count = 0
         self.reuse_count = 0
@@ -112,13 +115,15 @@ class Objective:
         return partial(self._line, x, direction)
 
     def _evaluate(self, x, direction, t):
-        """`fn` at x + t*direction clamped into the box, sanitised."""
+        """`fn` at x + t*direction clamped into the box, sanitised as the
+        generated runner does: a value outside [-max, SENTINEL], NaN and
+        a huge int included, is the sentinel."""
         point = [xi + t * di for xi, di in zip(x, direction)]
         self.eval_count += 1
         value = self.fn(point if self.box is None else clamp(point, self.box))
-        if math.isnan(value) or math.isinf(value) or value > SENTINEL:
-            return SENTINEL
-        return value
+        if -sys.float_info.max <= value <= SENTINEL:
+            return value
+        return SENTINEL
 
     def _python_search(self, x, direction, f0, xtol, growth):
         """The line search along x + t*direction from f0, the value at x:

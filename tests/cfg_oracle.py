@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from mexec.errors import UnknownFunction
 from mexec.lang import (
-    Assign, Block, Call, ExprStmt, If, Return, While, children,
+    Assign, Call, ExprStmt, If, Return, While, children,
 )
 
 
@@ -69,7 +69,7 @@ class _Builder:
 
     def _inline_body(self, fn, succ, stack):
         # a return inside fn jumps to succ, i.e. back to the caller site
-        return self._seq(fn.body.stmts, succ, succ, stack)
+        return self._seq(fn.body, succ, succ, stack)
 
     def _seq(self, stmts, succ, exit_cont, stack):
         entry = succ
@@ -91,8 +91,6 @@ class _Builder:
         return entry
 
     def _stmt(self, stmt, succ, exit_cont, stack):
-        if isinstance(stmt, Block):
-            return self._seq(stmt.stmts, succ, exit_cont, stack)
         if isinstance(stmt, Assign):
             return self._chain_calls(stmt.expr, succ, stack)
         if isinstance(stmt, ExprStmt):
@@ -102,15 +100,14 @@ class _Builder:
         if isinstance(stmt, If):
             node = _Node(stmt.cond.label)
             self.nodes.append(node)
-            node.t_succ = self._stmt(stmt.then, succ, exit_cont, stack)
-            node.f_succ = (self._stmt(stmt.els, succ, exit_cont, stack)
-                           if stmt.els is not None else succ)
+            node.t_succ = self._seq(stmt.then, succ, exit_cont, stack)
+            node.f_succ = self._seq(stmt.els, succ, exit_cont, stack)
             return self._chain_calls(stmt.cond, node, stack)
         if isinstance(stmt, While):
             node = _Node(stmt.cond.label)
             self.nodes.append(node)
             cond_entry = self._chain_calls(stmt.cond, node, stack)
-            node.t_succ = self._stmt(stmt.body, cond_entry, exit_cont, stack)
+            node.t_succ = self._seq(stmt.body, cond_entry, exit_cont, stack)
             node.f_succ = succ
             return cond_entry
         raise TypeError(f"unhandled statement {stmt!r}")

@@ -19,8 +19,8 @@ from mexec.interp import (
     BVA, COVERAGE, MAX_CALL_DEPTH, PATH, SENTINEL, ExecutionTrace,
 )
 from mexec.lang import (
-    Assign, Binary, Block, Call, Deref, ExprStmt, If, Num, Return, Unary,
-    Var, While,
+    Assign, Binary, Call, Deref, ExprStmt, If, Num, Return, Unary, Var,
+    While,
 )
 from mexec.saturation import pen
 
@@ -143,7 +143,7 @@ class _Interp:
         env = {name: float(v) for (name, _k), v in zip(fn.params, args)}
         self.depth += 1
         try:
-            self.exec_stmt(fn.body, env)
+            self.exec_stmts(fn.body, env)
         except _ReturnSignal as ret:
             return ret.value
         finally:
@@ -160,11 +160,11 @@ class _Interp:
         if stmt.line:
             self.trace.covered_lines.add(stmt.line)
 
+    def exec_stmts(self, stmts, env):
+        for stmt in stmts:
+            self.exec_stmt(stmt, env)
+
     def exec_stmt(self, stmt, env):
-        if isinstance(stmt, Block):
-            for s in stmt.stmts:
-                self.exec_stmt(s, env)
-            return
         if isinstance(stmt, Assign):
             self.tick(stmt)
             env[stmt.target.name] = self.eval_expr(stmt.expr, env)
@@ -175,22 +175,20 @@ class _Interp:
             return
         if isinstance(stmt, Return):
             self.tick(stmt)
-            value = (self.eval_expr(stmt.expr, env)
-                     if stmt.expr is not None else 0.0)
-            raise _ReturnSignal(value)
+            raise _ReturnSignal(self.eval_expr(stmt.expr, env))
         if isinstance(stmt, If):
             self.tick(stmt)
             if self.eval_condition(stmt.cond, env):
-                self.exec_stmt(stmt.then, env)
-            elif stmt.els is not None:
-                self.exec_stmt(stmt.els, env)
+                self.exec_stmts(stmt.then, env)
+            else:
+                self.exec_stmts(stmt.els, env)
             return
         if isinstance(stmt, While):
             while True:
                 self.tick(stmt)
                 if not self.eval_condition(stmt.cond, env):
                     break
-                self.exec_stmt(stmt.body, env)
+                self.exec_stmts(stmt.body, env)
             return
         raise TypeError(f"unhandled statement {stmt!r}")
 

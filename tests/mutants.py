@@ -74,14 +74,22 @@ MUTANTS = [
      'f"if {-sys.float_info.max!r} <= _r <= {SENTINEL!r}:",',
      'f"if {-sys.float_info.max!r} <= _r:",', KILLED),
     ("generic objective keeps NaN", OPTIMIZE,
-     "if math.isnan(value) or math.isinf(value) or value > SENTINEL:",
-     "if math.isinf(value) or value > SENTINEL:", KILLED),
+     "if -sys.float_info.max <= value <= SENTINEL:",
+     "if value != value or -sys.float_info.max <= value <= SENTINEL:",
+     KILLED),
     ("generic objective keeps -inf", OPTIMIZE,
-     "if math.isnan(value) or math.isinf(value) or value > SENTINEL:",
-     "if math.isnan(value) or value > SENTINEL:", KILLED),
+     "if -sys.float_info.max <= value <= SENTINEL:",
+     "if -math.inf <= value <= SENTINEL:", KILLED),
     ("generic objective keeps values above the sentinel", OPTIMIZE,
-     "if math.isnan(value) or math.isinf(value) or value > SENTINEL:",
-     "if math.isnan(value) or math.isinf(value):", KILLED),
+     "if -sys.float_info.max <= value <= SENTINEL:",
+     "if -sys.float_info.max <= value:", KILLED),
+    ("generic objective tests a huge int with isinf", OPTIMIZE,
+     "if -sys.float_info.max <= value <= SENTINEL:",
+     "if not (math.isnan(value) or math.isinf(value) or value > SENTINEL):",
+     KILLED),
+    ("objective keeps int bounds", OPTIMIZE,
+     "(float(lo), float(hi)) for lo, hi in box]",
+     "(lo, hi) for lo, hi in box]", KILLED),
     ("overflowed power loses its sign", INTERP,
      "return -math.inf", "return math.inf", KILLED),
     ("overflowed builtin is NaN", INTERP,
@@ -281,8 +289,8 @@ MUTANTS = [
      '            if tok.kind == "+":\n                return operand',
      "            if False:\n                return operand", KILLED),
     ("a nested body shares its scope", LANG,
-     "self.stmt(body, set(scope), depth + 1, loops + loop)",
-     "self.stmt(body, scope, depth + 1, loops + loop)", KILLED),
+     "self.stmts(arm, set(scope), depth + 1, loops + loop)",
+     "self.stmts(arm, scope, depth + 1, loops + loop)", KILLED),
     ("a call through a star", LANG,
      'if nxt.kind == "(" and isinstance(target, Var):',
      'if nxt.kind == "(":', KILLED),

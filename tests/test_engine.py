@@ -105,14 +105,16 @@ class _ProgramGen:
         return (f"{self.expr(scope, callees)} {self.pick(OPS)} "
                 f"{self.expr(scope, callees)}")
 
-    def block(self, scope, callees, pointers, depth):
+    def block(self, scope, callees, pointers, depth, arm=False):
+        """A `{...}` block; as the `arm` of an if, a block of one
+        statement may come without its braces."""
         scope = list(scope)
         out = []
         for _ in range(self.draw(st.integers(0, 4 if depth else 5))):
             kinds = ["decl", "assign", "incr", "call", "return"]
             if depth < 2:
-                kinds += ["if", "if"] + (["loop", "while"] if self.loops
-                                         else [])
+                kinds += ["if", "if", "block"] + (
+                    ["loop", "while"] if self.loops else [])
             kind = self.pick(kinds)
             if kind == "decl":
                 name = self.name("v")
@@ -129,14 +131,19 @@ class _ProgramGen:
                 args = [self.expr(scope, callees) for _ in range(arity)]
                 out.append(f"{name}({', '.join(args)});")
             elif kind == "return":
-                out.append(f"return {self.expr(scope, callees)};")
+                out.append("return;" if self.draw(st.booleans())
+                           else f"return {self.expr(scope, callees)};")
+            elif kind == "block":
+                # a bare nested block; the draws after it leave the names
+                # it declares unused, though they stay in scope
+                out.append(self.block(scope, callees, pointers, depth + 1))
             elif kind == "if":
-                then = self.block(scope, callees, pointers, depth + 1)
+                then = self.block(scope, callees, pointers, depth + 1, True)
                 line = f"if ({self.cond(scope, callees, pointers)}) {then}"
                 if self.draw(st.booleans()):
                     line += (" else "
                              + self.block(scope, callees, pointers,
-                                          depth + 1))
+                                          depth + 1, True))
                 out.append(line)
             elif kind == "loop":
                 # a counted loop, which mostly terminates
@@ -151,6 +158,8 @@ class _ProgramGen:
             elif kind == "while":
                 out.append(f"while ({self.cond(scope, callees, pointers)}) "
                            + self.block(scope, callees, pointers, depth + 1))
+        if arm and len(out) == 1 and self.draw(st.booleans()):
+            return out[0]
         return "{ " + " ".join(out) + " }"
 
     def program(self):

@@ -31,18 +31,15 @@ void FOO(real x) {
 def _conditionals(program):
     found = []
 
-    def visit(stmt):
-        if hasattr(stmt, "stmts"):
-            for s in stmt.stmts:
-                visit(s)
-        elif isinstance(stmt, If):
-            found.append(stmt.cond)
-            visit(stmt.then)
-            if stmt.els is not None:
+    def visit(stmts):
+        for stmt in stmts:
+            if isinstance(stmt, If):
+                found.append(stmt.cond)
+                visit(stmt.then)
                 visit(stmt.els)
-        elif isinstance(stmt, While):
-            found.append(stmt.cond)
-            visit(stmt.body)
+            elif isinstance(stmt, While):
+                found.append(stmt.cond)
+                visit(stmt.body)
 
     for fn in program.functions:
         visit(fn.body)
@@ -124,7 +121,7 @@ def test_pointer_comparison_not_labeled():
 
 def test_caret_is_right_associative_power():
     program = parse("real f(real x) { return 2 ^ x ^ 2; }")
-    body = program.functions[0].body.stmts[0].expr
+    body = program.functions[0].body[0].expr
     assert body.op == "^"
     assert body.rhs.op == "^"
 
@@ -177,6 +174,35 @@ def test_a_name_first_assigned_in_a_nested_body_is_undeclared_after_it(
         parse(f"real f(real x) {{ {block} return y; }}")
 
 
+def _set(value):
+    return Assign(target=Var(name="a"), expr=Num(value=value))
+
+
+def test_bodies_are_statement_lists_with_nested_blocks_spliced_in():
+    (fn,) = parse("void f(real a) { { { a = 1; } } a = 2; {} }").functions
+    assert fn.body == [_set(1.0), _set(2.0)]
+    (branch, loop) = parse("void f(real a) { if (a > 0) a = 1; "
+                           "while (a < 0) { { a = 2; } } }").functions[0].body
+    # a brace-less arm is a one-item list, a missing else an empty one
+    assert (branch.then, branch.els) == ([_set(1.0)], [])
+    assert loop.body == [_set(2.0)]
+    (branch,) = parse("void f(real a) { if (a > 0) {} else { { a = 3; } } }"
+                      ).functions[0].body
+    assert (branch.then, branch.els) == ([], [_set(3.0)])
+
+
+def test_a_bare_return_is_return_0():
+    (ret,) = parse("void f(real x) { return; }").functions[0].body
+    assert ret == Return(expr=Num(value=0.0))
+    assert parse("void f(real x) { return; }") == parse(
+        "void f(real x) { return 0; }")
+
+
+def test_a_name_declared_in_a_bare_block_is_in_scope_after_it():
+    program = parse("real f(real x) { { real y = x + 1; } return y; }")
+    assert execute(program, [2.0]).return_value == 3.0
+
+
 @pytest.mark.parametrize("callee", ["f", "sin"])
 def test_a_call_through_a_star_is_a_parse_error(callee):
     with pytest.raises(ParseError, match="expected assignment or call"):
@@ -202,7 +228,7 @@ def test_declarations_and_increments_are_parsed_as_assignments():
     assert run("*p--; return *p;") == 4.0
     assert (parse("real f(real x) { real y = x * 2; return y; }")
             == parse("real f(real x) { y = x * 2; return y; }"))
-    (step,) = parse("void f(real x) { x--; }").functions[0].body.stmts
+    (step,) = parse("void f(real x) { x--; }").functions[0].body
     assert step == Assign(target=Var(name="x"), expr=Binary(
         op="+", lhs=Var(name="x"), rhs=Num(value=-1.0)))
     assert step.expr.lhs is not step.target
@@ -223,7 +249,7 @@ _STATEMENTS = (Assign, ExprStmt, If, Return, While)
 
 def _nodes(program):
     for fn in program.functions:
-        yield from walk(fn.body)
+        yield from walk(fn)
 
 
 def executable_lines(program):
@@ -321,19 +347,18 @@ def test_children_in_field_order_and_walk_in_pre_order():
         }
     """)
     fn = program.function("f")
-    branch, tail = fn.body.stmts
-    # cond, then; the missing else is skipped
-    assert list(children(branch)) == [branch.cond, branch.then]
-    call = branch.then.stmts[0].expr
+    branch, tail = fn.body
+    # cond, then; the missing else is an empty list
+    assert list(children(branch)) == [branch.cond, *branch.then]
+    call = branch.then[0].expr
     assert isinstance(call, Call)
     assert list(children(call)) == call.args     # list fields spliced in
     assert list(children(Var(name="x"))) == []
-    kinds = [type(node).__name__ for node in walk(fn.body)]
-    assert kinds == ["Block", "If", "Compare", "Var", "Num", "Block",
-                     "Return", "Call", "Var", "Unary", "Var", "Return",
-                     "Num"]
-    assert [n for n in walk(fn.body) if isinstance(n, Return)] == [
-        branch.then.stmts[0], tail]
+    kinds = [type(node).__name__ for node in walk(fn)]
+    assert kinds == ["FunctionDef", "If", "Compare", "Var", "Num", "Return",
+                     "Call", "Var", "Unary", "Var", "Return", "Num"]
+    assert [n for n in walk(fn) if isinstance(n, Return)] == [
+        branch.then[0], tail]
 
 
 

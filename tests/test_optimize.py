@@ -27,6 +27,27 @@ def test_objective_sanitizes_nan_and_inf():
         assert Objective(lambda x: value, 1)([0.0]) == SENTINEL
 
 
+def test_objective_maps_an_int_past_the_double_range_to_the_sentinel():
+    """A plain function's value is sanitised by the compiled runner's
+    rule, the sentinel outside [-max, SENTINEL]: an int past the double
+    range is the sentinel, not an OverflowError."""
+    for value in (10**400, -10**400):
+        assert Objective(lambda x: value, 1)([1.0]) == SENTINEL
+    assert Objective(lambda x: 7, 1)([1.0]) == 7
+
+
+def test_a_boxed_objective_hands_a_plain_function_float_inputs():
+    """The bounds are kept as floats, as the compiled runner keeps
+    them, so a point clamped to an int bound reaches `fn` as a float."""
+    seen = []
+    objective = Objective(lambda x: seen.append(x) or 0.0, 1,
+                          box=[(0, 10)])
+    assert objective.box == [(0.0, 10.0)]
+    objective([12.0])
+    objective([-3.0])
+    assert [repr(v) for x in seen for v in x] == ["10.0", "0.0"]
+
+
 def test_powell_on_a_plain_nan_function_returns_the_start_at_the_sentinel():
     """Wrapped in an Objective, a plain function that is NaN everywhere
     is the sentinel everywhere: no line search decreases it, and Powell

@@ -7,7 +7,7 @@ from mexec.transforms import prepare
 
 
 def first_cond(program, fn_index=0):
-    for stmt in program.functions[fn_index].body.stmts:
+    for stmt in program.functions[fn_index].body:
         if isinstance(stmt, If):
             return stmt.cond
     raise AssertionError("no conditional found")
@@ -39,7 +39,7 @@ def test_prepare_leaves_the_program_as_written():
     assert prepared is program
     assert prepared == parse(source)
     assert prepared.functions[0].params == [("p", "ptr"), ("x", "real")]
-    write = prepared.functions[0].body.stmts[1].then.stmts[0]
+    write = prepared.functions[0].body[1].then[0]
     assert write == Assign(target=Deref(name="p"), expr=Binary(
         op="+", lhs=Deref(name="p"), rhs=Var(name="x")))
 
@@ -52,7 +52,7 @@ def test_pointer_comparison_stays_unlabeled_through_prepare():
         }
     """))
     conds = []
-    for stmt in program.functions[0].body.stmts:
+    for stmt in program.functions[0].body:
         if isinstance(stmt, If):
             conds.append(stmt.cond)
     assert conds[0].label is None
@@ -105,7 +105,7 @@ def test_labels_stable_through_prepare():
         }
     """)
     prepared = prepare(program)
-    conds = [s.cond for s in prepared.functions[0].body.stmts
+    conds = [s.cond for s in prepared.functions[0].body
              if isinstance(s, If)]
     assert [c.label for c in conds] == [None, 0, 1]
     assert prepared.num_conditionals == 2
