@@ -58,34 +58,34 @@ class _Walk:
             after = self.expr(child, after, open_)
         return after
 
-    def branch(self, cond, on_true, on_false):
+    def branch(self, cond, after_t, after_f):
         """Record the labels after each side of `cond`; return those
         reachable from the conditional itself.  A conditional without
         a label passes reachability through without owning branches."""
-        reached = on_true | on_false
+        reached = after_t | after_f
         if cond.label is None:
             return reached
-        self.reach.setdefault((cond.label, "T"), set()).update(on_true)
-        self.reach.setdefault((cond.label, "F"), set()).update(on_false)
+        self.reach.setdefault((cond.label, "T"), set()).update(after_t)
+        self.reach.setdefault((cond.label, "F"), set()).update(after_f)
         return reached | {cond.label}
 
     def stmts(self, stmts, after, ret, open_):
         """The labels reachable before the statement list `stmts`."""
         for stmt in reversed(stmts):
             if isinstance(stmt, If):
-                on_true = self.stmts(stmt.then, after, ret, open_)
-                on_false = self.stmts(stmt.els, after, ret, open_)
+                after_t = self.stmts(stmt.then, after, ret, open_)
+                after_f = self.stmts(stmt.els, after, ret, open_)
                 after = self.expr(stmt.cond, self.branch(
-                    stmt.cond, on_true, on_false), open_)
+                    stmt.cond, after_t, after_f), open_)
             elif isinstance(stmt, While):
                 # the body continues at the loop test; iterate from below
                 # to the least set that is stable around the loop
                 exit_, before = after, None
                 while before != after:
                     before = after
-                    on_true = self.stmts(stmt.body, before, ret, open_)
+                    after_t = self.stmts(stmt.body, before, ret, open_)
                     after = self.expr(stmt.cond, self.branch(
-                        stmt.cond, on_true, exit_), open_)
+                        stmt.cond, after_t, exit_), open_)
             else:
                 # an assignment, call or return: its calls
                 if isinstance(stmt, Return):

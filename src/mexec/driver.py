@@ -41,8 +41,9 @@ class SearchConfig:
     raises MexecError naming the setting): `n_start` is an integer >= 0;
     `epsilon` finite and > 0; `infeasible_after` and `step_budget`
     integers >= 1; `seed` None or an int, float, str, bytes or
-    bytearray, the seeds random.Random takes.  `resolved_box` checks
-    `box`, whose rule needs the arity."""
+    bytearray, the seeds random.Random takes, but not NaN, which it
+    seeds from the hash of the object, so two NaN seeds differ.
+    `resolved_box` checks `box`, whose rule needs the arity."""
     n_start: int = 500
     mcmc: MCMCConfig = field(default_factory=MCMCConfig)
     box: Optional[list] = None          # per-dimension (lo, hi)
@@ -56,10 +57,12 @@ class SearchConfig:
         check_number("epsilon", self.epsilon, positive=True)
         check_count("infeasible_after", self.infeasible_after, 1)
         check_count("step_budget", self.step_budget, 1)
-        if not isinstance(self.seed, (type(None), int, float, str, bytes,
-                                      bytearray)):
+        if (not isinstance(self.seed, (type(None), int, float, str, bytes,
+                                       bytearray))
+                or self.seed != self.seed):
             raise MexecError(f"bad seed {self.seed!r}, need None, an int, "
-                             "a float, a str, bytes or a bytearray")
+                             "a float other than NaN, a str, bytes or a "
+                             "bytearray")
 
     def resolved_box(self, arity):
         """One (lo, hi) pair of floats per input, from one pair for
@@ -174,24 +177,21 @@ def search(result, cfg, arity, objective_at, admit):
     """The restart loop of every mode.
 
     Each restart asks `objective_at()` for this restart's function of
-    the input vector, or None to stop; minimizes it within the box from
-    a sampled start; and passes the clamped minimizer and its value to
-    `admit(x, f)`, which returns True to stop.  With no inputs, one
-    restart decides.  Writes onto `result` the restarts run, the
-    objective evaluations they requested and those of them they ran,
-    and the seconds it took, and returns it.
+    the input vector; minimizes it within the box from a sampled start;
+    and passes the clamped minimizer and its value to `admit(x, f)`,
+    which returns True to stop.  With no inputs, one restart decides.
+    Writes onto `result` the restarts run, the objective evaluations
+    they requested and those of them they ran, and the seconds it took,
+    and returns it.
     """
     started = time.perf_counter()
     box = cfg.resolved_box(arity)
     rng = random.Random(cfg.seed)
     for _start in range(cfg.n_start):
-        evaluate = objective_at()
-        if evaluate is None:
-            break
         result.starts_used += 1
         # a representing function or a distance, never below 0; an
         # abort or a non-finite value maps to the positive sentinel
-        objective = Objective(evaluate, arity, box, nonnegative=True)
+        objective = Objective(objective_at(), arity, box, nonnegative=True)
         x_star, f_star = _minimize_once(objective, cfg, rng)
         result.eval_count += objective.eval_count
         result.run_count += objective.run_count
@@ -230,14 +230,10 @@ def run_coverage(program, entry, cfg=None):
                              cfg.step_budget)
     failure_counts = {}
 
-    def objective_at():
-        if saturation.goal_reached(result.state):
-            return None
-        return repfun.objective(result.state)
-
     def admit(x, _f):
         # the state is still the one this restart's objective was built
-        # from; its replay alone decides
+        # from; its replay alone decides, and the search stops once
+        # every branch is saturated
         state = result.state
         trace = execute(repfun, x, sat_state=state)
         if trace.final_r == 0.0:
@@ -251,9 +247,10 @@ def run_coverage(program, entry, cfg=None):
             failure_counts[taken] = failure_counts.get(taken, 0) + 1
             if failure_counts[taken] >= cfg.infeasible_after:
                 result.state = mark_infeasible(state, trace)
-        return False
+        return saturation.goal_reached(result.state)
 
-    return search(result, cfg, arity, objective_at, admit)
+    return search(result, cfg, arity,
+                  lambda: repfun.objective(result.state), admit)
 
 
 def mark_infeasible(state, failed_trace):

@@ -28,15 +28,19 @@ A `sat` constraint compiles to the same runner, its r the sum of its
 comparisons' branch distances; its source and code are kept on the
 Constraint.
 
-At each labeled conditional the mode decides how r changes, by the same
-lines in both flavours: coverage takes the penalty (saturation.pen) from
-the saturation table, path adds the distance toward the target branch,
-boundary-value analysis multiplies by the equality distance, and plain
-leaves r alone.  An evaluation aborts, and reports the sentinel, on a
-NaN operand of a comparison whose distance is computed, on more
-statements than the step budget, or on user calls nested deeper than
-MAX_CALL_DEPTH.  The fast flavour leaves out the step count and the
-call depth where `run_bound` shows that neither abort can happen.
+At each labeled conditional the mode's hook decides how r changes, by
+the same lines in both flavours: coverage takes the penalty
+(saturation.pen) from the saturation table, path adds the distance
+toward the target branch, boundary-value analysis multiplies by the
+equality distance, and plain leaves r alone.  Where a hook takes a
+distance, one NaN check comes first and one update of r picks the side.
+The tracing flavour records the branch taken once, before the test's
+`if`, and a loop exits by `if not test: break`.  An evaluation aborts,
+and reports the sentinel, on a NaN operand of a comparison whose
+distance is computed, on more statements than the step budget, or on
+user calls nested deeper than MAX_CALL_DEPTH.  The fast flavour leaves
+out the step count and the call depth where `run_bound` shows that
+neither abort can happen.
 """
 
 import math
@@ -187,10 +191,6 @@ BUILTIN_FUNCTIONS = {
 }
 
 
-def _nan(a, op, b):
-    raise NaNOperand(f"NaN operand in comparison {a!r} {op} {b!r}")
-
-
 # ---------------------------------------------------------------------------
 # Code generation
 
@@ -204,15 +204,16 @@ _DISTANCE = {
 _SWAPPED = {">": "<", ">=": "<="}
 
 
-def _distance(op, update):
-    """Lines computing branch_distance(op, _a, _b) into `update`, a
-    format string such as "_r = _r + {}", after the NaN-operand abort."""
+def _distance(op):
+    """branch_distance(op, _a, _b) as an expression, for operands that
+    passed `_NAN_CHECK`."""
     if op in _SWAPPED:
-        value = _DISTANCE[_SWAPPED[op]].format(a="_b", b="_a")
-    else:
-        value = _DISTANCE[op].format(a="_a", b="_b")
-    return [f"if _a != _a or _b != _b: _nan(_a, {op!r}, _b)",
-            update.format(value)]
+        return _DISTANCE[_SWAPPED[op]].format(a="_b", b="_a")
+    return _DISTANCE[op].format(a="_a", b="_b")
+
+
+# the abort on a NaN operand, once before each distance is taken
+_NAN_CHECK = "if _a != _a or _b != _b: raise _NaNOperand"
 
 
 # what the coverage penalty does at a label, by the saturation of its
@@ -377,55 +378,52 @@ class _Source:
 
     def hook(self, cond):
         """Lines updating `_r` from operands `_a`, `_b` at a labeled
-        conditional, per mode."""
-        op, label = cond.op, cond.label
+        conditional, per mode: where a distance is taken, the NaN check
+        and then one update that picks the side."""
+        label = cond.label
+        toward_t, toward_f = _distance(cond.op), _distance(negate_op(cond.op))
         if self.mode == COVERAGE:
-            return ([f"_k = _sat[{label}]",
-                     f"if _k == {_RESET}:",
-                     "    _r = 0.0",
-                     f"elif _k == {_TOWARD_T}:"]
-                    + ["    " + s for s in _distance(op, "_r = {}")]
-                    + [f"elif _k == {_TOWARD_F}:"]
-                    + ["    " + s for s in _distance(negate_op(op),
-                                                     "_r = {}")])
+            # _KEEP is the one falsy code
+            return [f"_k = _sat[{label}]",
+                    f"if _k == {_RESET}:",
+                    "    _r = 0.0",
+                    "elif _k:",
+                    "    " + _NAN_CHECK,
+                    f"    _r = ({toward_t} if _k == {_TOWARD_T} "
+                    f"else {toward_f})"]
         if self.mode == PATH:
-            return ([f"if _tl[_c] == {label}:",
-                     "    if _tt[_c]:"]
-                    + ["        " + s for s in _distance(op, "_r = _r + {}")]
-                    + ["    else:"]
-                    + ["        " + s for s in _distance(negate_op(op),
-                                                         "_r = _r + {}")]
-                    + ["    _c = _c + 1"])
+            return [f"if _tl[_c] == {label}:",
+                    "    " + _NAN_CHECK,
+                    f"    _r = _r + ({toward_t} if _tt[_c] else {toward_f})",
+                    "    _c = _c + 1"]
         if self.mode == BVA:
-            return _distance("==", "_r = _r * {}")
+            return [_NAN_CHECK, f"_r = _r * {_distance('==')}"]
         return []
 
     def test(self, cond):
-        """Emit what precedes the test of a conditional; return the test
-        and the lines to run first on its true and on its false side."""
+        """Emit what precedes the test of a conditional: at a labeled
+        one its operands, its hook and, tracing, its record of the branch
+        taken; return the test."""
         a, b = self.expr(cond.lhs), self.expr(cond.rhs)
         label = cond.label
         if label is None:
-            return f"{a} {cond.op} {b}", [], []
-        hook = self.hook(cond)
+            return f"{a} {cond.op} {b}"
+        test = f"_a {cond.op} _b"
         self.emit(f"_a = {a}")
         self.emit(f"_b = {b}")
         if self.tracing:
             self.emit(f"_cond({label})")
-        for line in hook:
+        for line in self.hook(cond):
             self.emit(line)
-        if not self.tracing:
-            return f"_a {cond.op} _b", [], []
-        return (f"_a {cond.op} _b", [f"_path(({label}, 'T'))"],
-                [f"_path(({label}, 'F'))"])
+        if self.tracing:
+            self.emit(f"_path(({label}, 'T') if {test} else ({label}, 'F'))")
+        return test
 
     # -- statements
 
-    def suite(self, lines, stmts=()):
+    def suite(self, stmts):
         self.indent += 1
         start = len(self.lines)
-        for line in lines:
-            self.emit(line)
         self.body(stmts)
         if len(self.lines) == start:
             self.emit("pass")
@@ -473,11 +471,9 @@ class _Source:
             self.emit("while True:")
             self.indent += 1
             self.tick(1, s.line)
-            test, on_true, on_false = self.test(s.cond)
-            self.emit(f"if {test}:")
-            self.suite(on_true)
-            self.emit("else:")
-            self.suite(on_false + ["break"])
+            # `not` binds looser than a comparison, so the test needs no
+            # parentheses, which lang.MAX_EXPR_DEPTH has no level left for
+            self.emit(f"if not {self.test(s.cond)}: break")
             self.body(s.body)
             self.indent -= 1
         elif isinstance(s, Assign):
@@ -487,12 +483,12 @@ class _Source:
         elif isinstance(s, Return):
             self.emit(f"return {self.expr(s.expr)}")
         elif isinstance(s, If):
-            test, on_true, on_false = self.test(s.cond)
+            test = self.test(s.cond)
             self.emit(f"if {test}:")
-            self.suite(on_true, s.then)
-            if on_false or s.els:
+            self.suite(s.then)
+            if s.els:
                 self.emit("else:")
-                self.suite(on_false, s.els)
+                self.suite(s.els)
         else:
             raise TypeError(f"unhandled statement {s!r}")
 
@@ -514,7 +510,7 @@ class _Source:
 
     def define(self, signature, lines):
         self.emit(f"def {signature}:")
-        self.suite(lines)
+        self.lines += ["    " * (self.indent + 1) + line for line in lines]
 
     def runner(self, params, core, shared=()):
         """Emit `_bind(_obj, _s, _lo0, _hi0, _lo1, ...)`, which returns
@@ -603,9 +599,8 @@ class _Source:
 
 def _namespace():
     ns = {f"_b_{name}": fn for name, fn in BUILTIN_FUNCTIONS.items()}
-    ns.update(_pow=_pow, _div=_div, _nan=_nan,
-              _float=float, _cs=math.copysign,
-              _StepBudgetExceeded=StepBudgetExceeded,
+    ns.update(_pow=_pow, _div=_div, _float=float, _cs=math.copysign,
+              _NaNOperand=NaNOperand, _StepBudgetExceeded=StepBudgetExceeded,
               _CallDepthExceeded=CallDepthExceeded, _SENTINEL=SENTINEL,
               _ABORTS=tuple(_ABORTS))
     return ns
@@ -828,8 +823,8 @@ def _generate_comparisons(constraint):
     gen = _Source()
     core = ["_r = 0.0"]
     for cmp in comparisons:
-        core += [f"_a = {gen.expr(cmp.lhs)}", f"_b = {gen.expr(cmp.rhs)}"]
-        core += _distance(cmp.op, "_r = _r + {}")
+        core += [f"_a = {gen.expr(cmp.lhs)}", f"_b = {gen.expr(cmp.rhs)}",
+                 _NAN_CHECK, f"_r = _r + {_distance(cmp.op)}"]
     params = [f"v_{name}" for name in names]
     gen.runner(params, core)
     # unparenthesized, so that a comparison adds no nesting level beyond

@@ -277,9 +277,10 @@ def walk(node, limit=None):
 MAX_EXPR_DEPTH = 199
 
 # Each if and while is an indented block of the generated Python, which
-# allows 100 levels; the function body takes one, and path mode's code
-# under a conditional's test two.  A while's test sits inside its loop,
-# so a while counts one level more.
+# allows 100 levels; the function body takes one, and a conditional's
+# hook (coverage's or path's) one more under its test, so one level is
+# spare.  A while's test sits inside its loop, so a while counts one
+# level more.
 MAX_STMT_DEPTH = 97
 # Python allows 20 loops nested in one function
 MAX_LOOP_DEPTH = 20

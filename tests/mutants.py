@@ -55,8 +55,8 @@ KILLED = "killed"
 MUTANTS = [
     # -- aborts and sanitisers of the generated runner
     ("nan operand abort", INTERP,
-     'return [f"if _a != _a or _b != _b: _nan(_a, {op!r}, _b)",',
-     'return [f"if False: _nan(_a, {op!r}, _b)",', KILLED),
+     '_NAN_CHECK = "if _a != _a or _b != _b: raise _NaNOperand"',
+     '_NAN_CHECK = "if False: raise _NaNOperand"', KILLED),
     ("step budget off by one", INTERP,
      'self.emit("if _n > _B: raise _StepBudgetExceeded")',
      'self.emit("if _n >= _B: raise _StepBudgetExceeded")', KILLED),
@@ -257,6 +257,35 @@ MUTANTS = [
     ("generated search reads x at the wrong index", INTERP,
      'f"_x{i}, _d{i} = x[{i}], d[{i}]"',
      'f"_x{i}, _d{i} = x[{i - 1}], d[{i}]"', KILLED),
+    # -- the hooks at a labeled conditional, its branch record and the
+    # loop exit of the generated code
+    ("generated NaN check at a kept label", INTERP,
+     '"elif _k:",', '"elif not _k:", "    " + _NAN_CHECK, "elif _k:",',
+     KILLED),
+    ("generated coverage side pick swapped", INTERP,
+     'f"    _r = ({toward_t} if _k == {_TOWARD_T} "',
+     'f"    _r = ({toward_t} if _k == {_TOWARD_F} "', KILLED),
+    ("generated path side pick swapped", INTERP,
+     'f"    _r = _r + ({toward_t} if _tt[_c] else {toward_f})",',
+     'f"    _r = _r + ({toward_f} if _tt[_c] else {toward_t})",', KILLED),
+    ("generated branch record inverted", INTERP,
+     "_path(({label}, 'T') if {test} else ({label}, 'F'))",
+     "_path(({label}, 'F') if {test} else ({label}, 'T'))", KILLED),
+    ("generated loop exit inverted", INTERP,
+     'self.emit(f"if not {self.test(s.cond)}: break")',
+     'self.emit(f"if {self.test(s.cond)}: break")', KILLED),
+    ("generated loop exit in parentheses", INTERP,
+     'self.emit(f"if not {self.test(s.cond)}: break")',
+     'self.emit(f"if not ({self.test(s.cond)}): break")', KILLED),
+    ("execute takes a mode for a compiled program", INTERP,
+     "if cfg is not None or entry is not None:", "if entry is not None:",
+     KILLED),
+    ("execute takes an entry for a compiled program", INTERP,
+     "if cfg is not None or entry is not None:", "if cfg is not None:",
+     KILLED),
+    ("compiled program of an unknown entry", INTERP,
+     "        if fn is None:\n            raise UnknownFunction",
+     "        if False:\n            raise UnknownFunction", KILLED),
     # -- the distance templates of the generated code
     ("== distance not squared", INTERP,
      '"==": "(({a} - {b}) * ({a} - {b}))",',

@@ -8,6 +8,7 @@ import cfg_oracle
 from conftest import BENCH
 from mexec.cfg import build_cfg
 from mexec.errors import UnknownFunction
+from mexec.interp import execute
 from mexec.lang import If, While, parse, walk
 from mexec.transforms import prepare
 from test_engine import _ProgramGen
@@ -58,6 +59,25 @@ def test_loop_makes_inner_branch_its_own_descendant():
     """, "f")
     assert (1, "T") in g.descendant[(1, "T")]
     assert (0, "T") in g.descendant[(1, "F")]
+
+
+def test_a_loop_run_takes_only_descendants_after_each_branch():
+    program = parse("""
+        real f(real x, real y) {
+            while (x < 10) {
+                if (y == 0) { y = 1; }
+                x++;
+            }
+            return x;
+        }
+    """)
+    g = build_cfg(program, "f")
+    trace = execute(program, [8.0, 0.0], entry="f")
+    # two rounds, then the loop exits on its test
+    assert trace.path == [(0, "T"), (1, "T"), (0, "T"), (1, "F"), (0, "F")]
+    assert trace.return_value == 10.0
+    for i, branch in enumerate(trace.path):
+        assert set(trace.path[i + 1:]) <= g.descendant[branch]
 
 
 def test_branch_universe_size():

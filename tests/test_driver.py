@@ -594,7 +594,7 @@ def _never(*_args, **_kwargs):
     ("max_rounds", 1.5), ("max_rounds", -1),
     ("xtol", math.nan), ("xtol", -1e-8), ("xtol", math.inf),
     ("ftol", math.nan), ("ftol", -1e-8), ("ftol", math.inf),
-    ("seed", [1]), ("seed", {}),
+    ("seed", [1]), ("seed", {}), ("seed", math.nan),
 ])
 def test_a_bad_setting_raises_naming_it_as_its_config_is_built(name, value):
     with pytest.raises(MexecError, match=rf"^bad {name}\b"):
@@ -644,7 +644,7 @@ def test_a_none_config_searches_with_the_defaults_in_every_mode(monkeypatch):
 @pytest.mark.parametrize("name, value", [
     ("n_start", 0), ("n_iter", 0), ("step_scale", 0.0),
     ("temperature", 0.0), ("temperature", -0.0), ("temperature", math.inf),
-    ("defaults", None),
+    ("seed", math.inf), ("defaults", None),
 ])
 def test_the_edges_of_each_setting_rule_still_run(name, value):
     cfg = None if name == "defaults" else _setting(name, value)

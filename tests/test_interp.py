@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mexec.cfg import build_cfg
 from mexec.driver import SearchConfig, run_coverage
-from mexec.errors import ArityMismatch
+from mexec.errors import ArityMismatch, UnknownFunction
 from mexec.interp import (
     BUILTIN_FUNCTIONS, MAX_CALL_DEPTH, SENTINEL, CompiledProgram, _pow,
     bva_config, conditional_counts, coverage_config, execute, path_config,
@@ -131,6 +131,18 @@ def test_objective_arity_mismatch():
         CompiledProgram(program, bva_config()).objective()([1.0])
 
 
+def test_a_compiled_program_takes_no_mode_or_entry(foo):
+    compiled = CompiledProgram(foo, coverage_config(), "FOO")
+    for given in ({"cfg": plain_config()}, {"entry": "FOO"}):
+        with pytest.raises(TypeError, match="fixes its mode and entry"):
+            execute(compiled, [0.5], **given)
+
+
+def test_an_unknown_entry_raises_unknown_function(foo):
+    with pytest.raises(UnknownFunction, match="no function named 'nope'"):
+        execute(foo, [0.5], entry="nope")
+
+
 def test_step_budget_aborts_runaway_loop():
     program = prepare(parse(
         "real f(real x) { while (x < 1) { x = x - 1; } return x; }"))
@@ -148,6 +160,18 @@ def test_nan_comparison_aborts_with_sentinel():
     trace = execute(program, [-1.0], coverage_config(), state, entry="f")
     assert trace.aborted == "nan operand"
     assert trace.final_r == SENTINEL
+
+
+def test_a_nan_operand_aborts_only_where_a_distance_is_taken():
+    # with nothing saturated the penalty resets r, with both sides
+    # saturated it keeps r; neither takes a distance
+    program = prepare(parse(
+        "real f(real x) { real z = log(x) / log(x);"
+        " if (z == 1) { return 1; } return 0; }"))
+    for covered, final_r in (([], 0.0), ([(0, "T"), (0, "F")], 1.0)):
+        state = cover_state(program, "f", covered)
+        trace = execute(program, [-1.0], coverage_config(), state, entry="f")
+        assert (trace.aborted, trace.final_r) == (None, final_r)
 
 
 def test_division_by_zero_is_signed_infinity():

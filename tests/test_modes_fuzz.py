@@ -300,6 +300,20 @@ def test_every_program_parse_accepts_compiles_in_every_mode(nest, past,
     assert_runs_in_every_mode(parse(source), [x])
 
 
+@pytest.mark.parametrize("shape", ["neg", "chain", "power"])
+@pytest.mark.parametrize("nest", sorted(NESTS))
+def test_an_unlabeled_test_at_the_deepest_nesting_compiles(nest, shape):
+    # a comparison with a bare pointer has no label, so the generated
+    # test holds its deepest operand itself, not `_b`
+    kinds = NESTS[nest]
+    level = len(kinds) - (kinds[-1] != "while")
+    test = f"p < {_deep(shape, max_expr_depth(level), '1e400')}"
+    program = parse("real f(real *p, real x) "
+                    f"{{ {_nest(kinds, test, 'x = 1;')} return x; }}")
+    assert program.uninstrumentable == 1
+    assert_runs_in_every_mode(program, [0.5, 0.5])
+
+
 @pytest.mark.parametrize("source", ["", " \n", "// no function\n",
                                     "/* none */"],
                          ids=["empty", "blank", "line-comment",
