@@ -63,7 +63,8 @@ def _build_parser():
                             "opposite branch infeasible")
     cover.add_argument("--emit-instrumented", action="store_true",
                        help="print the Python the search minimizes, "
-                            "then the report")
+                            "then the report (a hot search runs its C "
+                            "translation, with the same values)")
 
     path = sub.add_parser("path", help="find an input following a path")
     add_common(path)

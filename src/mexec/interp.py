@@ -28,6 +28,13 @@ A `sat` constraint compiles to the same runner, its r the sum of its
 comparisons' branch distances; its source and code are kept on the
 Constraint.
 
+The Python text is the specification.  A fast source or constraint that
+runs hot in a process is also built in C (native.Hot): the same walk of
+`_Source`, spelled in C by native.CSource, whose runner and line search
+give the same values and counts, and each restart after the build binds
+those.  Without a C compiler, or when its build fails, the source stays
+on Python.
+
 At each labeled conditional the mode's hook decides how r changes, by
 the same lines in both flavours: coverage takes the penalty
 (saturation.pen) from the saturation table, path adds the distance
@@ -46,6 +53,7 @@ neither abort can happen.
 import math
 import struct
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -194,22 +202,16 @@ BUILTIN_FUNCTIONS = {
 # ---------------------------------------------------------------------------
 # Code generation
 
-# branch_distance(op, a, b) on NaN-free operands; > and >= swap theirs
+# branch_distance(op, a, b) on NaN-free operands, as (test, value): 0.0
+# where the test holds, else the value, and the value alone without a
+# test; > and >= swap theirs
 _DISTANCE = {
-    "==": "(({a} - {b}) * ({a} - {b}))",
-    "!=": "(0.0 if {a} != {b} else _eps)",
-    "<": "(0.0 if {a} < {b} else ({a} - {b}) * ({a} - {b}) + _eps)",
-    "<=": "(0.0 if {a} <= {b} else ({a} - {b}) * ({a} - {b}))",
+    "==": (None, "({a} - {b}) * ({a} - {b})"),
+    "!=": ("{a} != {b}", "_eps"),
+    "<": ("{a} < {b}", "({a} - {b}) * ({a} - {b}) + _eps"),
+    "<=": ("{a} <= {b}", "({a} - {b}) * ({a} - {b})"),
 }
 _SWAPPED = {">": "<", ">=": "<="}
-
-
-def _distance(op):
-    """branch_distance(op, _a, _b) as an expression, for operands that
-    passed `_NAN_CHECK`."""
-    if op in _SWAPPED:
-        return _DISTANCE[_SWAPPED[op]].format(a="_b", b="_a")
-    return _DISTANCE[op].format(a="_a", b="_b")
 
 
 # the abort on a NaN operand, once before each distance is taken
@@ -231,7 +233,7 @@ _KEEP, _RESET, _TOWARD_T, _TOWARD_F = range(4)
 # then `brent_line_min(g, bracket, xtol, 100, values)` on the values
 # held, where an InvalidBracket, that of a runaway bracketing, gives
 # (0.0, f0) and no iteration.  It returns (t, value at t, whether the
-# bracket's mid is above its lo).
+# bracket's mid is above its lo).  native._SEARCH is its C text.
 _SEARCH = """\
 ne = nr = 0
 a, fa, c, k = 0.0, f0, 1.0, -1
@@ -316,10 +318,6 @@ def _returns(stmt):
     return any(isinstance(node, Return) for node in walk(stmt))
 
 
-def _literal(value):
-    return repr(value) if math.isfinite(value) else f"_float({str(value)!r})"
-
-
 class _Source:
     """Python source for one program under one mode, in one flavour.
 
@@ -329,7 +327,26 @@ class _Source:
     representing value `_r`, the step count `_n` and the path cursor
     `_c` are globals of the namespace the source runs in.  Without
     `guards`, a fast source counts no steps and passes no `_dp`.
+
+    The walk (`function`, `body`, `stmt`, `test`, `hook`, `tick`) is
+    the one translation of a program; the class attributes and the
+    methods under "spelling" are how it is written down, and
+    native.CSource writes the same walk in C.
     """
+
+    # -- spelling
+    HEADS = {"def": "def {}:", "if": "if {}:", "elif": "elif {}:",
+             "else": "else:", "loop": "while True:"}
+    END = None
+    EMPTY = "pass"
+    STATEMENT = "{}"
+    CHOOSE = "({yes} if {test} else {no})"
+    RAISE = "if {test}: raise {error}"
+    # `not` binds looser than a comparison, so the test needs no
+    # parentheses, which lang.MAX_EXPR_DEPTH has no level left for
+    EXIT_UNLESS = "if not {test}: break"
+    TICK = ("_n += {count}", "if _n > _B: raise _StepBudgetExceeded")
+    NAN_CHECK = _NAN_CHECK
 
     def __init__(self, mode=PLAIN, tracing=False, guards=True):
         self.mode = mode
@@ -341,16 +358,60 @@ class _Source:
     def emit(self, line):
         self.lines.append("    " * self.indent + line)
 
+    def put(self, statement):
+        self.emit(self.STATEMENT.format(statement))
+
+    @contextmanager
+    def block(self, kind, head=None):
+        """Emit a block headed `kind` (see HEADS) around what the body of
+        the `with` emits."""
+        self.emit(self.HEADS[kind].format(head))
+        self.indent += 1
+        start = len(self.lines)
+        yield
+        if len(self.lines) == start and self.EMPTY:
+            self.emit(self.EMPTY)
+        self.indent -= 1
+        if self.END:
+            self.emit(self.END)
+
+    def capture(self, emit):
+        """The lines `emit()` emits, unindented, kept out of the source."""
+        lines, indent = self.lines, self.indent
+        self.lines, self.indent = [], 0
+        try:
+            emit()
+            return self.lines
+        finally:
+            self.lines, self.indent = lines, indent
+
     def compiled(self, name):
         """The source emitted and its code."""
         source = "\n".join(self.lines) + "\n"
         return source, _compile(source, name)
 
+    def literal(self, value):
+        return (repr(value) if math.isfinite(value)
+                else f"_float({str(value)!r})")
+
+    def choose(self, test, yes, no):
+        return self.CHOOSE.format(test=test, yes=yes, no=no)
+
+    def signature(self, fn):
+        params = (["_dp"] if self.guards else []) + (
+            ["_site"] if self.tracing else [])
+        params += [f"v_{name}" for name, _kind in fn.params]
+        return f"f_{fn.name}({', '.join(params)})"
+
+    def declare(self, fn):
+        """What opens the body of a function."""
+        self.emit("global _r, _n, _c")
+
     # -- expressions
 
     def expr(self, e):
         if isinstance(e, Num):
-            return _literal(e.value)
+            return self.literal(e.value)
         if isinstance(e, (Var, Deref)):
             return f"v_{e.name}"
         if isinstance(e, Unary):
@@ -374,31 +435,45 @@ class _Source:
             return f"f_{e.name}({', '.join(head + args)})"
         raise ValueError(f"unhandled expression {e!r}")
 
+    def distance(self, op):
+        """branch_distance(op, _a, _b) as an expression, for operands
+        that passed the NaN check."""
+        a, b = "_a", "_b"
+        if op in _SWAPPED:
+            op, a, b = _SWAPPED[op], b, a
+        test, value = _DISTANCE[op]
+        value = value.format(a=a, b=b)
+        if test is None:
+            return f"({value})"
+        return self.choose(test.format(a=a, b=b), "0.0", value)
+
     # -- conditionals
 
     def hook(self, cond):
-        """Lines updating `_r` from operands `_a`, `_b` at a labeled
+        """Emit the update of `_r` from operands `_a`, `_b` at a labeled
         conditional, per mode: where a distance is taken, the NaN check
         and then one update that picks the side."""
         label = cond.label
-        toward_t, toward_f = _distance(cond.op), _distance(negate_op(cond.op))
+        toward_t = self.distance(cond.op)
+        toward_f = self.distance(negate_op(cond.op))
         if self.mode == COVERAGE:
             # _KEEP is the one falsy code
-            return [f"_k = _sat[{label}]",
-                    f"if _k == {_RESET}:",
-                    "    _r = 0.0",
-                    "elif _k:",
-                    "    " + _NAN_CHECK,
-                    f"    _r = ({toward_t} if _k == {_TOWARD_T} "
-                    f"else {toward_f})"]
-        if self.mode == PATH:
-            return [f"if _tl[_c] == {label}:",
-                    "    " + _NAN_CHECK,
-                    f"    _r = _r + ({toward_t} if _tt[_c] else {toward_f})",
-                    "    _c = _c + 1"]
-        if self.mode == BVA:
-            return [_NAN_CHECK, f"_r = _r * {_distance('==')}"]
-        return []
+            self.put(f"_k = _sat[{label}]")
+            with self.block("if", f"_k == {_RESET}"):
+                self.put("_r = 0.0")
+            with self.block("elif", "_k"):
+                self.emit(self.NAN_CHECK)
+                self.put("_r = " + self.choose(f"_k == {_TOWARD_T}",
+                                               toward_t, toward_f))
+        elif self.mode == PATH:
+            with self.block("if", f"_tl[_c] == {label}"):
+                self.emit(self.NAN_CHECK)
+                self.put("_r = _r + " + self.choose("_tt[_c]", toward_t,
+                                                    toward_f))
+                self.put("_c = _c + 1")
+        elif self.mode == BVA:
+            self.emit(self.NAN_CHECK)
+            self.put(f"_r = _r * {self.distance('==')}")
 
     def test(self, cond):
         """Emit what precedes the test of a conditional: at a labeled
@@ -409,30 +484,21 @@ class _Source:
         if label is None:
             return f"{a} {cond.op} {b}"
         test = f"_a {cond.op} _b"
-        self.emit(f"_a = {a}")
-        self.emit(f"_b = {b}")
+        self.put(f"_a = {a}")
+        self.put(f"_b = {b}")
         if self.tracing:
             self.emit(f"_cond({label})")
-        for line in self.hook(cond):
-            self.emit(line)
+        self.hook(cond)
         if self.tracing:
             self.emit(f"_path(({label}, 'T') if {test} else ({label}, 'F'))")
         return test
 
     # -- statements
 
-    def suite(self, stmts):
-        self.indent += 1
-        start = len(self.lines)
-        self.body(stmts)
-        if len(self.lines) == start:
-            self.emit("pass")
-        self.indent -= 1
-
     def tick(self, count, line):
         if self.guards:
-            self.emit(f"_n += {count}")
-            self.emit("if _n > _B: raise _StepBudgetExceeded")
+            for template in self.TICK:
+                self.emit(template.format(count=count))
         if self.tracing and line:
             self.emit(f"_line({line})")
 
@@ -468,45 +534,74 @@ class _Source:
     def stmt(self, s):
         """Emit one statement without its count."""
         if isinstance(s, While):
-            self.emit("while True:")
-            self.indent += 1
-            self.tick(1, s.line)
-            # `not` binds looser than a comparison, so the test needs no
-            # parentheses, which lang.MAX_EXPR_DEPTH has no level left for
-            self.emit(f"if not {self.test(s.cond)}: break")
-            self.body(s.body)
-            self.indent -= 1
+            with self.block("loop"):
+                self.tick(1, s.line)
+                self.emit(self.EXIT_UNLESS.format(test=self.test(s.cond)))
+                self.body(s.body)
         elif isinstance(s, Assign):
-            self.emit(f"v_{s.target.name} = {self.expr(s.expr)}")
+            self.put(f"v_{s.target.name} = {self.expr(s.expr)}")
         elif isinstance(s, ExprStmt):
-            self.emit(self.expr(s.expr))
+            self.put(self.expr(s.expr))
         elif isinstance(s, Return):
-            self.emit(f"return {self.expr(s.expr)}")
+            self.put(f"return {self.expr(s.expr)}")
         elif isinstance(s, If):
-            test = self.test(s.cond)
-            self.emit(f"if {test}:")
-            self.suite(s.then)
+            with self.block("if", self.test(s.cond)):
+                self.body(s.then)
             if s.els:
-                self.emit("else:")
-                self.suite(s.els)
+                with self.block("else"):
+                    self.body(s.els)
         else:
             raise TypeError(f"unhandled statement {s!r}")
 
     def function(self, fn):
-        params = (["_dp"] if self.guards else []) + (
-            ["_site"] if self.tracing else [])
-        params += [f"v_{name}" for name, _kind in fn.params]
-        self.emit(f"def f_{fn.name}({', '.join(params)}):")
-        self.indent += 1
-        self.emit("global _r, _n, _c")
+        with self.block("def", self.signature(fn)):
+            self.declare(fn)
+            if self.tracing:
+                self.emit("if _site is not None: _call(_site)")
+            if self.guards:
+                self.emit(self.RAISE.format(test=f"_dp > {MAX_CALL_DEPTH}",
+                                            error="_CallDepthExceeded"))
+            self.body(fn.body)
+            if not fn.body or not isinstance(fn.body[-1], Return):
+                self.put("return 0.0")
+
+    def program(self, program, entry, arity):
+        """Emit the functions of `program` and, for the fast flavour, the
+        runner of `entry` on its `arity` inputs."""
+        for fn in program.functions:
+            self.function(fn)
         if self.tracing:
-            self.emit("if _site is not None: _call(_site)")
+            return
+        params = [f"v{i}" for i in range(arity)]
+        fresh = {"_r": repr(_R0[self.mode])}
         if self.guards:
-            self.emit(f"if _dp > {MAX_CALL_DEPTH}: raise _CallDepthExceeded")
-        self.body(fn.body)
-        if not fn.body or not isinstance(fn.body[-1], Return):
-            self.emit("return 0.0")
-        self.indent -= 1
+            fresh["_n"] = "0"
+        if self.mode == PATH:
+            fresh["_c"] = "0"
+        if self.mode == COVERAGE:
+            fresh["_sat"] = "_s"
+        # the entry on `params` from a fresh `_r`, step count (with
+        # guards), path cursor and saturation table, all globals
+        args = (["1"] if self.guards else []) + params
+
+        def core():
+            for name, value in fresh.items():
+                self.put(f"{name} = {value}")
+            self.put(f"f_{entry}({', '.join(args)})")
+        self.runner(params, self.capture(core), fresh)
+
+    def comparisons(self, constraint):
+        """Emit the runner of a constraint: `_r` the sum of its
+        comparisons' branch distances."""
+        def core():
+            self.put("_r = 0.0")
+            for cmp in constraint.conjuncts:
+                self.put(f"_a = {self.expr(cmp.lhs)}")
+                self.put(f"_b = {self.expr(cmp.rhs)}")
+                self.emit(self.NAN_CHECK)
+                self.put(f"_r = _r + {self.distance(cmp.op)}")
+        self.runner([f"v_{name}" for name in constraint.variables],
+                    self.capture(core))
 
     def define(self, signature, lines):
         self.emit(f"def {signature}:")
@@ -625,14 +720,19 @@ class RepresentingFunction:
     `runner(objective)` gives the generated line runner of an
     optimize.Objective, which clamps into `objective.box`, counts on
     `objective` and sanitises, and its generated line search (None
-    without inputs).  Called on a point, it gives the value of one
-    Objective without a box, bound on the first call.
+    without inputs): those of the source's C build once `hot`, its
+    native.Hot, has one, else the Python ones.  `settings` are the
+    epsilon, step budget and path target the C runner takes, which the
+    Python one has in its namespace.  Called on a point, it gives the
+    value of one Objective without a box, bound on the first call.
     """
 
-    def __init__(self, ns, arity, table=None):
+    def __init__(self, ns, arity, table, hot, settings):
         self._bind = ns["_bind"]
         self.arity = arity
         self.table = table
+        self.hot = hot
+        self.settings = settings
 
     def __call__(self, x):
         return self._plain(x)
@@ -643,8 +743,9 @@ class RepresentingFunction:
 
     def runner(self, objective):
         box = objective.box or [(-math.inf, math.inf)] * self.arity
-        return self._bind(objective, self.table,
-                          *(b for pair in box for b in pair))
+        return (self.hot.bind(objective, box, self.table, *self.settings)
+                or self._bind(objective, self.table,
+                              *(b for pair in box for b in pair)))
 
 
 class CompiledProgram:
@@ -711,25 +812,25 @@ class CompiledProgram:
     def _generate(self, tracing, guards):
         mode = self.cfg.mode
         gen = _Source(mode, tracing, guards)
-        for fn in self.program.functions:
-            gen.function(fn)
+        gen.program(self.program, self.entry, self.arity)
         if tracing:
             return gen.compiled(f"{mode} tracing")
-        params = [f"v{i}" for i in range(self.arity)]
-        fresh = {"_r": repr(_R0[mode])}
-        if guards:
-            fresh["_n"] = "0"
-        if mode == PATH:
-            fresh["_c"] = "0"
-        if mode == COVERAGE:
-            fresh["_sat"] = "_s"
-        # the entry on `params` from a fresh `_r`, step count (with
-        # guards), path cursor and saturation table, all globals
-        args = (["1"] if guards else []) + params
-        gen.runner(params,
-                   [f"{name} = {value}" for name, value in fresh.items()]
-                   + [f"f_{self.entry}({', '.join(args)})"], fresh)
         return gen.compiled(f"{self.entry} {mode} fast")
+
+    @cached_property
+    def _hot(self):
+        """The native.Hot of the fast source, kept on the program next to
+        it."""
+        from . import native
+        guards = self.guarded()
+        mode, entry, program = self.cfg.mode, self.entry, self.program
+
+        def text():
+            gen = native.CSource(mode, guards)
+            gen.program(program, entry, self.arity)
+            return gen.text()
+        return memoised(program, ("native", entry, mode, guards),
+                        lambda: native.Hot(self.arity, text))
 
     def _table(self, sat_state):
         """In coverage mode, what the penalty does at each label under
@@ -755,8 +856,10 @@ class CompiledProgram:
     def objective(self, sat_state=None):
         """The fast flavour: inputs -> final representing value, with
         the coverage penalty of `sat_state`."""
-        return RepresentingFunction(self._flavour(False), self.arity,
-                                    self._table(sat_state))
+        return RepresentingFunction(
+            self._flavour(False), self.arity, self._table(sat_state),
+            self._hot, (self.cfg.epsilon, self.step_budget,
+                        self.cfg.target_path))
 
     def trace(self, inputs, sat_state=None):
         """Run the tracing flavour on `inputs`."""
@@ -810,29 +913,33 @@ def compile_comparisons(constraint, epsilon=1e-6):
     the sum of the comparisons' branch distances or the sentinel if an
     operand is NaN, and a function of an input vector telling whether
     every comparison holds.  The code is generated and compiled once per
-    constraint."""
+    constraint, and so is its C build once hot (see native.Hot)."""
+    from . import native
     ns = _namespace()
     ns["_eps"] = epsilon
     exec(memoised(constraint, "source",
                   lambda: _generate_comparisons(constraint))[1], ns)
-    return RepresentingFunction(ns, len(constraint.variables)), ns["_holds"]
+    arity = len(constraint.variables)
+
+    def text():
+        gen = native.CSource(PLAIN, False)
+        gen.comparisons(constraint)
+        return gen.text()
+    hot = memoised(constraint, "native", lambda: native.Hot(arity, text))
+    return (RepresentingFunction(ns, arity, None, hot, (epsilon, 1, None)),
+            ns["_holds"])
 
 
 def _generate_comparisons(constraint):
-    comparisons, names = constraint.conjuncts, constraint.variables
     gen = _Source()
-    core = ["_r = 0.0"]
-    for cmp in comparisons:
-        core += [f"_a = {gen.expr(cmp.lhs)}", f"_b = {gen.expr(cmp.rhs)}",
-                 _NAN_CHECK, f"_r = _r + {_distance(cmp.op)}"]
-    params = [f"v_{name}" for name in names]
-    gen.runner(params, core)
+    gen.comparisons(constraint)
     # unparenthesized, so that a comparison adds no nesting level beyond
     # its operands' (lang.MAX_EXPR_DEPTH)
     tests = [f"{gen.expr(c.lhs)} {c.op} {gen.expr(c.rhs)}"
-             for c in comparisons]
+             for c in constraint.conjuncts]
     gen.define("_holds(x)",
-               [f"{v} = _float(x[{i}])" for i, v in enumerate(params)]
+               [f"v_{name} = _float(x[{i}])"
+                for i, name in enumerate(constraint.variables)]
                + [f"return {' and '.join(tests) or 'True'}"])
     return gen.compiled("constraint")
 

@@ -14,8 +14,9 @@ A line search asks for no value it already holds: the bracket starts
 from the value at t = 0, and Brent checks the bracket with the values
 the bracketing found.  `_bracket` and `brent_line_min` run it for a
 plain function and are the specification: an Objective of a compiled
-function runs the copy that interp generates next to its runner, which
-inlines the evaluation and gives the same results and counts.  Nor does
+function runs the copy that interp generates next to its runner (or its
+C build, see native), which inlines the evaluation and gives the same
+results and counts.  Nor does
 a line search run again: an Objective records each line search it has
 run, keyed by the exact bits of the point, the direction and xtol, and
 answers a repeat, such as the same failed search Powell asks again in

@@ -1,11 +1,12 @@
 import contextlib
+import math
 import pathlib
 from unittest import mock
 
 import pytest
 from hypothesis import settings
 
-from mexec import interp
+from mexec import interp, native
 from mexec.lang import parse
 from mexec.optimize import Objective
 from mexec.transforms import prepare
@@ -54,6 +55,14 @@ def counting_compiles():
     """Within the block, the mock it gives counts each unit of code
     `interp` compiles."""
     return mock.patch.object(interp, "_compile", wraps=interp._compile)
+
+
+def backend(name):
+    """Within the block, every fast source and constraint runs on `name`:
+    "python" for its Python flavour throughout, "c" for its C build from
+    its first restart on (native.HOT_RUNS 0)."""
+    return mock.patch.object(native, "HOT_RUNS",
+                             {"python": math.inf, "c": 0}[name])
 
 
 def load(name):

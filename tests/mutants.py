@@ -45,6 +45,7 @@ CLI = "src/mexec/cli.py"
 DRIVER = "src/mexec/driver.py"
 INTERP = "src/mexec/interp.py"
 LANG = "src/mexec/lang.py"
+NATIVE = "src/mexec/native.py"
 OPTIMIZE = "src/mexec/optimize.py"
 REPORT = "src/mexec/report.py"
 SATCHECK = "src/mexec/satcheck.py"
@@ -58,11 +59,10 @@ MUTANTS = [
      '_NAN_CHECK = "if _a != _a or _b != _b: raise _NaNOperand"',
      '_NAN_CHECK = "if False: raise _NaNOperand"', KILLED),
     ("step budget off by one", INTERP,
-     'self.emit("if _n > _B: raise _StepBudgetExceeded")',
-     'self.emit("if _n >= _B: raise _StepBudgetExceeded")', KILLED),
+     '"if _n > _B: raise _StepBudgetExceeded")',
+     '"if _n >= _B: raise _StepBudgetExceeded")', KILLED),
     ("call depth off by one", INTERP,
-     'self.emit(f"if _dp > {MAX_CALL_DEPTH}: raise _CallDepthExceeded")',
-     'self.emit(f"if _dp >= {MAX_CALL_DEPTH}: raise _CallDepthExceeded")',
+     'test=f"_dp > {MAX_CALL_DEPTH}"', 'test=f"_dp >= {MAX_CALL_DEPTH}"',
      KILLED),
     ("runner abort reports 0", INTERP,
      '"    " + done.format("_SENTINEL"),', '"    " + done.format("0.0"),',
@@ -260,23 +260,27 @@ MUTANTS = [
     # -- the hooks at a labeled conditional, its branch record and the
     # loop exit of the generated code
     ("generated NaN check at a kept label", INTERP,
-     '"elif _k:",', '"elif not _k:", "    " + _NAN_CHECK, "elif _k:",',
-     KILLED),
+     '            with self.block("elif", "_k"):\n',
+     '            with self.block("elif", "_k == 0"):\n'
+     '                self.emit(self.NAN_CHECK)\n'
+     '            with self.block("elif", "_k"):\n', KILLED),
     ("generated coverage side pick swapped", INTERP,
-     'f"    _r = ({toward_t} if _k == {_TOWARD_T} "',
-     'f"    _r = ({toward_t} if _k == {_TOWARD_F} "', KILLED),
+     'self.choose(f"_k == {_TOWARD_T}",',
+     'self.choose(f"_k == {_TOWARD_F}",', KILLED),
     ("generated path side pick swapped", INTERP,
-     'f"    _r = _r + ({toward_t} if _tt[_c] else {toward_f})",',
-     'f"    _r = _r + ({toward_f} if _tt[_c] else {toward_t})",', KILLED),
+     'self.choose("_tt[_c]", toward_t,\n'
+     '                                                    toward_f)',
+     'self.choose("_tt[_c]", toward_f,\n'
+     '                                                    toward_t)', KILLED),
     ("generated branch record inverted", INTERP,
      "_path(({label}, 'T') if {test} else ({label}, 'F'))",
      "_path(({label}, 'F') if {test} else ({label}, 'T'))", KILLED),
     ("generated loop exit inverted", INTERP,
-     'self.emit(f"if not {self.test(s.cond)}: break")',
-     'self.emit(f"if {self.test(s.cond)}: break")', KILLED),
+     'EXIT_UNLESS = "if not {test}: break"',
+     'EXIT_UNLESS = "if {test}: break"', KILLED),
     ("generated loop exit in parentheses", INTERP,
-     'self.emit(f"if not {self.test(s.cond)}: break")',
-     'self.emit(f"if not ({self.test(s.cond)}): break")', KILLED),
+     'EXIT_UNLESS = "if not {test}: break"',
+     'EXIT_UNLESS = "if not ({test}): break"', KILLED),
     ("execute takes a mode for a compiled program", INTERP,
      "if cfg is not None or entry is not None:", "if entry is not None:",
      KILLED),
@@ -286,19 +290,46 @@ MUTANTS = [
     ("compiled program of an unknown entry", INTERP,
      "        if fn is None:\n            raise UnknownFunction",
      "        if False:\n            raise UnknownFunction", KILLED),
+    # -- the C spelling of the generated code (native.py): its builtins,
+    # runner and line search against the Python flavour
+    ("C floor keeps -0.0", NATIVE,
+     "return __builtin_floor(x) + 0.0;", "return __builtin_floor(x);",
+     KILLED),
+    ("C pow is inf at its pole", NATIVE,
+     "if (r != r || a == 0.0) return MX_NAN;", "if (r != r) return MX_NAN;",
+     KILLED),
+    ("C division by zero ignores the divisor's sign", NATIVE,
+     "return __builtin_copysign(MX_INF, a) * __builtin_copysign(1.0, b);",
+     "return __builtin_copysign(MX_INF, a);", KILLED),
+    ("C words of NaN are its bits", NATIVE,
+     "    if (x != x) return x;\n    w.d = x;", "    w.d = x;", KILLED),
+    ("C memo ignores the sign of zero", NATIVE,
+     "        same = same && v[i] == run->m[i]\n"
+     "            && (v[i] != 0.0\n"
+     "                || !__builtin_signbit(v[i]) == "
+     "!__builtin_signbit(run->m[i]));",
+     "        same = same && v[i] == run->m[i];", KILLED),
+    ("C bracket expands once more", NATIVE,
+     "} else if (fc < fb && k < 80) {", "} else if (fc < fb && k < 81) {",
+     KILLED),
+    ("C abort reports 0", NATIVE,
+     "if (mx_core(run, v)) return MX_SENTINEL;",
+     "if (mx_core(run, v)) return 0.0;", KILLED),
+    ("C step budget drops a tick", NATIVE,
+     'TICK = ("_n += {count};",', 'TICK = ("_n += {count} - 1;",', KILLED),
     # -- the distance templates of the generated code
     ("== distance not squared", INTERP,
-     '"==": "(({a} - {b}) * ({a} - {b}))",',
-     '"==": "(abs({a} - {b}))",', KILLED),
+     '"==": (None, "({a} - {b}) * ({a} - {b})"),',
+     '"==": (None, "abs({a} - {b})"),', KILLED),
     ("!= distance without epsilon", INTERP,
-     '"!=": "(0.0 if {a} != {b} else _eps)",',
-     '"!=": "(0.0 if {a} != {b} else 1.0)",', KILLED),
+     '"!=": ("{a} != {b}", "_eps"),', '"!=": ("{a} != {b}", "1.0"),',
+     KILLED),
     ("< distance without epsilon", INTERP,
-     '"<": "(0.0 if {a} < {b} else ({a} - {b}) * ({a} - {b}) + _eps)",',
-     '"<": "(0.0 if {a} < {b} else ({a} - {b}) * ({a} - {b}))",', KILLED),
+     '"<": ("{a} < {b}", "({a} - {b}) * ({a} - {b}) + _eps"),',
+     '"<": ("{a} < {b}", "({a} - {b}) * ({a} - {b})"),', KILLED),
     ("<= distance zero on the boundary only", INTERP,
-     '"<=": "(0.0 if {a} <= {b} else ({a} - {b}) * ({a} - {b}))",',
-     '"<=": "(0.0 if {a} < {b} else ({a} - {b}) * ({a} - {b}))",', KILLED),
+     '"<=": ("{a} <= {b}", "({a} - {b}) * ({a} - {b})"),',
+     '"<=": ("{a} < {b}", "({a} - {b}) * ({a} - {b})"),', KILLED),
     ("> and >= swapped", INTERP,
      '_SWAPPED = {">": "<", ">=": "<="}', '_SWAPPED = {">": "<=", ">=": "<"}',
      KILLED),

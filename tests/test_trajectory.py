@@ -5,10 +5,11 @@ exactly the same number of evaluations and restarts, deem the same
 branches infeasible and give the same verdict and residual.  Floats are
 compared through `repr`, so a change in the last bit of any admitted
 input fails here.  A pure refactor or speed-up of the search must keep
-every value below; a deliberate change to the search records new ones
-and says why.  Each case runs twice in one process, first on a freshly
-parsed program or constraint, whose code that run compiles, and then on
-the code it kept there.
+every value below, on the Python flavour and on the C build alike
+(test_native runs each case there); a deliberate change to the search
+records new ones and says why.  Each case runs twice in one process,
+first on a freshly parsed program or constraint, whose code that run
+compiles, and then on the code it kept there.
 """
 
 import pytest
@@ -18,7 +19,15 @@ from mexec.lang import parse
 from mexec.satcheck import check_sat, parse_constraint
 from mexec.transforms import prepare
 
-from conftest import counting_compiles, load
+from conftest import backend, counting_compiles, load
+
+
+@pytest.fixture(autouse=True)
+def on_python():
+    """The goldens below run on the Python flavour; test_native runs them
+    on the C build."""
+    with backend("python"):
+        yield
 
 
 def cold_then_warm(run):
