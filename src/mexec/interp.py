@@ -30,10 +30,10 @@ Constraint.
 
 The Python text is the specification.  A fast source or constraint that
 runs hot in a process is also built in C (native.Hot): the same walk of
-`_Source`, spelled in C by native.CSource, whose runner and line search
-give the same values and counts, and each restart after the build binds
-those.  Without a C compiler, or when its build fails, the source stays
-on Python.
+`_Source`, spelled in C by native.CSource, whose runner, line search
+and Powell give the same values and counts, and each restart after the
+build binds those.  Without a C compiler, or when its build fails, the
+source stays on Python.
 
 At each labeled conditional the mode's hook decides how r changes, by
 the same lines in both flavours: coverage takes the penalty
@@ -610,11 +610,11 @@ class _Source:
     def runner(self, params, core, shared=()):
         """Emit `_bind(_obj, _s, _lo0, _hi0, _lo1, ...)`, which returns
         the line runner `_line(x, d, t)` of the objective `_obj` for a
-        representing function of the inputs `params`, local names, and
-        its line search `_search(x, d, f0, xtol, growth)`, None when
-        there are no inputs.  `core` computes `_r` from the inputs,
-        assigning the module globals `shared`, and raises one of
-        `_ABORTS` on an abort.
+        representing function of the inputs `params`, local names, its
+        line search `_search(x, d, f0, xtol, growth)`, None when there
+        are no inputs, and None for Powell, which runs in optimize.
+        `core` computes `_r` from the inputs, assigning the module
+        globals `shared`, and raises one of `_ABORTS` on an abort.
 
         One evaluation builds the point x[i] + t * d[i], counts one
         evaluation on `_obj`, clamps each input into its (lo, hi) as
@@ -688,7 +688,7 @@ class _Source:
                 f"_x{i}, _d{i} = x[{i}], d[{i}]" for i in range(n)]
                 + _SEARCH.format(at_c=at_c, at_u=at_u, cgold=_CGOLD,
                                  tiny=_TINY).splitlines())
-        self.emit(f"return _line, {'_search' if n else 'None'}")
+        self.emit(f"return _line, {'_search' if n else 'None'}, None")
         self.indent -= 1
 
 
@@ -719,12 +719,13 @@ class RepresentingFunction:
 
     `runner(objective)` gives the generated line runner of an
     optimize.Objective, which clamps into `objective.box`, counts on
-    `objective` and sanitises, and its generated line search (None
-    without inputs): those of the source's C build once `hot`, its
-    native.Hot, has one, else the Python ones.  `settings` are the
-    epsilon, step budget and path target the C runner takes, which the
-    Python one has in its namespace.  Called on a point, it gives the
-    value of one Objective without a box, bound on the first call.
+    `objective` and sanitises, its generated line search (None without
+    inputs) and its Powell: those of the source's C build once `hot`,
+    its native.Hot, has one, else the Python ones and None.  `settings`
+    are the epsilon, step budget and path target the C runner takes,
+    which the Python one has in its namespace.  Called on a point, it
+    gives the value of one Objective without a box, bound on the first
+    call.
     """
 
     def __init__(self, ns, arity, table, hot, settings):

@@ -3,24 +3,25 @@
 A search runs a fast source on Python first (see interp).  Once the
 evaluations a source has run in this process pass HOT_RUNS, its C
 translation is built with `cc` and every later restart binds that
-runner and line search instead, through `ctypes`.  The Python flavour is
-the specification: the C text is the same walk of the program
+runner, line search and Powell instead, through `ctypes`.  The Python
+code is the specification: the C text is the same walk of the program
 (interp._Source) spelled in C by CSource, its builtins keep the Python
-flavour's semantics, not C's, and its line search is the C text of
-interp._SEARCH.  So a search gives the same values, counts and results
-on either backend.
+flavour's semantics, not C's, its line search is the C text of
+interp._SEARCH, and its Powell that of optimize.powell_minimize and
+_line_minimize, with the record of line searches in C.  So a search
+gives the same values, counts and results on either backend.
 
 Four parts:
 
 * `_PRELUDE`, the builtins, the aborts and the runner's state;
-* `_SEARCH`, the evaluation and the line search, in C;
+* `_SEARCH` and `_POWELL`, evaluation, line search and Powell in C;
 * `build`, which compiles C texts in one `cc` call into a temporary
   directory deleted right after the library is loaded; the library
   stays mapped for the life of the process.  Without `cc`, or when the
   build fails or takes longer than BUILD_TIMEOUT_S, each source stays on
   Python for the rest of the process;
 * `Hot.bind`, the ctypes glue of one objective, which counts on it as
-  the Python runner does.
+  the Python runner and Powell do.
 
 `import mexec` loads neither this module nor `ctypes` nor `subprocess`:
 they are imported when a fast source is first bound.
@@ -33,7 +34,7 @@ from functools import cache
 
 from .interp import _Source
 from .lang import Assign, walk
-from .optimize import _CGOLD, _TINY, SENTINEL
+from .optimize import _CGOLD, _TINY, BRACKET_GROWTH, SENTINEL
 
 # evaluations a source runs on Python before its C build: about the
 # Python time one build takes (see README, "Compiled search")
@@ -43,8 +44,10 @@ BUILD_TIMEOUT_S = 60
 # operation rounds as the Python flavour's does
 CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared",
           "-w")
-# a step budget past any count a run reaches, which a long long holds
+# a step budget or Powell round count past any a run reaches, in a long long
 _BUDGET_CAP = 2 ** 62
+# the functions each C text exports; the last two only with inputs
+_EXPORTS = ("mx_line", "mx_search", "mx_powell")
 
 # The builtins and arithmetic of interp, spelled so that every value is
 # the Python flavour's: CPython 3.11's `math` maps a NaN from a non-NaN
@@ -55,6 +58,8 @@ _BUDGET_CAP = 2 ** 62
 # int does, and `hiword`/`loword` of NaN are NaN.
 _PRELUDE = r"""
 #include <setjmp.h>
+#include <stdlib.h>
+#include <string.h>
 
 double sin(double), cos(double), tan(double), exp(double), log(double),
     sqrt(double), pow(double, double);
@@ -70,7 +75,9 @@ struct mx_run {
     double t, f;
     long long ne, nr;
     int above;
-    double mr, m[MX_N + 1], lo[MX_N + 1], hi[MX_N + 1];
+    double mr, m[MX_N + 1], lo[MX_N + 1], hi[MX_N + 1], px[MX_N + 1];
+    struct mx_rec *recs;
+    long long nrec, cap;
 };
 
 static double _r, _eps;
@@ -254,6 +261,146 @@ static void mx_run_search(struct mx_run *run, const double *x0,
 """.replace("@MAX@", sys.float_info.max.hex()).replace(
     "@TINY@", _TINY.hex()).replace("@CGOLD@", _CGOLD.hex())
 
+# optimize.powell_minimize and _line_minimize in C, with the evaluation
+# and the line search above: `mx_line_min` answers a line search run
+# before from the record `run->recs`, an open-addressed table keyed by
+# the exact bits of x, d and xtol that lives as long as `run`, and
+# `mx_powell` runs from the point `run->px`, leaving there its point and
+# its value and counts in `run`.  Powell's `** 2` is libm's pow, which
+# CPython's float `**` calls.  Both return 1 when the record finds no
+# memory.
+_POWELL = r"""
+#define MX_KEY (2 * MX_N + 1)
+
+struct mx_rec {
+    double key[MX_KEY], x[MX_N + 1], f, decrease;
+    long long requests;     /* 0 in an empty slot */
+};
+
+static const double mx_zeros[MX_N + 1];
+
+static struct mx_rec *mx_slot(struct mx_rec *recs, long long cap,
+                              const double *key) {
+    unsigned long long h = 14695981039346656037ULL, w;
+    long long i;
+    for (i = 0; i < MX_KEY; i++) {
+        memcpy(&w, key + i, sizeof w);
+        h = (h ^ w) * 1099511628211ULL;
+        h ^= h >> 31;
+    }
+    i = h & (cap - 1);
+    while (recs[i].requests && memcmp(recs[i].key, key, sizeof recs[i].key))
+        i = (i + 1) & (cap - 1);
+    return recs + i;
+}
+
+static int mx_grow(struct mx_run *run) {
+    long long cap = run->cap ? 2 * run->cap : 16, i;
+    struct mx_rec *recs = calloc(cap, sizeof *recs);
+    if (!recs) return 1;
+    for (i = 0; i < run->cap; i++)
+        if (run->recs[i].requests)
+            *mx_slot(recs, cap, run->recs[i].key) = run->recs[i];
+    free(run->recs);
+    run->recs = recs; run->cap = cap;
+    return 0;
+}
+
+static int mx_line_min(struct mx_run *run, double *x, const double *d,
+                       double xtol, double *fx, double *decrease,
+                       long long *ne, long long *nr) {
+    double key[MX_KEY], f0;
+    long long requested = *ne;
+    struct mx_rec *rec;
+    int i, held, kept;
+    memcpy(key, x, MX_N * sizeof *x);
+    memcpy(key + MX_N, d, MX_N * sizeof *d);
+    key[2 * MX_N] = xtol;
+    if (2 * (run->nrec + 1) > run->cap && mx_grow(run)) return 1;
+    rec = mx_slot(run->recs, run->cap, key);
+    if (rec->requests) {
+        *ne += rec->requests; *nr += rec->requests;
+    } else {
+        f0 = mx_eval(run, x, mx_zeros, -0.0, ne, nr);
+        mx_run_search(run, x, d, f0, xtol, @GROWTH@);
+        held = run->above ? 3 : 4;
+        *ne += run->ne + held;
+        *nr += run->nr + held;
+        kept = run->f >= f0;
+        memcpy(rec->key, key, sizeof key);
+        for (i = 0; i < MX_N; i++)
+            rec->x[i] = kept ? x[i] : x[i] + run->t * d[i];
+        rec->f = kept ? f0 : run->f;
+        rec->decrease = f0 - rec->f;
+        rec->requests = *ne - requested;
+        run->nrec++;
+    }
+    for (i = 0; i < MX_N; i++) x[i] = rec->x[i];
+    *fx = rec->f;
+    *decrease = rec->decrease;
+    return 0;
+}
+
+int mx_powell(struct mx_run *run, double xtol, double ftol,
+              long long rounds, int nonnegative) {
+    double *x = run->px, dirs[MX_N][MX_N + 1], start[MX_N + 1];
+    double nd[MX_N + 1], fx, f_start, f_e, biggest, decrease, t;
+    long long ne = 0, nr = 0, k;
+    int i, j, at, moved, failed = 1;
+    fx = mx_eval(run, x, mx_zeros, -0.0, &ne, &nr);
+    if (nonnegative && fx == 0.0) goto done;
+    for (k = 0; k < rounds; k++) {
+        /* the axes, at the start and after every 2n rounds */
+        if (k % (2 * MX_N) == 0)
+            for (i = 0; i < MX_N; i++)
+                for (j = 0; j < MX_N; j++) dirs[i][j] = i == j ? 1.0 : 0.0;
+        f_start = fx;
+        for (i = 0; i < MX_N; i++) start[i] = x[i];
+        biggest = 0.0; at = 0;
+        for (i = 0; i < MX_N; i++) {
+            if (mx_line_min(run, x, dirs[i], xtol, &fx, &decrease, &ne, &nr))
+                goto fail;
+            if (nonnegative && fx == 0.0) goto done;
+            if (decrease > biggest) {
+                biggest = decrease; at = i;
+            }
+        }
+        if (2.0 * (f_start - fx) <= ftol * (__builtin_fabs(f_start)
+                                            + __builtin_fabs(fx)) + @TINY@)
+            break;
+        if (f_start < @GUARD@ && fx < @GUARD@) {
+            for (i = 0; i < MX_N; i++) nd[i] = 2.0 * x[i] - start[i];
+            f_e = mx_eval(run, nd, mx_zeros, -0.0, &ne, &nr);
+            if (f_e < f_start) {
+                t = (2.0 * (f_start - 2.0 * fx + f_e)
+                     * pow(f_start - fx - biggest, 2.0)
+                     - biggest * pow(f_start - f_e, 2.0));
+                if (t < 0.0) {
+                    moved = 0;
+                    for (i = 0; i < MX_N; i++) {
+                        nd[i] = x[i] - start[i];
+                        moved = moved || nd[i] != 0.0;
+                    }
+                    if (moved) {
+                        if (mx_line_min(run, x, nd, xtol, &fx, &decrease,
+                                        &ne, &nr))
+                            goto fail;
+                        if (nonnegative && fx == 0.0) goto done;
+                        for (i = 0; i < MX_N; i++) dirs[at][i] = nd[i];
+                    }
+                }
+            }
+        }
+    }
+done:
+    failed = 0;
+fail:
+    run->f = fx; run->ne = ne; run->nr = nr;
+    return failed;
+}
+""".replace("@TINY@", _TINY.hex()).replace(
+    "@GROWTH@", BRACKET_GROWTH.hex()).replace("@GUARD@", (1e150).hex())
+
 
 class CSource(_Source):
     """The C text of a fast source: interp._Source's walk, spelled in C.
@@ -308,8 +455,9 @@ class CSource(_Source):
 
     def runner(self, params, core, shared=()):
         """Emit `mx_core`, which runs `core` on the clamped inputs and
-        returns 1 on an abort, and `mx_line` and `mx_search`, the
-        exported runner and line search on `params`' scalars."""
+        returns 1 on an abort, and `mx_line`, `mx_search` and
+        `mx_powell`, the exported runner, line search and Powell on
+        `params`' scalars."""
         n = self.arity = len(params)
         self.emit("static int mx_core(const struct mx_run *run, "
                   "const double *mx_v) {")
@@ -341,7 +489,7 @@ class CSource(_Source):
             "    return mx_eval(run, x, d, t, &ne, &run->nr);",
             "}"]
         if n:
-            self.lines += [
+            self.lines += _POWELL.splitlines() + [
                 f"void mx_search(struct mx_run *run{scalars}, double f0, "
                 "double xtol, double growth) {",
                 f"    {arrays}",
@@ -361,7 +509,9 @@ class Hot:
     `bind` counts the evaluations run by the objectives it bound on
     Python; past HOT_RUNS it builds the C text `text()` once, and from
     then on binds the C runner.  `lib` is None before the build, False
-    after one that failed, else (line, search, run type).
+    after one that failed, else (line, search, powell, run type, library).
+    The C arrays of the last saturation table bound and of each path
+    target are kept for the next bind.
     """
 
     def __init__(self, arity, text):
@@ -370,10 +520,12 @@ class Hot:
         self.runs = 0
         self.watched = []
         self.lib = None
+        self.table = self.sat = None
+        self.targets = {}
 
     def bind(self, objective, box, table, epsilon, budget, target):
-        """(line, search) of the C runner for `objective`, as interp's
-        `_bind` gives them, or None while the source stays on Python."""
+        """(line, search, powell) of the C runner for `objective`, or
+        None while the source stays on Python."""
         if self.lib is None:
             self.runs += sum(o.run_count for o in self.watched)
             self.watched.clear()
@@ -383,8 +535,22 @@ class Hot:
                 self.watched.append(objective)
         if not self.lib:
             return None
-        return _glue(self.lib, objective, box, table, epsilon, budget,
-                     target)
+        if table is not None and table != self.table:
+            # a table changes only on an admission
+            self.table, self.sat = table, _ints(table)
+        if target is not None and target not in self.targets:
+            # the path cursor's labels end in one no label matches
+            self.targets[target] = (
+                _ints([label for label, _side in target] + [-1]),
+                _ints([side == "T" for _label, side in target]))
+        return _glue(self.lib, objective, box,
+                     None if table is None else self.sat,
+                     self.targets.get(target), epsilon, budget)
+
+
+def _ints(values):
+    import ctypes
+    return (ctypes.c_int * (len(values) + 1))(*values)
 
 
 def build(hots):
@@ -407,9 +573,8 @@ def build(hots):
             for k, hot in enumerate(hots):
                 sources.append(os.path.join(tmp, f"u{k}.c"))
                 with open(sources[-1], "w", encoding="ascii") as out:
-                    out.write(f"#define mx_line mx_line_{k}\n"
-                              f"#define mx_search mx_search_{k}\n"
-                              + hot.text())
+                    out.write("".join(f"#define {name} {name}_{k}\n"
+                                      for name in _EXPORTS) + hot.text())
             library = os.path.join(tmp, "mexec.so")
             # the compiler's own temporary files go into `tmp` too, and
             # a build that overruns is stopped with every process it
@@ -432,23 +597,28 @@ def build(hots):
     double, pointer = ctypes.c_double, ctypes.c_void_p
     for k, hot in enumerate(hots):
         n = hot.arity
-        line = getattr(lib, f"mx_line_{k}")
+        line, search, powell = (getattr(lib, f"{name}_{k}", None)
+                                for name in _EXPORTS)
         line.argtypes = [pointer] + [double] * (2 * n + 1)
         line.restype = double
-        search = None
         if n:
-            search = getattr(lib, f"mx_search_{k}")
             search.argtypes = [pointer] + [double] * (2 * n + 3)
             search.restype = None
-        hot.lib = (line, search, _run_type(n), lib)
+            powell.argtypes = [pointer, double, double, ctypes.c_longlong,
+                               ctypes.c_int]
+            powell.restype = ctypes.c_int
+        hot.lib = (line, search, powell, _run_type(n), lib)
 
 
 @cache
 def _run_type(n):
-    """The ctypes mirror of `struct mx_run` for n inputs."""
+    """The ctypes mirror of `struct mx_run` for n inputs, which frees
+    its line-search record with it."""
     import ctypes
     double, wide = ctypes.c_double, ctypes.c_longlong
     pointer = ctypes.POINTER(ctypes.c_int)
+    free = ctypes.CDLL(None).free
+    free.argtypes, free.restype = [ctypes.c_void_p], None
 
     class Run(ctypes.Structure):
         _fields_ = [("eps", double), ("budget", wide), ("sat", pointer),
@@ -456,27 +626,30 @@ def _run_type(n):
                     ("f", double), ("ne", wide), ("nr", wide),
                     ("above", ctypes.c_int), ("mr", double),
                     ("m", double * (n + 1)), ("lo", double * (n + 1)),
-                    ("hi", double * (n + 1))]
+                    ("hi", double * (n + 1)), ("px", double * (n + 1)),
+                    ("recs", ctypes.c_void_p), ("nrec", wide),
+                    ("cap", wide)]
+
+        def __del__(self):
+            free(self.recs)
     return Run
 
 
-def _glue(lib, objective, box, table, epsilon, budget, target):
-    """The C runner and line search bound to `objective`: each counts on
-    it as interp's `_line` and `_search` do, and the two share one last
-    point, which starts as NaN."""
+def _glue(lib, objective, box, sat, path, epsilon, budget):
+    """The C runner, line search and Powell bound to `objective`, on the
+    saturation table `sat` and the path target `path`, C arrays or None:
+    each counts on it as interp's `_line` and `_search` and optimize's
+    `powell_minimize` do, and they share one last point, which starts as
+    NaN.  Powell's record of line searches lives as long as the three."""
     import ctypes
-    c_line, c_search, run_type, _lib = lib
+    c_line, c_search, c_powell, run_type, _lib = lib
     n = len(box)
     run = run_type(eps=epsilon, budget=min(budget, _BUDGET_CAP), mr=math.nan)
-    tables = {"sat": table}
-    if target is not None:
-        # the path cursor's labels end in one no label matches
-        tables["tl"] = [label for label, _side in target] + [-1]
-        tables["tt"] = [side == "T" for _label, side in target]
-    for field, values in tables.items():
-        if values is not None:
-            # `run` keeps the array it points into
-            setattr(run, field, (ctypes.c_int * (len(values) + 1))(*values))
+    # `run` keeps the arrays it points into
+    if sat is not None:
+        run.sat = sat
+    if path is not None:
+        run.tl, run.tt = path
     for i, (lo, hi) in enumerate(box):
         run.m[i], run.lo[i], run.hi[i] = math.nan, lo, hi
     address = ctypes.addressof(run)
@@ -494,10 +667,24 @@ def _glue(lib, objective, box, table, epsilon, budget, target):
             objective.reuse_count += 1
         return value
 
+    if not n:
+        return line, None, None
+
     def search(x, d, f0, xtol, growth):
         c_search(address, *x, *d, f0, xtol, growth)
         objective.eval_count += run.ne
         objective.reuse_count += run.nr
         return run.t, run.f, run.above != 0
 
-    return line, search if n else None
+    def powell(x, cfg):
+        """powell_minimize(objective, x, cfg) from the float point x."""
+        run.px[:n] = x
+        if c_powell(address, float(cfg.xtol), float(cfg.ftol),
+                    min(cfg.max_rounds, _BUDGET_CAP), objective.nonnegative):
+            raise MemoryError("no memory for the record of line searches")
+        objective.eval_count += run.ne
+        objective.reuse_count += run.nr
+        return run.px[:n], run.f
+
+    powell.run = run
+    return line, search, powell

@@ -29,6 +29,11 @@ Powell and basinhopping wrap a plain function once, in an Objective
 without a box.  They return at a root: on an Objective marked
 `nonnegative`, as the modes mark theirs, they stop at the first exact 0
 they hold; on anything else they run until their settings stop them.
+
+`powell_minimize` and `_line_minimize` specify Powell too: on an
+Objective bound to a hot source's C build, each `powell_minimize` is one
+call of their C text (see native), with a record of its own and the
+same results and counts.
 """
 
 import math
@@ -64,9 +69,10 @@ class Objective:
     `arity` raises ArityMismatch, a box of another length InvalidBox.
     If `fn` has a `runner(objective)` method, as interp's compiled
     representing functions do, the generated runner it returns does all
-    of this in one call, and the generated line search it returns, None
-    without inputs, runs each line search; otherwise each evaluation
-    calls `fn`, and line searches run `_python_search`.
+    of this in one call, the generated line search it returns, None
+    without inputs, runs each line search, and its Powell, None but on
+    a C build with inputs, each `powell_minimize`; otherwise each
+    evaluation calls `fn`, and line searches run `_python_search`.
 
     `eval_count` counts the evaluations the search requests, and
     `reuse_count` those of them answered with a value already held:
@@ -94,7 +100,8 @@ class Objective:
         self.searches = {}
         self._zeros = (0.0,) * arity
         runner = getattr(fn, "runner", None)
-        line, search = (None, None) if runner is None else runner(self)
+        line, search, self._powell = ((None,) * 3 if runner is None
+                                      else runner(self))
         self._line = line or self._evaluate
         self._search = search or self._python_search
 
@@ -324,6 +331,10 @@ def powell_minimize(f, x0, cfg=None):
         f = Objective(f, len(x0))
     n = len(x0)
     x = [float(v) for v in x0]
+    if f._powell is not None and n == f.arity:
+        # the same Powell, run in C; a point of another length raises
+        # at f(x) below
+        return f._powell(x, cfg)
     fx = f(x)
     if n == 0 or (f.nonnegative and fx == 0.0):
         return x, fx

@@ -40,14 +40,17 @@ class _Forgetful(dict):
 @contextlib.contextmanager
 def no_search_record():
     """Within the block, every Objective made runs each line search it
-    is asked for, as a search without the record would."""
+    is asked for, as a search without the record would.  Its sources
+    stay on Python, whose Powell keeps the record this turns off (the C
+    one keeps its own)."""
     init = Objective.__init__
 
     def forgetful_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         self.searches = _Forgetful()
 
-    with mock.patch.object(Objective, "__init__", forgetful_init):
+    with mock.patch.object(Objective, "__init__", forgetful_init), \
+            backend("python"):
         yield
 
 

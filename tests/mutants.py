@@ -317,6 +317,23 @@ MUTANTS = [
      "if (mx_core(run, v)) return 0.0;", KILLED),
     ("C step budget drops a tick", NATIVE,
      'TICK = ("_n += {count};",', 'TICK = ("_n += {count} - 1;",', KILLED),
+    # -- Powell and its record of line searches in C
+    ("C Powell drops the extrapolation", NATIVE,
+     "                if (t < 0.0) {", "                if (0) {", KILLED),
+    ("C Powell resets every n rounds", NATIVE,
+     "if (k % (2 * MX_N) == 0)", "if (k % MX_N == 0)", KILLED),
+    ("C Powell goes on from a root of a line search", NATIVE,
+     "                goto fail;\n"
+     "            if (nonnegative && fx == 0.0) goto done;\n",
+     "                goto fail;\n", KILLED),
+    ("C record keyed without xtol", NATIVE,
+     "key[2 * MX_N] = xtol;", "key[2 * MX_N] = 0.0;", KILLED),
+    ("C line search counts every held value", NATIVE,
+     "held = run->above ? 3 : 4;", "held = 4;", KILLED),
+    ("C line search moves on an equal value", NATIVE,
+     "kept = run->f >= f0;", "kept = run->f > f0;", KILLED),
+    ("C record never freed", NATIVE,
+     "            free(self.recs)", "            pass", KILLED),
     # -- the distance templates of the generated code
     ("== distance not squared", INTERP,
      '"==": (None, "({a} - {b}) * ({a} - {b})"),',

@@ -879,9 +879,12 @@ def assert_one_runner_and_one_coverage_hook(program, looping):
             assert "_pen" not in tracing
             state = SaturationState(cfg=None, explored=frozenset())
             counts_on = Objective(len, 0)   # any object with the two counts
-            line, search = compiled.objective(state).runner(counts_on)
+            line, search, powell = compiled.objective(state).runner(
+                counts_on)
             assert callable(line)
             assert callable(search) is bool(inputs)
+            # Powell runs in Python on the Python flavour
+            assert powell is None
 
 
 # -- the generated line search against its specification

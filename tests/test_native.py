@@ -10,11 +10,13 @@ once for the module.
 
 import importlib.util
 import math
+import os
 import random
 import shutil
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 import test_driver
 import test_trajectory
 from conftest import BENCH, backend
-from mexec import native
+from mexec import native, optimize
 from mexec.driver import (
     SPECIALS, SearchConfig, run_bva, run_coverage, run_path,
 )
@@ -33,7 +35,10 @@ from mexec.interp import (
     coverage_config, path_config, plain_config,
 )
 from mexec.lang import parse
-from mexec.optimize import BRACKET_GROWTH, LocalMinConfig, Objective
+from mexec.optimize import (
+    BRACKET_GROWTH, SENTINEL, LocalMinConfig, MCMCConfig, Objective,
+    basinhopping, powell_minimize,
+)
 from mexec.satcheck import check_sat, compile_constraint, parse_constraint
 from test_engine import (
     BUDGETS, EDGE_SEARCHES, _ProgramGen,
@@ -361,6 +366,233 @@ def test_edge_searches_match_the_specification_in_c():
         on_c(fn, fn.arity, box)
         assert_searches_match_the_specification(
             fn, fn.arity, box, lines, LocalMinConfig(xtol=xtol))
+
+
+# -- Powell and basinhopping
+
+# constraints whose Powell runs reach a sentinel plateau (an abort at
+# every point a line search from a negative x asks), a root after a
+# line search, many rounds with extrapolated directions and resets, and
+# unboxed, a runaway bracketing upward and, from a negative start
+# (its mid then above its lo), downward
+POWELL_CONSTRAINTS = ["sqrt(x) > 2 && y < 1", "log(x) == 1",
+                      "100*(y - x*x)*(y - x*x) + (1 - x)*(1 - x) == 0",
+                      "x == 3", "x == 1e30", "1/(1 + x*x) == 0"]
+POWELL_TABLES = ("reset", "toward T", "mixed")
+
+
+class _Recorded(dict):
+    """A line-search record that counts the searches it answers."""
+
+    hits = 0
+
+    def get(self, key):
+        value = super().get(key)
+        self.hits += value is not None
+        return value
+
+
+def _on(fn, arity, box, backend_name):
+    """A fresh Objective of `fn` on the backend named: the driver's,
+    boxed and marked nonnegative, or `_plain`'s, unboxed and not."""
+    def make():
+        return Objective(fn, arity, box, nonnegative=box is not None)
+    if backend_name == "python":
+        with mock.patch.object(fn.hot, "lib", None), backend("python"):
+            objective = make()
+        objective.searches = _Recorded()
+        assert objective._powell is None
+    else:
+        objective = make()
+        assert objective._powell is not None
+    return objective
+
+
+def _records(objective):
+    if objective._powell is None:
+        return len(objective.searches)
+    return objective._powell.run.nrec
+
+
+def _outcome(objective, result):
+    return (repr(result), objective.eval_count, objective.reuse_count,
+            _records(objective))
+
+
+@pytest.fixture(scope="module")
+def powell_constraints():
+    """The representing functions of the solve-mix and plateau
+    constraints, built in one `cc` call."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    fns = {text: compile_constraint(parse_constraint(text)).fn
+           for text in SOLVE_CONSTRAINTS + POWELL_CONSTRAINTS}
+    native.build([fn.hot for fn in fns.values()])
+    return fns
+
+
+def _powell_objectives(shipped, powell_constraints, rng):
+    """(RepresentingFunction, arity) of every shipped program in
+    coverage under several tables, in path and in bva, and of the
+    solve-mix and plateau constraints, each source built."""
+    out = []
+    for name, program in shipped.items():
+        for cfg in _configs(name):
+            compiled = _compiled(program, cfg)
+            for table in (POWELL_TABLES if cfg.mode == "coverage"
+                          else [None]):
+                fn = compiled.objective()
+                if table:
+                    fn.table = TABLES[table](program.num_conditionals, rng)
+                out.append((fn, compiled.arity))
+    return out + [(fn, fn.arity) for fn in powell_constraints.values()]
+
+
+@needs_cc
+def test_powell_and_basinhopping_match_on_both_backends(shipped,
+                                                        powell_constraints):
+    """Whole powell_minimize and basinhopping calls, boxed and unboxed,
+    from edge and random starts: equal (x, f) by repr, counts and
+    number of records.  The Python runs reach each case the C Powell
+    writes again: a root at the start and after a line search, a
+    sentinel plateau, a search answered from the record, a bracket
+    whose mid is above its lo (3 held values), an extrapolated direction
+    and a reset of the directions after 2n rounds."""
+    rng = random.Random(7)
+    seen = dict.fromkeys(("root at start", "root after a search",
+                          "plateau", "record", "mid above lo",
+                          "extrapolated", "reset"), 0)
+    line_minimize = optimize._line_minimize
+    searches = [0]
+
+    def spied(f, x, direction, cfg):
+        searches[0] += 1
+        seen["extrapolated"] += sorted(direction) != sorted(
+            [1.0] + [0.0] * (len(x) - 1))
+        new_x, fx, decrease = line_minimize(f, x, direction, cfg)
+        # Powell squares differences of these values under its guard of
+        # 1e150, so, in [0, SENTINEL], the squares stay below 1e300:
+        # Python's OverflowError from `**` cannot arise on a bound
+        # objective, and the C Powell has none to copy
+        assert 0.0 <= fx <= SENTINEL and decrease >= 0.0
+        return new_x, fx, decrease
+
+    def spied_search(search):
+        def run(*args):
+            t, ft, above = search(*args)
+            seen["mid above lo"] += above
+            return t, ft, above
+        return run
+
+    for fn, arity in _powell_objectives(shipped, powell_constraints, rng):
+        if not arity:
+            continue
+        for box in ([(-1e3, 1e3)] * arity, None):
+            # and from a negative start, which a downward runaway needs
+            for start in rng.sample(points(arity, rng, 4), 2) + [
+                    [-2.5] * arity]:
+                py, c = _on(fn, arity, box, "python"), _on(fn, arity, box,
+                                                           "c")
+                py._search = spied_search(py._search)
+                searches[0] = 0
+                with mock.patch.object(optimize, "_line_minimize", spied):
+                    x, f = powell_minimize(py, start)
+                assert (_outcome(c, powell_minimize(c, start))
+                        == _outcome(py, (x, f))), (start, box)
+                if box is not None and f == 0.0:
+                    seen["root at start" if py.eval_count == 1
+                         else "root after a search"] += 1
+                seen["plateau"] += f == SENTINEL
+                seen["record"] += py.searches.hits
+                # at most n + 1 line searches a round: more than 2n
+                # rounds' worth means a round ran on the reset axes
+                seen["reset"] += searches[0] > 2 * arity * (arity + 1)
+            seed = rng.random()
+            py, c = _on(fn, arity, box, "python"), _on(fn, arity, box, "c")
+            start = points(arity, rng, 1)[-1]
+            cfg = MCMCConfig(n_iter=2)
+            assert (_outcome(c, basinhopping(c, start, cfg,
+                                             random.Random(seed)))
+                    == _outcome(py, basinhopping(py, start, cfg,
+                                                 random.Random(seed))))
+    assert all(seen.values()), seen
+
+
+# Powell settings at their edges; the last two run twice on one
+# objective from one start, so a record keyed without xtol answers the
+# second from the first
+POWELL_SETTINGS = [
+    [LocalMinConfig(max_rounds=0)], [LocalMinConfig(ftol=0)],
+    [LocalMinConfig(max_rounds=10 ** 30)], [LocalMinConfig(xtol=0)],
+    [LocalMinConfig(xtol=Fraction(1, 10 ** 6), ftol=Fraction(1, 3))],
+    [LocalMinConfig(xtol=1e-8), LocalMinConfig(xtol=1e-3)],
+]
+
+
+@needs_cc
+@pytest.mark.parametrize("cfgs", POWELL_SETTINGS, ids=range(
+    len(POWELL_SETTINGS)))
+def test_powell_settings_match_on_both_backends(shipped, powell_constraints,
+                                                cfgs):
+    rng = random.Random(8)
+    compiled = _compiled(shipped["k_cos"], coverage_config())
+    cover = compiled.objective()
+    cover.table = TABLES["mixed"](shipped["k_cos"].num_conditionals, rng)
+    fns = [cover] + [powell_constraints[text] for text in
+                     POWELL_CONSTRAINTS[2:] + SOLVE_CONSTRAINTS[:1]]
+    for fn in fns:
+        arity = fn.arity
+        for box in ([(-1e3, 1e3)] * arity, None):
+            for start in rng.sample(points(arity, rng, 2), 2):
+                py, c = _on(fn, arity, box, "python"), _on(fn, arity, box,
+                                                           "c")
+                for cfg in cfgs:
+                    assert (_outcome(c, powell_minimize(c, start, cfg))
+                            == _outcome(py, powell_minimize(py, start, cfg)))
+
+
+# restarts of one hot source in a fresh process, each Powell growing a
+# record of about 20 KB: the resident set after 800 more of them
+RSS_SCRIPT = """
+import os
+from mexec import native
+from mexec.optimize import Objective, powell_minimize
+from mexec.satcheck import compile_constraint, parse_constraint
+
+fn = compile_constraint(parse_constraint(%r)).fn
+native.build([fn.hot])
+
+
+def restarts(count):
+    for i in range(count):
+        objective = Objective(fn, 2, [(-1e3, 1e3)] * 2, nonnegative=True)
+        powell_minimize(objective, [i / 7.0, -3.0])
+    return objective._powell.run.cap
+
+
+def resident():
+    with open("/proc/self/statm", encoding="ascii") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+restarts(200)
+before = resident()
+print(restarts(800), resident() - before)
+""" % POWELL_CONSTRAINTS[2]
+
+
+@needs_cc
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the resident set from /proc")
+def test_the_record_is_freed_with_its_objective():
+    done = subprocess.run([sys.executable, "-c", RSS_SCRIPT],
+                          capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": str(ROOT / "src"),
+                               "PATH": os.environ["PATH"]})
+    slots, growth = map(int, done.stdout.split())
+    # 800 records of this size kept would be over 15 MB
+    assert slots * 800 * 88 > 15e6
+    assert growth < 3e6
 
 
 # -- whole runs

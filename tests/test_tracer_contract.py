@@ -83,6 +83,9 @@ def test_the_line_span_counts_every_requested_line_search():
                                mx.driver.SearchConfig(seed=0))
     assert tracer.calls["optimize.line"] == 117
     assert sum(len(o.searches) for o in made) == 93
+    # the run's 4,709 evaluations stay below native.HOT_RUNS, so its
+    # source stays on Python, whose line searches the tracer sees
+    assert all(o._powell is None for o in made)
     for span in ("driver.objective", "optimize.basinhopping"):
         assert tracer.calls[span] > 0, span
 
